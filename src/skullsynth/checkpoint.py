@@ -3,9 +3,13 @@
 Array keys are free-form strings (parameter names, optimizer slots); metadata
 is any JSON-serializable dict and always carries a format version.  Loading a
 container with a different format version fails loudly rather than guessing.
+Saves are atomic: readers see either the old file or the complete new one.
 """
 
+import contextlib
 import json
+import os
+import zipfile
 
 import numpy as np
 
@@ -22,18 +26,30 @@ def save_checkpoint(path, meta: dict, arrays: dict) -> None:
     payload = {_META_KEY: np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
     for key, arr in arrays.items():
         payload[key] = np.asarray(arr)
-    with open(path, "wb") as fh:
-        np.savez(fh, **payload)
+    # Write a temp file next to `path`, then rename it over `path`: a crash
+    # mid-write leaves the previous checkpoint intact, and the ".tmp" suffix
+    # keeps the temp file out of the `*_epoch*.npz` resume globs.
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
     try:
-        with np.load(path) as npz:
+        with open(path, "rb") as fh, np.load(fh) as npz:
             if _META_KEY not in npz:
                 raise KeyError(_META_KEY)
             meta = json.loads(bytes(npz[_META_KEY].tobytes()).decode("utf-8"))
             arrays = {k: npz[k] for k in npz.files if k != _META_KEY}
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"corrupt or unreadable checkpoint {path}: {exc}") from exc
     version = meta.get("format_version")
     if version != FORMAT_VERSION:

@@ -424,8 +424,10 @@ def gan_losses(d, real_ct, syn_ct, mode: str = "log"):
     logits_real = d(real_t)
     logits_syn_d = d(syn_t.detach())
     d.freeze()
-    logits_syn_g = d(syn_t)
-    d.unfreeze()
+    try:
+        logits_syn_g = d(syn_t)
+    finally:
+        d.unfreeze()
     if mode == "log":
         d_loss = -(ops.log(ops.sigmoid(logits_real)).mean()) - (
             ops.log(1.0 - ops.sigmoid(logits_syn_d)).mean()

@@ -1,6 +1,5 @@
-"""Reverse-mode autodiff engine over numpy arrays with numba-accelerated kernels."""
+"""Reverse-mode autodiff engine over numpy arrays."""
 
-from skullsynth.engine.kernels import active_backend, use_backend
 from skullsynth.engine.tensor import Tensor
 
-__all__ = ["Tensor", "active_backend", "use_backend"]
+__all__ = ["Tensor"]

@@ -1,48 +1,20 @@
 """Hot numeric kernels: 3-D convolutions, binary morphology, trilinear resampling.
 
-Every kernel exists twice: a numba-jitted version and a pure-numpy fallback.
-The active backend is picked once at import from the ``SKULLSYNTH_BACKEND``
-environment variable (``numba`` or ``numpy``); default is numba when it
-imports, numpy otherwise.  ``use_backend`` switches at runtime (tests and the
-backend benchmark use it).
-
 All convolution kernels use cubic kernel windows, isotropic stride and
 zero padding.  Array layouts: activations (C, D, H, W), conv weights
 (C_out, C_in, k, k, k), transposed-conv weights (C_in, C_out, k, k, k).
-Both backends accumulate in a fixed order, so repeated calls are bitwise
-reproducible; across backends agreement is to float rounding only.
+Every kernel accumulates in a fixed order, so repeated calls are bitwise
+reproducible.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, guard anyway
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
 
 
 def _out_dim(d, k, stride, pad):
     return (d + 2 * pad - k) // stride + 1
 
 
-def _conv3d_forward_numpy(x, w, stride, pad):
+def _conv_forward(x, w, stride, pad):
     ci, d, h, wd = x.shape
     co, _, k = w.shape[0], w.shape[1], w.shape[2]
     do, ho, wo = _out_dim(d, k, stride, pad), _out_dim(h, k, stride, pad), _out_dim(wd, k, stride, pad)
@@ -61,7 +33,7 @@ def _conv3d_forward_numpy(x, w, stride, pad):
     return y
 
 
-def _conv3d_backward_input_numpy(gy, w, in_shape, stride, pad):
+def _conv_backward_input(gy, w, in_shape, stride, pad):
     ci, d, h, wd = in_shape
     co, _, k = w.shape[0], w.shape[1], w.shape[2]
     do, ho, wo = gy.shape[1:]
@@ -80,7 +52,7 @@ def _conv3d_backward_input_numpy(gy, w, in_shape, stride, pad):
     return gxp
 
 
-def _conv3d_backward_weight_numpy(gy, x, k, stride, pad):
+def _conv_backward_weight(gy, x, k, stride, pad):
     co = gy.shape[0]
     ci = x.shape[0]
     do, ho, wo = gy.shape[1:]
@@ -99,67 +71,47 @@ def _conv3d_backward_weight_numpy(gy, x, k, stride, pad):
     return gw
 
 
-def _tconv3d_forward_numpy(x, w, stride, pad):
-    ci, d, h, wd = x.shape
-    co, k = w.shape[1], w.shape[2]
-    dp = (d - 1) * stride + k
-    hp = (h - 1) * stride + k
-    wp = (wd - 1) * stride + k
-    yp = np.zeros((co, dp, hp, wp), dtype=x.dtype)
-    for dz in range(k):
-        for dy in range(k):
-            for dx in range(k):
-                yp[
-                    :,
-                    dz : dz + stride * (d - 1) + 1 : stride,
-                    dy : dy + stride * (h - 1) + 1 : stride,
-                    dx : dx + stride * (wd - 1) + 1 : stride,
-                ] += np.einsum("io,idhw->odhw", w[:, :, dz, dy, dx], x)
-    if pad:
-        return np.ascontiguousarray(yp[:, pad : dp - pad, pad : hp - pad, pad : wp - pad])
-    return yp
+def conv3d_forward(x, w, stride=1, pad=0):
+    return _conv_forward(x, w, stride, pad)
 
 
-def _tconv3d_backward_input_numpy(gy, w, in_shape, stride, pad):
-    ci, d, h, wd = in_shape
+def conv3d_backward_input(gy, w, in_shape, stride=1, pad=0):
+    return _conv_backward_input(gy, w, in_shape, stride, pad)
+
+
+def conv3d_backward_weight(gy, x, k, stride=1, pad=0):
+    return _conv_backward_weight(gy, x, k, stride, pad)
+
+
+# A transposed conv with weights w (C_in, C_out, k^3) is the input gradient of
+# the conv that reads the same array as (C_out, C_in, k^3) weights and maps
+# the tconv output back to its input.  So its forward is that conv's
+# backward-input, its backward-input is that conv's forward, and its
+# backward-weight is that conv's backward-weight with the operands swapped.
+# The tconv kernels call the private helpers, so traces that wrap the public
+# names keep transposed-conv time apart from conv time.
+
+
+def tconv3d_forward(x, w, stride=2, pad=1):
     k = w.shape[2]
-    gyp = np.pad(gy, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
-    gx = np.zeros((ci, d, h, wd), dtype=gy.dtype)
-    for dz in range(k):
-        for dy in range(k):
-            for dx in range(k):
-                gs = gyp[
-                    :,
-                    dz : dz + stride * (d - 1) + 1 : stride,
-                    dy : dy + stride * (h - 1) + 1 : stride,
-                    dx : dx + stride * (wd - 1) + 1 : stride,
-                ]
-                gx += np.einsum("io,odhw->idhw", w[:, :, dz, dy, dx], gs)
-    return gx
+    out_shape = (w.shape[1],) + tuple((n - 1) * stride + k - 2 * pad for n in x.shape[1:])
+    return _conv_backward_input(x, w, out_shape, stride, pad)
 
 
-def _tconv3d_backward_weight_numpy(gy, x, k, stride, pad):
-    ci, d, h, wd = x.shape
-    co = gy.shape[0]
-    gyp = np.pad(gy, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
-    gw = np.zeros((ci, co, k, k, k), dtype=gy.dtype)
-    for dz in range(k):
-        for dy in range(k):
-            for dx in range(k):
-                gs = gyp[
-                    :,
-                    dz : dz + stride * (d - 1) + 1 : stride,
-                    dy : dy + stride * (h - 1) + 1 : stride,
-                    dx : dx + stride * (wd - 1) + 1 : stride,
-                ]
-                gw[:, :, dz, dy, dx] = np.tensordot(x, gs, axes=([1, 2, 3], [1, 2, 3]))
-    return gw
+def tconv3d_backward_input(gy, w, in_shape, stride=2, pad=1):
+    return _conv_forward(gy, w, stride, pad)
 
 
-def _dilate_numpy(mask, offsets):
+def tconv3d_backward_weight(gy, x, k, stride=2, pad=1):
+    return _conv_backward_weight(x, gy, k, stride, pad)
+
+
+def dilate(mask, offsets):
+    """Binary dilation by an explicit offset set; outside the grid is background."""
+    mask = mask.astype(np.uint8, copy=False)
     d, h, w = mask.shape
     out = np.zeros_like(mask)
-    for oz, oy, ox in offsets:
+    for oz, oy, ox in np.asarray(offsets, dtype=np.int64):
         zlo, zhi = max(0, oz), min(d, d + oz)
         ylo, yhi = max(0, oy), min(h, h + oy)
         xlo, xhi = max(0, ox), min(w, w + ox)
@@ -171,10 +123,12 @@ def _dilate_numpy(mask, offsets):
     return out
 
 
-def _erode_numpy(mask, offsets):
+def erode(mask, offsets):
+    """Binary erosion by an explicit offset set; outside the grid is background."""
+    mask = mask.astype(np.uint8, copy=False)
     d, h, w = mask.shape
     out = np.ones_like(mask)
-    for oz, oy, ox in offsets:
+    for oz, oy, ox in np.asarray(offsets, dtype=np.int64):
         shifted = np.zeros_like(mask)
         zlo, zhi = max(0, -oz), min(d, d - oz)
         ylo, yhi = max(0, -oy), min(h, h - oy)
@@ -187,10 +141,14 @@ def _erode_numpy(mask, offsets):
     return out
 
 
-def _resample3d_numpy(vol, out_shape):
+def resample3d(vol, out_shape):
+    """Trilinear resample to ``out_shape`` (half-pixel centers, edge clamp).
+
+    Returns float64; resampling to the input shape reproduces it exactly.
+    """
+    v = np.asarray(vol, dtype=np.float64)
     src_idx = []
-    for ax in range(3):
-        n_in, n_out = vol.shape[ax], out_shape[ax]
+    for n_in, n_out in zip(v.shape, map(int, out_shape)):
         coords = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
         coords = np.clip(coords, 0.0, n_in - 1.0)
         lo = np.floor(coords).astype(np.int64)
@@ -201,12 +159,11 @@ def _resample3d_numpy(vol, out_shape):
     fz = fz[:, None, None]
     fy = fy[None, :, None]
     fx = fx[None, None, :]
-    v = vol.astype(np.float64, copy=False)
 
     def gather(zi, yi, xi):
         return v[zi[:, None, None], yi[None, :, None], xi[None, None, :]]
 
-    out = (
+    return (
         gather(z0, y0, x0) * (1 - fz) * (1 - fy) * (1 - fx)
         + gather(z0, y0, x1) * (1 - fz) * (1 - fy) * fx
         + gather(z0, y1, x0) * (1 - fz) * fy * (1 - fx)
@@ -216,362 +173,6 @@ def _resample3d_numpy(vol, out_shape):
         + gather(z1, y1, x0) * fz * fy * (1 - fx)
         + gather(z1, y1, x1) * fz * fy * fx
     )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _pad3d(x, pad):
-    c, d, h, w = x.shape
-    xp = np.zeros((c, d + 2 * pad, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xp[:, pad : pad + d, pad : pad + h, pad : pad + w] = x
-    return xp
-
-
-@njit(cache=True)
-def _conv3d_forward_numba(x, w, stride, pad):
-    ci, d, h, wd = x.shape
-    co = w.shape[0]
-    k = w.shape[2]
-    do = (d + 2 * pad - k) // stride + 1
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (wd + 2 * pad - k) // stride + 1
-    xp = _pad3d(x, pad)
-    y = np.zeros((co, do, ho, wo), dtype=x.dtype)
-    for c in range(co):
-        for zo in range(do):
-            zb = zo * stride
-            for yo in range(ho):
-                yb = yo * stride
-                for xo in range(wo):
-                    xb = xo * stride
-                    acc = y[c, zo, yo, xo]
-                    for cc in range(ci):
-                        for dz in range(k):
-                            for dy in range(k):
-                                for dx in range(k):
-                                    acc += w[c, cc, dz, dy, dx] * xp[cc, zb + dz, yb + dy, xb + dx]
-                    y[c, zo, yo, xo] = acc
-    return y
-
-
-@njit(cache=True)
-def _conv3d_backward_input_numba(gy, w, in_shape, stride, pad):
-    ci, d, h, wd = in_shape
-    co = w.shape[0]
-    k = w.shape[2]
-    do, ho, wo = gy.shape[1], gy.shape[2], gy.shape[3]
-    gxp = np.zeros((ci, d + 2 * pad, h + 2 * pad, wd + 2 * pad), dtype=gy.dtype)
-    for c in range(co):
-        for zo in range(do):
-            zb = zo * stride
-            for yo in range(ho):
-                yb = yo * stride
-                for xo in range(wo):
-                    xb = xo * stride
-                    g = gy[c, zo, yo, xo]
-                    for cc in range(ci):
-                        for dz in range(k):
-                            for dy in range(k):
-                                for dx in range(k):
-                                    gxp[cc, zb + dz, yb + dy, xb + dx] += w[c, cc, dz, dy, dx] * g
-    return np.ascontiguousarray(gxp[:, pad : pad + d, pad : pad + h, pad : pad + wd])
-
-
-@njit(cache=True)
-def _conv3d_backward_weight_numba(gy, x, k, stride, pad):
-    ci = x.shape[0]
-    co = gy.shape[0]
-    do, ho, wo = gy.shape[1], gy.shape[2], gy.shape[3]
-    xp = _pad3d(x, pad)
-    gw = np.zeros((co, ci, k, k, k), dtype=gy.dtype)
-    for c in range(co):
-        for zo in range(do):
-            zb = zo * stride
-            for yo in range(ho):
-                yb = yo * stride
-                for xo in range(wo):
-                    xb = xo * stride
-                    g = gy[c, zo, yo, xo]
-                    for cc in range(ci):
-                        for dz in range(k):
-                            for dy in range(k):
-                                for dx in range(k):
-                                    gw[c, cc, dz, dy, dx] += xp[cc, zb + dz, yb + dy, xb + dx] * g
-    return gw
-
-
-@njit(cache=True)
-def _tconv3d_forward_numba(x, w, stride, pad):
-    ci, d, h, wd = x.shape
-    co = w.shape[1]
-    k = w.shape[2]
-    dp = (d - 1) * stride + k
-    hp = (h - 1) * stride + k
-    wp = (wd - 1) * stride + k
-    yp = np.zeros((co, dp, hp, wp), dtype=x.dtype)
-    for cc in range(ci):
-        for zi in range(d):
-            zb = zi * stride
-            for yi in range(h):
-                yb = yi * stride
-                for xi in range(wd):
-                    xb = xi * stride
-                    v = x[cc, zi, yi, xi]
-                    for c in range(co):
-                        for dz in range(k):
-                            for dy in range(k):
-                                for dx in range(k):
-                                    yp[c, zb + dz, yb + dy, xb + dx] += w[cc, c, dz, dy, dx] * v
-    return np.ascontiguousarray(yp[:, pad : dp - pad, pad : hp - pad, pad : wp - pad])
-
-
-@njit(cache=True)
-def _tconv3d_backward_input_numba(gy, w, in_shape, stride, pad):
-    ci, d, h, wd = in_shape
-    k = w.shape[2]
-    co = gy.shape[0]
-    gyp = _pad3d(gy, pad)
-    gx = np.zeros((ci, d, h, wd), dtype=gy.dtype)
-    for cc in range(ci):
-        for zi in range(d):
-            zb = zi * stride
-            for yi in range(h):
-                yb = yi * stride
-                for xi in range(wd):
-                    xb = xi * stride
-                    acc = gx[cc, zi, yi, xi]
-                    for c in range(co):
-                        for dz in range(k):
-                            for dy in range(k):
-                                for dx in range(k):
-                                    acc += w[cc, c, dz, dy, dx] * gyp[c, zb + dz, yb + dy, xb + dx]
-                    gx[cc, zi, yi, xi] = acc
-    return gx
-
-
-@njit(cache=True)
-def _tconv3d_backward_weight_numba(gy, x, k, stride, pad):
-    ci, d, h, wd = x.shape
-    co = gy.shape[0]
-    gyp = _pad3d(gy, pad)
-    gw = np.zeros((ci, co, k, k, k), dtype=gy.dtype)
-    for cc in range(ci):
-        for zi in range(d):
-            zb = zi * stride
-            for yi in range(h):
-                yb = yi * stride
-                for xi in range(wd):
-                    xb = xi * stride
-                    v = x[cc, zi, yi, xi]
-                    for c in range(co):
-                        for dz in range(k):
-                            for dy in range(k):
-                                for dx in range(k):
-                                    gw[cc, c, dz, dy, dx] += gyp[c, zb + dz, yb + dy, xb + dx] * v
-    return gw
-
-
-@njit(cache=True)
-def _dilate_numba(mask, offsets):
-    d, h, w = mask.shape
-    n = offsets.shape[0]
-    out = np.zeros_like(mask)
-    for z in range(d):
-        for y in range(h):
-            for x in range(w):
-                hit = False
-                for i in range(n):
-                    zz = z - offsets[i, 0]
-                    yy = y - offsets[i, 1]
-                    xx = x - offsets[i, 2]
-                    if 0 <= zz < d and 0 <= yy < h and 0 <= xx < w and mask[zz, yy, xx]:
-                        hit = True
-                        break
-                if hit:
-                    out[z, y, x] = 1
-    return out
-
-
-@njit(cache=True)
-def _erode_numba(mask, offsets):
-    d, h, w = mask.shape
-    n = offsets.shape[0]
-    out = np.zeros_like(mask)
-    for z in range(d):
-        for y in range(h):
-            for x in range(w):
-                keep = True
-                for i in range(n):
-                    zz = z + offsets[i, 0]
-                    yy = y + offsets[i, 1]
-                    xx = x + offsets[i, 2]
-                    if zz < 0 or zz >= d or yy < 0 or yy >= h or xx < 0 or xx >= w:
-                        keep = False
-                        break
-                    if not mask[zz, yy, xx]:
-                        keep = False
-                        break
-                if keep:
-                    out[z, y, x] = 1
-    return out
-
-
-@njit(cache=True)
-def _resample3d_numba(vol, out_shape):
-    di, hi, wi = vol.shape
-    do, ho, wo = out_shape
-    out = np.empty((do, ho, wo), dtype=np.float64)
-    sz = di / do
-    sy = hi / ho
-    sx = wi / wo
-    for z in range(do):
-        cz = (z + 0.5) * sz - 0.5
-        if cz < 0.0:
-            cz = 0.0
-        if cz > di - 1.0:
-            cz = di - 1.0
-        z0 = int(np.floor(cz))
-        fz = cz - z0
-        z1 = min(z0 + 1, di - 1)
-        for y in range(ho):
-            cy = (y + 0.5) * sy - 0.5
-            if cy < 0.0:
-                cy = 0.0
-            if cy > hi - 1.0:
-                cy = hi - 1.0
-            y0 = int(np.floor(cy))
-            fy = cy - y0
-            y1 = min(y0 + 1, hi - 1)
-            for x in range(wo):
-                cx = (x + 0.5) * sx - 0.5
-                if cx < 0.0:
-                    cx = 0.0
-                if cx > wi - 1.0:
-                    cx = wi - 1.0
-                x0 = int(np.floor(cx))
-                fx = cx - x0
-                x1 = min(x0 + 1, wi - 1)
-                c000 = vol[z0, y0, x0] * (1 - fz) * (1 - fy) * (1 - fx)
-                c001 = vol[z0, y0, x1] * (1 - fz) * (1 - fy) * fx
-                c010 = vol[z0, y1, x0] * (1 - fz) * fy * (1 - fx)
-                c011 = vol[z0, y1, x1] * (1 - fz) * fy * fx
-                c100 = vol[z1, y0, x0] * fz * (1 - fy) * (1 - fx)
-                c101 = vol[z1, y0, x1] * fz * (1 - fy) * fx
-                c110 = vol[z1, y1, x0] * fz * fy * (1 - fx)
-                c111 = vol[z1, y1, x1] * fz * fy * fx
-                out[z, y, x] = c000 + c001 + c010 + c011 + c100 + c101 + c110 + c111
-    return out
-
-
-# ---------------------------------------------------------------------------
-# backend dispatch
-# ---------------------------------------------------------------------------
-
-_IMPLS = {
-    "numpy": {
-        "conv3d_forward": _conv3d_forward_numpy,
-        "conv3d_backward_input": _conv3d_backward_input_numpy,
-        "conv3d_backward_weight": _conv3d_backward_weight_numpy,
-        "tconv3d_forward": _tconv3d_forward_numpy,
-        "tconv3d_backward_input": _tconv3d_backward_input_numpy,
-        "tconv3d_backward_weight": _tconv3d_backward_weight_numpy,
-        "dilate": _dilate_numpy,
-        "erode": _erode_numpy,
-        "resample3d": _resample3d_numpy,
-    },
-}
-
-if HAVE_NUMBA:
-    _IMPLS["numba"] = {
-        "conv3d_forward": _conv3d_forward_numba,
-        "conv3d_backward_input": _conv3d_backward_input_numba,
-        "conv3d_backward_weight": _conv3d_backward_weight_numba,
-        "tconv3d_forward": _tconv3d_forward_numba,
-        "tconv3d_backward_input": _tconv3d_backward_input_numba,
-        "tconv3d_backward_weight": _tconv3d_backward_weight_numba,
-        "dilate": _dilate_numba,
-        "erode": _erode_numba,
-        "resample3d": _resample3d_numba,
-    }
-
-
-def _resolve_backend():
-    choice = os.environ.get("SKULLSYNTH_BACKEND", "").strip().lower()
-    if choice:
-        if choice not in ("numba", "numpy"):
-            raise ValueError(f"SKULLSYNTH_BACKEND must be 'numba' or 'numpy', got {choice!r}")
-        if choice == "numba" and not HAVE_NUMBA:
-            raise RuntimeError("SKULLSYNTH_BACKEND=numba but numba is not importable")
-        return choice
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_backend = _resolve_backend()
-
-
-def active_backend():
-    return _backend
-
-
-def use_backend(name):
-    """Switch kernel backend at runtime ('numba' or 'numpy')."""
-    global _backend
-    if name not in _IMPLS:
-        raise ValueError(f"unknown backend {name!r}; available: {sorted(_IMPLS)}")
-    _backend = name
-
-
-def conv3d_forward(x, w, stride=1, pad=0):
-    return _IMPLS[_backend]["conv3d_forward"](x, w, stride, pad)
-
-
-def conv3d_backward_input(gy, w, in_shape, stride=1, pad=0):
-    return _IMPLS[_backend]["conv3d_backward_input"](gy, w, in_shape, stride, pad)
-
-
-def conv3d_backward_weight(gy, x, k, stride=1, pad=0):
-    return _IMPLS[_backend]["conv3d_backward_weight"](gy, x, k, stride, pad)
-
-
-def tconv3d_forward(x, w, stride=2, pad=1):
-    return _IMPLS[_backend]["tconv3d_forward"](x, w, stride, pad)
-
-
-def tconv3d_backward_input(gy, w, in_shape, stride=2, pad=1):
-    return _IMPLS[_backend]["tconv3d_backward_input"](gy, w, in_shape, stride, pad)
-
-
-def tconv3d_backward_weight(gy, x, k, stride=2, pad=1):
-    return _IMPLS[_backend]["tconv3d_backward_weight"](gy, x, k, stride, pad)
-
-
-def dilate(mask, offsets):
-    """Binary dilation by an explicit offset set; outside the grid is background."""
-    m = np.ascontiguousarray(mask.astype(np.uint8, copy=False))
-    return _IMPLS[_backend]["dilate"](m, np.ascontiguousarray(offsets, dtype=np.int64))
-
-
-def erode(mask, offsets):
-    """Binary erosion by an explicit offset set; outside the grid is background."""
-    m = np.ascontiguousarray(mask.astype(np.uint8, copy=False))
-    return _IMPLS[_backend]["erode"](m, np.ascontiguousarray(offsets, dtype=np.int64))
-
-
-def resample3d(vol, out_shape):
-    """Trilinear resample to ``out_shape`` (half-pixel centers, edge clamp).
-
-    Returns float64; resampling to the input shape reproduces it exactly.
-    """
-    v = np.ascontiguousarray(vol, dtype=np.float64)
-    shape = (int(out_shape[0]), int(out_shape[1]), int(out_shape[2]))
-    if _backend == "numba":
-        return _IMPLS["numba"]["resample3d"](v, shape)
-    return _IMPLS["numpy"]["resample3d"](v, shape)
 
 
 def structuring_offsets(kind, radius):

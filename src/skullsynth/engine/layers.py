@@ -111,8 +111,6 @@ class ConvTranspose3d(Module):
 
 
 class InstanceNorm3d(Module):
-    capture_stats = False  # class-wide switch; tests flip it to inspect pre-affine stats
-
     def __init__(self, c, eps=1e-5):
         self.eps = eps
         self.gamma = Tensor(np.ones(c), requires_grad=True)
@@ -121,9 +119,6 @@ class InstanceNorm3d(Module):
     def __call__(self, x):
         c = x.data.shape[0]
         normed = ops.instance_norm(x, self.eps)
-        if InstanceNorm3d.capture_stats:
-            flat = normed.data.reshape(c, -1)
-            self.last_stats = (flat.mean(axis=1), flat.var(axis=1))
         return normed * self.gamma.reshape(c, 1, 1, 1) + self.beta.reshape(c, 1, 1, 1)
 
 

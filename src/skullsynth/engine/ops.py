@@ -1,6 +1,6 @@
 """Differentiable operations built on the Tensor graph.
 
-Convolutions delegate to the kernel backends; everything else is plain numpy
+Convolutions delegate to ``kernels``; everything else is plain numpy
 inside forward/backward closures.  Weight gradients honor the flag captured at
 forward time, so freezing a parameter before the forward pass really skips its
 gradient work (the adversarial generator term uses this to block discriminator

@@ -145,11 +145,6 @@ class SRNet(Module):
         return outs
 
 
-def sr_forward(net: SRNet, x):
-    """Alias for the pyramid forward pass; returns per-level predictions."""
-    return net(x)
-
-
 def charbonnier_loss(preds, targets, eps: float = 1e-3):
     """Sum over pyramid levels of the voxel-mean sqrt((pred-target)^2 + eps^2).
 

@@ -1,20 +1,9 @@
 """Evaluation metrics: volumetric Dice, surface Dice at a mm tolerance, PSNR."""
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 from scipy import ndimage
 
 from skullsynth.engine import kernels
-
-
-@dataclass
-class MetricResult:
-    name: str
-    value: float
-    tolerance_mm: Optional[float] = None
-    n_elements: int = 0
 
 
 def _mask_data(m):

@@ -136,7 +136,8 @@ def _load_raw(path):
     if len(shape) != 3:
         raise FormatError(f"sidecar shape must have 3 dims, got {fields['shape']!r}")
     expected = int(np.prod(shape)) * 4
-    payload = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        payload = fh.read()
     if len(payload) != expected:
         raise FormatError(f"{path}: payload is {len(payload)} bytes, header implies {expected}")
     data = np.frombuffer(payload, dtype="<f4").reshape(shape)

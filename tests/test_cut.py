@@ -304,7 +304,32 @@ class _StubD:
         pass
 
 
+class _FailsWhenFrozenD(_StubD):
+    """Stub discriminator whose forward raises while it is frozen."""
+
+    def __init__(self):
+        super().__init__(0.0)
+        self.frozen = False
+
+    def __call__(self, x):
+        if self.frozen:
+            raise RuntimeError("forward failed while frozen")
+        return super().__call__(x)
+
+    def freeze(self):
+        self.frozen = True
+
+    def unfreeze(self):
+        self.frozen = False
+
+
 class TestGanLosses:
+    def test_discriminator_unfrozen_after_failed_forward(self, rng):
+        d = _FailsWhenFrozenD()
+        with pytest.raises(RuntimeError, match="while frozen"):
+            gan_losses(d, unit_vol(rng), unit_vol(rng))
+        assert not d.frozen
+
     def test_log_mode_zero_logit_values(self, rng):
         x = unit_vol(rng)
         d_loss, g_adv = gan_losses(_StubD(0.0), x, unit_vol(rng), mode="log")

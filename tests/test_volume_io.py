@@ -1,7 +1,9 @@
 """Volume container, file round trips, and intensity preprocessing."""
 
+import gc
 import gzip
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +91,15 @@ class TestRawRoundTrip:
     def test_missing_file_is_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             vio.load_volume(tmp_path / "nope.raw")
+
+    def test_load_closes_its_files(self, tmp_path, rng):
+        path = tmp_path / "vol.raw"
+        vio.save_volume(Volume(rng.random((3, 3, 3)), (1, 1, 1), HU), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            vio.load_volume(path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestNifti:
