@@ -17,7 +17,6 @@ from skullsynth import config as config_mod
 from skullsynth import cut, lapsrn, metrics, phantom, postprocess, seeding
 from skullsynth import volume_io as vio
 from skullsynth.config import ConfigError
-from skullsynth.volume_io import HU, UNIT, DomainError, FormatError, Volume
 
 
 def _fmt_constant(name):
@@ -122,6 +121,7 @@ def _resolve_resume(arg, run_dir, latest_fn):
 
 
 def cmd_train_cut(args, cfg):
+    g_spec, d_spec, p_spec, nce, train_cfg = config_mod.cut_settings(cfg)
     fmt = _fmt_constant(cfg["data"]["format"])
     mr_dir = args.mr_dir or cfg["data"]["mr_dir"]
     ct_dir = args.ct_dir or cfg["data"]["ct_dir"]
@@ -133,7 +133,6 @@ def cmd_train_cut(args, cfg):
         raise ConfigError(f"empty dataset: {mr_dir} has {len(mr_set)}, {ct_dir} has {len(ct_set)}")
     run_dir = _prepare_run_dir(cfg)
     resume = _resolve_resume(args.resume, run_dir, cut.latest_checkpoint)
-    g_spec, d_spec, p_spec, nce, train_cfg = config_mod.cut_settings(cfg)
     final, reports = cut.train_cut(
         mr_set, ct_set, train_cfg, g_spec, d_spec, p_spec, nce,
         run_dir=run_dir, resume_from=resume,
@@ -143,6 +142,7 @@ def cmd_train_cut(args, cfg):
 
 
 def cmd_train_sr(args, cfg):
+    spec, train_cfg = config_mod.sr_settings(cfg)
     fmt = _fmt_constant(cfg["data"]["format"])
     hr_dir = args.hr_dir or cfg["data"]["hr_dir"]
     if not hr_dir:
@@ -152,7 +152,6 @@ def cmd_train_sr(args, cfg):
         raise ConfigError(f"empty dataset: no volumes in {hr_dir}")
     run_dir = _prepare_run_dir(cfg)
     resume = _resolve_resume(args.resume, run_dir, lapsrn.latest_checkpoint)
-    spec, train_cfg = config_mod.sr_settings(cfg)
     final, rows = lapsrn.train_lapsrn(
         hr_set, train_cfg, spec, run_dir=run_dir, resume_from=resume
     )
@@ -161,6 +160,7 @@ def cmd_train_sr(args, cfg):
 
 
 def cmd_infer(args, cfg):
+    params = config_mod.segmentation_settings(cfg)
     fmt = _fmt_constant(cfg["data"]["format"])
     ext = ".raw" if fmt == vio.RAW_F32 else ".nii.gz"
     _require_file(args.mr)
@@ -183,7 +183,6 @@ def cmd_infer(args, cfg):
     reference = vio.load_volume(args.reference_ct, fmt)
     matched = postprocess.histogram_match(src, reference)
     vio.save_volume(matched, os.path.join(out_dir, "matched_ct" + ext), fmt)
-    params = config_mod.segmentation_settings(cfg)
     mask = postprocess.segment_from_matched(matched, params)
     vio.save_volume(mask.to_volume(), os.path.join(out_dir, "mask" + ext), fmt)
     print(f"wrote syn_ct, {'sr_ct, ' if not args.skip_sr else ''}matched_ct, mask under {out_dir}")
@@ -314,10 +313,7 @@ def main(argv=None) -> int:
         missing = exc.filename if exc.filename else str(exc)
         print(f"error: no such file or directory: {missing}", file=sys.stderr)
         return 2
-    except (FormatError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (RuntimeError, ValueError, OSError) as exc:
+    except (RuntimeError, ValueError, OSError) as exc:  # FormatError and DomainError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

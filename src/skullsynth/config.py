@@ -8,6 +8,7 @@ classic `lerning_rate=...` typo into an immediate error.
 
 import configparser
 import difflib
+import functools
 import io
 
 from skullsynth import FORMAT_VERSION
@@ -110,7 +111,6 @@ REGISTRY = {
     },
     "metrics": {
         "sdsc_tolerance_mm": (float, 1.0),
-        "psnr_peak": (float, 1.0),
     },
     "run": {
         "seed": (int, 0),
@@ -206,6 +206,18 @@ def save_config(cfg, path):
 # ---------------------------------------------------------------------------
 
 
+def _spec_errors_are_config_errors(settings):
+    """A value a spec dataclass rejects is a configuration error."""
+    @functools.wraps(settings)
+    def wrapper(cfg):
+        try:
+            return settings(cfg)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return wrapper
+
+
+@_spec_errors_are_config_errors
 def cut_settings(cfg):
     c = cfg["cut"]
     g_spec = GeneratorSpec(
@@ -238,6 +250,7 @@ def cut_settings(cfg):
     return g_spec, d_spec, p_spec, nce, train
 
 
+@_spec_errors_are_config_errors
 def sr_settings(cfg):
     s = cfg["lapsrn"]
     spec = PyramidSpec(
@@ -271,6 +284,7 @@ def sr_settings(cfg):
     return spec, train
 
 
+@_spec_errors_are_config_errors
 def segmentation_settings(cfg):
     p = cfg["postprocess"]
     return SegmentationParams(

@@ -13,19 +13,16 @@ synthesis and identity roles.  Embeddings are unit-normalized before the dot
 product so similarities stay in [-1, 1].
 """
 
-import csv
-import glob
-import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from skullsynth import checkpoint as ckpt_io
-from skullsynth import seeding
+from skullsynth import seeding, training
 from skullsynth.engine import ops
 from skullsynth.engine.layers import Conv3d, ConvTranspose3d, InstanceNorm3d, Linear, Module
-from skullsynth.engine.optim import Adam, PlateauDecay
+from skullsynth.engine.optim import Adam
 from skullsynth.engine.tensor import Tensor
 from skullsynth.volume_io import UNIT, Volume
 
@@ -429,10 +426,9 @@ def gan_losses(d, real_ct, syn_ct, mode: str = "log"):
     finally:
         d.unfreeze()
     if mode == "log":
-        d_loss = -(ops.log(ops.sigmoid(logits_real)).mean()) - (
-            ops.log(1.0 - ops.sigmoid(logits_syn_d)).mean()
-        )
-        g_adv = -(ops.log(ops.sigmoid(logits_syn_g)).mean())
+        # log(1 - sigmoid(x)) = log_sigmoid(-x)
+        d_loss = -(ops.log_sigmoid(logits_real).mean()) - ops.log_sigmoid(-logits_syn_d).mean()
+        g_adv = -(ops.log_sigmoid(logits_syn_g).mean())
     elif mode == "lsgan":
         d_loss = ((logits_real - 1.0) ** 2).mean() + (logits_syn_d**2).mean()
         g_adv = ((logits_syn_g - 1.0) ** 2).mean()
@@ -532,22 +528,9 @@ def load_cut_checkpoint(path):
     }
 
 
-def _format_row(report: LossReport):
-    return [
-        str(report.step),
-        str(report.epoch),
-        repr(report.l_gan_d),
-        repr(report.l_gan_g),
-        repr(report.l_nce_syn),
-        repr(report.l_nce_idt),
-        repr(report.total),
-        repr(report.lr),
-    ]
-
-
 def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
               g_spec=None, d_spec=None, p_spec=None, nce_cfg=None,
-              run_dir=".", resume_from=None, log_name="cut_log.csv"):
+              run_dir=".", resume_from=None):
     """Unpaired training loop.
 
     Per optimizer step, `batch_size` independent (MR, CT) draws accumulate
@@ -565,116 +548,69 @@ def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
     p_spec = p_spec or ProjectorSpec()
     nce_cfg = nce_cfg or NCEConfig()
 
-    os.makedirs(run_dir, exist_ok=True)
-    log_path = os.path.join(run_dir, log_name)
-
-    if resume_from:
+    state = load_cut_checkpoint(resume_from) if resume_from else None
+    if state:
         # architecture and optimizer state come from the checkpoint; the
         # schedule (epochs, lr, weights, seed) stays with the caller's config
-        state = load_cut_checkpoint(resume_from)
         g, d, f = state["g"], state["d"], state["f"]
         opt_d, opt_g = state["opt_d"], state["opt_g"]
         g_spec, d_spec, p_spec = state["g_spec"], state["d_spec"], state["p_spec"]
         nce_cfg, tap_ids = state["nce_cfg"], state["tap_ids"]
-        step = state["step"]
-        epochs_done = state["epoch"]
-        monitor = PlateauDecay(cfg.lr, cfg.plateau_patience_epochs, cfg.max_epochs)
-        monitor.load(state["monitor"])
     else:
         g, d, f, tap_ids = build_networks(g_spec, d_spec, p_spec, nce_cfg, cfg.seed)
         opt_d = Adam(d.parameters(), cfg.lr, betas=(cfg.adam_beta1, cfg.adam_beta2))
         opt_g = Adam(g.parameters() + f.parameters(), cfg.lr, betas=(cfg.adam_beta1, cfg.adam_beta2))
-        step = 0
-        epochs_done = 0
-        monitor = PlateauDecay(cfg.lr, cfg.plateau_patience_epochs, cfg.max_epochs)
-
-    write_header = not os.path.exists(log_path)
-    log_fh = open(log_path, "a", newline="")
-    writer = csv.writer(log_fh)
-    if write_header:
-        writer.writerow(CSV_COLUMNS)
-        log_fh.flush()
 
     n_mr, n_ct = len(mr_set), len(ct_set)
     steps_per_epoch = max(1, -(-max(n_mr, n_ct) // cfg.batch_size))
-    reports = []
     inv_b = 1.0 / cfg.batch_size
 
-    def checkpoint_path(tag):
-        return os.path.join(run_dir, f"cut_{tag}.npz")
+    def run_step(step, epoch, lr):
+        acc = np.zeros(4)  # d, g_adv, nce_syn, nce_idt
+        for k in range(cfg.batch_size):
+            draw = seeding.stream(cfg.seed, "cut.draw", step, k)
+            x = _as_input_tensor(mr_set[int(draw.integers(n_mr))])
+            y = _as_input_tensor(ct_set[int(draw.integers(n_ct))])
+            syn, feats_mr = g(x, tap_ids)
+            idt, feats_ct = g(y, tap_ids)
+            d_loss, g_adv = gan_losses(d, y, syn, cfg.gan_mode)
 
-    stop = False
-    for epoch in range(epochs_done, cfg.max_epochs):
-        lr = monitor.lr_for_epoch(epoch)
-        opt_d.lr = lr
-        opt_g.lr = lr
-        epoch_totals = []
-        for _ in range(steps_per_epoch):
-            if cfg.max_steps and step >= cfg.max_steps:
-                stop = True
-                break
-            acc = np.zeros(4)  # d, g_adv, nce_syn, nce_idt
-            for k in range(cfg.batch_size):
-                draw = seeding.stream(cfg.seed, "cut.draw", step, k)
-                mr = mr_set[int(draw.integers(n_mr))]
-                ct = ct_set[int(draw.integers(n_ct))]
-                x = _as_input_tensor(mr)
-                y = _as_input_tensor(ct)
-                syn, feats_mr = g(x, tap_ids)
-                idt, feats_ct = g(y, tap_ids)
-                d_loss, g_adv = gan_losses(d, y, syn, cfg.gan_mode)
-
-                patch_rng = seeding.stream(cfg.seed, "cut.patch", step, k)
-                src_mr = project_features(f, feats_mr, tap_ids, nce_cfg, rng=patch_rng)
-                tr_syn = project_features(
-                    f, g.encode(syn, tap_ids), tap_ids, nce_cfg, locations=src_mr.locations
+            # synthesis then identity PatchNCE; both sample from one patch stream
+            patch_rng = seeding.stream(cfg.seed, "cut.patch", step, k)
+            nce = []
+            for feats, out in ((feats_mr, syn), (feats_ct, idt)):
+                src = project_features(f, feats, tap_ids, nce_cfg, rng=patch_rng)
+                tr = project_features(
+                    f, g.encode(out, tap_ids), tap_ids, nce_cfg, locations=src.locations
                 )
-                nce_syn, _ = nce_from_stacks(tr_syn, src_mr, nce_cfg.temperature)
-                src_ct = project_features(f, feats_ct, tap_ids, nce_cfg, rng=patch_rng)
-                tr_idt = project_features(
-                    f, g.encode(idt, tap_ids), tap_ids, nce_cfg, locations=src_ct.locations
-                )
-                nce_idt, _ = nce_from_stacks(tr_idt, src_ct, nce_cfg.temperature)
+                nce.append(nce_from_stacks(tr, src, nce_cfg.temperature)[0])
+            nce_syn, nce_idt = nce
 
-                g_loss = cfg.lambda_gan * g_adv + cfg.lambda_syn * nce_syn + cfg.lambda_idt * nce_idt
-                (d_loss * inv_b).backward()
-                (g_loss * inv_b).backward()
-                acc += (d_loss.item(), g_adv.item(), nce_syn.item(), nce_idt.item())
-            opt_d.step()
-            opt_d.zero_grad()
-            opt_g.step()
-            opt_g.zero_grad()
-            step += 1
-            d_mean, g_mean, syn_mean, idt_mean = (float(v) for v in acc * inv_b)
-            total, _ = cut_total_loss(g_mean, syn_mean, idt_mean, cfg)
-            report = LossReport(step, epoch, d_mean, g_mean, syn_mean, idt_mean, total, lr)
-            reports.append(report)
-            epoch_totals.append(total)
-            writer.writerow(_format_row(report))
-            log_fh.flush()
-        if stop:
-            break
-        epochs_done = epoch + 1
-        if epoch_totals:
-            monitor.observe(float(np.mean(epoch_totals)), epochs_done)
-        if cfg.checkpoint_every and epochs_done % cfg.checkpoint_every == 0:
-            save_cut_checkpoint(
-                checkpoint_path(f"epoch{epochs_done:04d}"), g, d, f, opt_d, opt_g, cfg,
-                g_spec, d_spec, p_spec, nce_cfg, tap_ids, step, epochs_done, monitor.state(),
-            )
+            g_loss = cfg.lambda_gan * g_adv + cfg.lambda_syn * nce_syn + cfg.lambda_idt * nce_idt
+            (d_loss * inv_b).backward()
+            (g_loss * inv_b).backward()
+            acc += (d_loss.item(), g_adv.item(), nce_syn.item(), nce_idt.item())
+        opt_d.step()
+        opt_d.zero_grad()
+        opt_g.step()
+        opt_g.zero_grad()
+        d_mean, g_mean, syn_mean, idt_mean = (float(v) for v in acc * inv_b)
+        total, _ = cut_total_loss(g_mean, syn_mean, idt_mean, cfg)
+        return (d_mean, g_mean, syn_mean, idt_mean, total), total
 
-    final = checkpoint_path("final")
-    save_cut_checkpoint(final, g, d, f, opt_d, opt_g, cfg, g_spec, d_spec, p_spec,
-                        nce_cfg, tap_ids, step, epochs_done, monitor.state())
-    log_fh.close()
-    return final, reports
+    def save(path, step, epoch, monitor):
+        save_cut_checkpoint(path, g, d, f, opt_d, opt_g, cfg, g_spec, d_spec, p_spec,
+                            nce_cfg, tap_ids, step, epoch, monitor)
+
+    final, rows = training.fit(
+        cfg, run_dir, "cut", CSV_COLUMNS, (opt_d, opt_g),
+        lambda epoch: [run_step] * steps_per_epoch, save, state,
+    )
+    return final, [LossReport(*row) for row in rows]
 
 
 def latest_checkpoint(run_dir):
-    paths = sorted(glob.glob(os.path.join(run_dir, "cut_epoch*.npz")))
-    if not paths:
-        raise FileNotFoundError(f"no epoch checkpoints under {run_dir}")
-    return paths[-1]
+    return training.latest_checkpoint(run_dir, "cut")
 
 
 def translate(checkpoint, mr: Volume) -> Volume:

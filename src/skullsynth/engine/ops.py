@@ -53,6 +53,16 @@ def sigmoid(t):
     return Tensor._make(out_data, (t,), backward)
 
 
+def log_sigmoid(t):
+    """log(sigmoid(x)), finite with a non-zero gradient at any logit."""
+    e = np.exp(-np.abs(t.data))
+
+    def backward(g):
+        Tensor._accum(t, g * np.where(t.data >= 0, e, 1.0) / (1.0 + e))  # g * sigmoid(-x)
+
+    return Tensor._make(np.minimum(t.data, 0.0) - np.log1p(e), (t,), backward)
+
+
 def exp(t):
     out_data = np.exp(t.data)
 

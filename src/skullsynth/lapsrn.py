@@ -9,21 +9,19 @@ re-chunks the volume and keeps each chunk's core, which matches the unchunked
 forward pass wherever the halo covers the receptive field.
 """
 
-import csv
-import glob
-import os
+import functools
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from skullsynth import checkpoint as ckpt_io
-from skullsynth import seeding
+from skullsynth import seeding, training
 from skullsynth.augment import AugmentationConfig, augment
 from skullsynth.chunks import Chunk, ChunkGrid, assemble_chunks, chunk_volume
 from skullsynth.engine import kernels, ops
 from skullsynth.engine.layers import Conv3d, ConvTranspose3d, Module, trilinear_filter
-from skullsynth.engine.optim import SGD, PlateauDecay
+from skullsynth.engine.optim import SGD
 from skullsynth.engine.tensor import Tensor
 from skullsynth.volume_io import UNIT, Volume, resample
 
@@ -257,7 +255,7 @@ def _epoch_microbatches(hr_set, cfg, spec, epoch):
 
 
 def train_lapsrn(hr_set, cfg: SRTrainConfig, spec: PyramidSpec = None,
-                 run_dir=".", resume_from=None, log_name="sr_log.csv"):
+                 run_dir=".", resume_from=None):
     """Chunked SGD training against self-downsampled volumes.
 
     Each optimizer step averages the loss of `grad_accum` consecutive chunks
@@ -272,79 +270,38 @@ def train_lapsrn(hr_set, cfg: SRTrainConfig, spec: PyramidSpec = None,
             raise ValueError(f"training volumes must be UNIT domain, got {v.domain}")
     spec = spec or PyramidSpec()
 
-    os.makedirs(run_dir, exist_ok=True)
-    log_path = os.path.join(run_dir, log_name)
-
-    if resume_from:
-        state = load_sr_checkpoint(resume_from)
+    state = load_sr_checkpoint(resume_from) if resume_from else None
+    if state:
         net, opt, spec = state["net"], state["opt"], state["spec"]
-        step = state["step"]
-        epochs_done = state["epoch"]
-        monitor = PlateauDecay(cfg.lr, cfg.plateau_patience_epochs, cfg.max_epochs)
-        monitor.load(state["monitor"])
     else:
         net = build_sr_net(spec, cfg.seed)
         opt = SGD(net.parameters(), cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-        step = 0
-        epochs_done = 0
-        monitor = PlateauDecay(cfg.lr, cfg.plateau_patience_epochs, cfg.max_epochs)
 
-    write_header = not os.path.exists(log_path)
-    log_fh = open(log_path, "a", newline="")
-    writer = csv.writer(log_fh)
-    if write_header:
-        writer.writerow(CSV_COLUMNS)
-        log_fh.flush()
+    def run_group(group, step, epoch, lr):
+        inv = 1.0 / len(group)
+        acc = 0.0
+        for lr_chunk, target_chunks in group:
+            loss = charbonnier_loss(net(lr_chunk), target_chunks, cfg.eps_charbonnier)
+            (loss * inv).backward()
+            acc += loss.item()
+        opt.step()
+        opt.zero_grad()
+        mean_loss = float(acc * inv)
+        return (mean_loss,), mean_loss
 
-    rows = []
-    stop = False
-    for epoch in range(epochs_done, cfg.max_epochs):
-        lr_rate = monitor.lr_for_epoch(epoch)
-        opt.lr = lr_rate
+    def epoch_steps(epoch):
         micros = _epoch_microbatches(hr_set, cfg, spec, epoch)
-        epoch_losses = []
         for start in range(0, len(micros), cfg.grad_accum):
-            if cfg.max_steps and step >= cfg.max_steps:
-                stop = True
-                break
-            group = micros[start : start + cfg.grad_accum]
-            inv = 1.0 / len(group)
-            acc = 0.0
-            for lr_chunk, target_chunks in group:
-                preds = net(lr_chunk)
-                loss = charbonnier_loss(preds, target_chunks, cfg.eps_charbonnier)
-                (loss * inv).backward()
-                acc += loss.item()
-            opt.step()
-            opt.zero_grad()
-            step += 1
-            mean_loss = float(acc * inv)
-            epoch_losses.append(mean_loss)
-            rows.append((step, epoch, mean_loss, lr_rate))
-            writer.writerow([str(step), str(epoch), repr(mean_loss), repr(lr_rate)])
-            log_fh.flush()
-        if stop:
-            break
-        epochs_done = epoch + 1
-        if epoch_losses:
-            monitor.observe(float(np.mean(epoch_losses)), epochs_done)
-        if cfg.checkpoint_every and epochs_done % cfg.checkpoint_every == 0:
-            save_sr_checkpoint(
-                os.path.join(run_dir, f"sr_epoch{epochs_done:04d}.npz"),
-                net, opt, cfg, spec, step, epochs_done, monitor.state(),
-            )
+            yield functools.partial(run_group, micros[start : start + cfg.grad_accum])
 
-    final = os.path.join(run_dir, "sr_final.npz")
-    save_sr_checkpoint(final, net, opt, cfg, spec, step, epochs_done, monitor.state())
-    log_fh.close()
-    return final, rows
+    def save(path, step, epoch, monitor):
+        save_sr_checkpoint(path, net, opt, cfg, spec, step, epoch, monitor)
+
+    return training.fit(cfg, run_dir, "sr", CSV_COLUMNS, (opt,), epoch_steps, save, state)
 
 
 def latest_checkpoint(run_dir):
-    paths = sorted(glob.glob(os.path.join(run_dir, "sr_epoch*.npz")))
-    if not paths:
-        raise FileNotFoundError(f"no epoch checkpoints under {run_dir}")
-    return paths[-1]
+    return training.latest_checkpoint(run_dir, "sr")
 
 
 def super_resolve(checkpoint, vol: Volume, core_size=None, halo=None) -> Volume:

@@ -15,7 +15,7 @@ Spacing is quantized to float32 on construction so both formats round-trip
 import gzip
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -323,6 +323,16 @@ class _FailsWhenFrozenD(_StubD):
         self.frozen = False
 
 
+class _IdentityD(_StubD):
+    """Stub discriminator whose patch logits are its input."""
+
+    def __init__(self):
+        super().__init__(0.0)
+
+    def __call__(self, x):
+        return x
+
+
 class TestGanLosses:
     def test_discriminator_unfrozen_after_failed_forward(self, rng):
         d = _FailsWhenFrozenD()
@@ -343,6 +353,17 @@ class TestGanLosses:
         want_d = np.log1p(np.exp(-z)) + np.log1p(np.exp(z))
         assert float(d_loss.data) == pytest.approx(want_d, rel=1e-10)
         assert float(g_adv.data) == pytest.approx(np.log1p(np.exp(-z)), rel=1e-10)
+
+    @pytest.mark.parametrize("z", [-50.0, 50.0])
+    def test_log_mode_keeps_gradient_at_large_logits(self, z):
+        # a loss capped by a clamped log stays constant here, with zero gradient
+        real = Tensor(np.full((1, 2, 2, 2), z), requires_grad=True)
+        syn = Tensor(np.full((1, 2, 2, 2), z), requires_grad=True)
+        d_loss, g_adv = gan_losses(_IdentityD(), real, syn, mode="log")
+        assert float(g_adv.data) == pytest.approx(np.logaddexp(0.0, -z), rel=1e-12)
+        assert float(d_loss.data) == pytest.approx(np.logaddexp(0.0, -z) + np.logaddexp(0.0, z), rel=1e-12)
+        g_adv.backward()
+        assert (syn.grad != 0).all()
 
     def test_lsgan_mode_values(self, rng):
         d_loss, g_adv = gan_losses(_StubD(0.0), unit_vol(rng), unit_vol(rng), mode="lsgan")

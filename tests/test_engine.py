@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.ndimage as ndi
 import scipy.signal
+import scipy.special
 
 from skullsynth.engine import kernels, ops, optim
 from skullsynth.engine.layers import (
@@ -218,6 +219,21 @@ class TestAutodiff:
         check_grads(lambda x: ops.exp(x * 0.3).sum(), [a])
         check_grads(lambda x: ops.log(ops.exp(x)).sum(), [a])
         check_grads(lambda x: ops.sqrt(x * x + 1.0).sum(), [a])
+
+    def test_log_sigmoid_matches_scipy(self):
+        x = np.linspace(-60.0, 60.0, 2401)
+        got = ops.log_sigmoid(Tensor(x)).data
+        np.testing.assert_allclose(got, scipy.special.log_expit(x), rtol=1e-13, atol=1e-300)
+
+    def test_log_sigmoid_gradient(self, rng):
+        a = rng.normal(size=(3, 5)) * 4.0
+        check_grads(lambda x: (ops.log_sigmoid(x) * x).sum(), [a])
+
+    def test_log_sigmoid_gradient_survives_large_logits(self):
+        t = Tensor(np.array([-50.0, 50.0]), requires_grad=True)
+        ops.log_sigmoid(t).sum().backward()
+        np.testing.assert_allclose(t.grad, scipy.special.expit([50.0, -50.0]), rtol=1e-13)
+        assert (t.grad > 0).all()
 
     def test_conv3d_op(self, rng):
         x = rng.normal(size=(2, 4, 4, 4))

@@ -1,0 +1,135 @@
+"""Super-resolution stack: the training loop's artifacts, step cap, bitwise
+determinism and resume, and chunked inference against the whole-volume pass."""
+
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skullsynth import lapsrn
+from skullsynth.lapsrn import (
+    CSV_COLUMNS,
+    PyramidSpec,
+    SRTrainConfig,
+    build_sr_net,
+    latest_checkpoint,
+    load_sr_checkpoint,
+    super_resolve,
+    train_lapsrn,
+)
+from skullsynth.engine.optim import SGD
+from skullsynth.volume_io import HU, UNIT, Volume
+
+TINY_SPEC = PyramidSpec(levels=1, filters=3, feat_layers=3, recon_layers=2)
+# one conv at low resolution, the head at high resolution: a halo of 2 covers it
+TINY_HALO = 2
+
+
+def fast_cfg(**kw):
+    base = dict(
+        lr=1e-3, grad_accum=4, max_epochs=2, max_steps=0, checkpoint_every=1,
+        plateau_patience_epochs=100, core_size=2, halo=1, seed=7,
+    )
+    base.update(kw)
+    return SRTrainConfig(**base)
+
+
+@pytest.fixture
+def hr_set(rng):
+    # 8^3 -> 4^3 low-res: 8 chunks of core 2 per volume, 16 per epoch, 4 steps
+    return [Volume(rng.random((8, 8, 8)), (1, 1, 1), UNIT) for _ in range(2)]
+
+
+def train(hr_set, run_dir, cfg=None, **kw):
+    return train_lapsrn(hr_set, cfg or fast_cfg(), TINY_SPEC, run_dir=str(run_dir), **kw)
+
+
+def assert_same_params(a, b):
+    for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
+        assert na == nb
+        np.testing.assert_array_equal(pa.data, pb.data)
+
+
+class TestTrainLoop:
+    def test_smoke_artifacts(self, hr_set, tmp_path):
+        final, rows = train(hr_set, tmp_path)
+        assert os.path.basename(final) == "sr_final.npz"
+        assert [(r[0], r[1]) for r in rows] == [(s, (s - 1) // 4) for s in range(1, 9)]
+        assert np.isfinite([r[2] for r in rows]).all()
+        with open(tmp_path / "sr_log.csv") as fh:
+            header = fh.readline().strip().split(",")
+        assert tuple(header) == CSV_COLUMNS
+        assert (tmp_path / "sr_epoch0001.npz").exists()
+        assert (tmp_path / "sr_epoch0002.npz").exists()
+        assert latest_checkpoint(str(tmp_path)) == str(tmp_path / "sr_epoch0002.npz")
+
+    def test_rejects_bad_inputs(self, tmp_path, rng):
+        with pytest.raises(ValueError, match="at least one"):
+            train([], tmp_path)
+        hu = Volume(rng.random((8, 8, 8)), (1, 1, 1), HU)
+        with pytest.raises(ValueError, match="UNIT"):
+            train([hu], tmp_path)
+
+    def test_max_steps_caps_run(self, hr_set, tmp_path):
+        final, rows = train(hr_set, tmp_path, fast_cfg(max_epochs=50, max_steps=6))
+        assert [r[0] for r in rows] == list(range(1, 7))
+        state = load_sr_checkpoint(final)
+        assert (state["step"], state["epoch"]) == (6, 1)
+
+    def test_rerun_is_bitwise_deterministic(self, hr_set, tmp_path):
+        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
+        for d in (a_dir, b_dir):
+            train(hr_set, d)
+        assert (a_dir / "sr_log.csv").read_bytes() == (b_dir / "sr_log.csv").read_bytes()
+        sa = load_sr_checkpoint(str(a_dir / "sr_final.npz"))
+        sb = load_sr_checkpoint(str(b_dir / "sr_final.npz"))
+        assert_same_params(sa["net"], sb["net"])
+
+    def test_resume_matches_uninterrupted_run(self, hr_set, tmp_path):
+        full_dir, part_dir, resumed_dir = tmp_path / "full", tmp_path / "part", tmp_path / "resumed"
+        train(hr_set, full_dir, fast_cfg(max_epochs=4))
+        train(hr_set, part_dir, fast_cfg(max_epochs=2))
+        final, rows = train(
+            hr_set, resumed_dir, fast_cfg(max_epochs=4),
+            resume_from=latest_checkpoint(str(part_dir)),
+        )
+        assert [r[0] for r in rows] == list(range(9, 17))
+        a = load_sr_checkpoint(str(full_dir / "sr_final.npz"))
+        b = load_sr_checkpoint(final)
+        assert a["step"] == b["step"] == 16
+        assert_same_params(a["net"], b["net"])
+        for ba, bb in zip(a["opt"].state_dict()["buf"], b["opt"].state_dict()["buf"]):
+            np.testing.assert_array_equal(ba, bb)
+
+
+@pytest.fixture(scope="module")
+def sr_state(tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("sr")
+    net = build_sr_net(TINY_SPEC, seed=3)
+    # perturb the identity-initialized upsampling branch so every layer matters
+    rng = np.random.default_rng(3)
+    for p in net.parameters():
+        p.data += rng.normal(scale=0.05, size=p.data.shape)
+    cfg = fast_cfg(core_size=3, halo=TINY_HALO)
+    path = os.path.join(run_dir, "sr.npz")
+    lapsrn.save_sr_checkpoint(path, net, SGD(net.parameters(), cfg.lr), cfg, TINY_SPEC,
+                              0, 0, {"best": 0.0, "bad_epochs": 0, "trigger_epoch": -1})
+    return load_sr_checkpoint(path)
+
+
+class TestSuperResolve:
+    @given(
+        shape=st.tuples(*(st.integers(min_value=3, max_value=7),) * 3),
+        core=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_chunked_equals_whole_volume(self, sr_state, shape, core, seed):
+        vol = Volume(np.random.default_rng(seed).random(shape), (2.0, 2.0, 2.0), UNIT)
+        whole = Volume(np.clip(sr_state["net"](vol.data)[-1].data[0], 0.0, 1.0), (1.0,) * 3, UNIT)
+        out = super_resolve(sr_state, vol, core_size=core)
+        assert out.domain == UNIT
+        assert out.spacing == whole.spacing
+        np.testing.assert_array_equal(out.data, whole.data)
