@@ -1,15 +1,18 @@
 """Structured run configuration: one INI file, strict keys, flag overrides.
 
-Every knob of every pipeline stage lives in a flat registry of
-(section, key) -> (parser, default).  Unknown sections or keys fail fast with
-a close-match suggestion instead of being silently ignored; that turns the
-classic `lerning_rate=...` typo into an immediate error.
+The settings dataclasses are the only place a setting's key, type and default
+are written.  `SECTIONS` lists, per INI section, the dataclasses whose fields
+it holds, in dump order; each field's type picks its parser and its default
+is the config default.  Unknown sections or keys fail fast with a close-match
+suggestion instead of being silently ignored; that turns the classic
+`lerning_rate=...` typo into an immediate error.
 """
 
 import configparser
+import dataclasses
 import difflib
-import functools
 import io
+from typing import Optional
 
 from skullsynth import FORMAT_VERSION
 from skullsynth.augment import AugmentationConfig
@@ -26,6 +29,27 @@ from skullsynth.postprocess import SegmentationParams
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclasses.dataclass
+class DataConfig:
+    mr_dir: str = ""
+    ct_dir: str = ""
+    hr_dir: str = ""
+    format: str = "raw"
+    floor_hu: float = -500.0
+    resample_shape: Optional[tuple] = None
+
+
+@dataclasses.dataclass
+class MetricsConfig:
+    sdsc_tolerance_mm: float = 1.0
+
+
+@dataclasses.dataclass
+class RunConfig:
+    seed: int = 0
+    output_dir: str = "runs/default"
 
 
 def _bool(text):
@@ -48,74 +72,45 @@ def _identity(text):
     return text.strip()
 
 
+SECTIONS = {
+    "data": (DataConfig,),
+    "cut": (GeneratorSpec, DiscriminatorSpec, ProjectorSpec, NCEConfig, CutTrainConfig),
+    "lapsrn": (PyramidSpec, SRTrainConfig, AugmentationConfig),
+    "postprocess": (SegmentationParams,),
+    "metrics": (MetricsConfig,),
+    "run": (RunConfig,),
+}
+
+# INI keys that differ from their field's name
+_RENAMED = {
+    (CutTrainConfig, "lr"): "learning_rate",
+    (SRTrainConfig, "lr"): "learning_rate",
+    (DiscriminatorSpec, "n_layers"): "d_layers",
+    (DiscriminatorSpec, "base_filters"): "d_base_filters",
+    (ProjectorSpec, "n_layers"): "proj_layers",
+}
+# fields set from elsewhere: the trainers' seed from [run], `augment` from the aug_* switches
+_NOT_KEYS = {(CutTrainConfig, "seed"), (SRTrainConfig, "seed"), (SRTrainConfig, "augment")}
+
+_PARSERS = {int: int, float: float, bool: _bool, str: _identity, Optional[tuple]: _int_tuple}
+
+
+def _ini_fields(cls):
+    """(INI key, field) for each field of `cls` the INI holds.  Of the
+    augmentation settings only the on/off switches are keys, as `aug_<name>`."""
+    for f in dataclasses.fields(cls):
+        if cls is AugmentationConfig:
+            if f.type is bool:
+                yield f"aug_{f.name}", f
+        elif (cls, f.name) not in _NOT_KEYS:
+            yield _RENAMED.get((cls, f.name), f.name), f
+
+
 REGISTRY = {
-    "data": {
-        "mr_dir": (_identity, ""),
-        "ct_dir": (_identity, ""),
-        "hr_dir": (_identity, ""),
-        "format": (_identity, "raw"),
-        "floor_hu": (float, -500.0),
-        "resample_shape": (_int_tuple, None),
-    },
-    "cut": {
-        "base_filters": (int, 64),
-        "n_downsample": (int, 2),
-        "n_residual_blocks": (int, 9),
-        "d_layers": (int, 3),
-        "d_base_filters": (int, 64),
-        "proj_layers": (int, 2),
-        "embed_dim": (int, 256),
-        "num_patches": (int, 64),
-        "tap_layers": (_int_tuple, None),
-        "temperature": (float, 1.0),
-        "lambda_gan": (float, 1.0),
-        "lambda_syn": (float, 1.0),
-        "lambda_idt": (float, 1.0),
-        "learning_rate": (float, 2e-4),
-        "adam_beta1": (float, 0.5),
-        "adam_beta2": (float, 0.999),
-        "batch_size": (int, 8),
-        "gan_mode": (_identity, "log"),
-        "plateau_patience_epochs": (int, 50),
-        "max_epochs": (int, 100),
-        "max_steps": (int, 0),
-        "checkpoint_every": (int, 1),
-    },
-    "lapsrn": {
-        "levels": (int, 1),
-        "filters": (int, 64),
-        "feat_layers": (int, 8),
-        "recon_layers": (int, 2),
-        "learning_rate": (float, 1e-5),
-        "momentum": (float, 0.9),
-        "weight_decay": (float, 1e-4),
-        "eps_charbonnier": (float, 1e-3),
-        "grad_accum": (int, 16),
-        "plateau_patience_epochs": (int, 5),
-        "max_epochs": (int, 100),
-        "max_steps": (int, 0),
-        "core_size": (int, 64),
-        "halo": (int, 8),
-        "checkpoint_every": (int, 1),
-        "aug_flip": (_bool, False),
-        "aug_affine": (_bool, False),
-        "aug_ghost": (_bool, False),
-        "aug_blur": (_bool, False),
-        "aug_gamma": (_bool, False),
-    },
-    "postprocess": {
-        "bone_threshold_hu": (float, 200.0),
-        "opening_radius": (int, 1),
-        "closing_radius": (int, 1),
-        "structuring_element": (_identity, "cube"),
-    },
-    "metrics": {
-        "sdsc_tolerance_mm": (float, 1.0),
-    },
-    "run": {
-        "seed": (int, 0),
-        "output_dir": (_identity, "runs/default"),
-    },
+    section: {
+        key: (_PARSERS[f.type], f.default) for cls in classes for key, f in _ini_fields(cls)
+    }
+    for section, classes in SECTIONS.items()
 }
 
 
@@ -202,94 +197,32 @@ def save_config(cfg, path):
 
 
 # ---------------------------------------------------------------------------
-# registry -> module settings
+# config -> settings dataclasses
 # ---------------------------------------------------------------------------
 
 
-def _spec_errors_are_config_errors(settings):
-    """A value a spec dataclass rejects is a configuration error."""
-    @functools.wraps(settings)
-    def wrapper(cfg):
-        try:
-            return settings(cfg)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return wrapper
+def _build(cls, values, **extra):
+    """`cls` from its section's `values`; a value it rejects is a config error."""
+    try:
+        return cls(**{f.name: values[key] for key, f in _ini_fields(cls)}, **extra)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-@_spec_errors_are_config_errors
 def cut_settings(cfg):
     c = cfg["cut"]
-    g_spec = GeneratorSpec(
-        base_filters=c["base_filters"],
-        n_downsample=c["n_downsample"],
-        n_residual_blocks=c["n_residual_blocks"],
-    )
-    d_spec = DiscriminatorSpec(n_layers=c["d_layers"], base_filters=c["d_base_filters"])
-    p_spec = ProjectorSpec(n_layers=c["proj_layers"], embed_dim=c["embed_dim"])
-    nce = NCEConfig(
-        num_patches=c["num_patches"],
-        tap_layers=c["tap_layers"],
-        temperature=c["temperature"],
-    )
-    train = CutTrainConfig(
-        lambda_gan=c["lambda_gan"],
-        lambda_syn=c["lambda_syn"],
-        lambda_idt=c["lambda_idt"],
-        lr=c["learning_rate"],
-        adam_beta1=c["adam_beta1"],
-        adam_beta2=c["adam_beta2"],
-        batch_size=c["batch_size"],
-        plateau_patience_epochs=c["plateau_patience_epochs"],
-        max_epochs=c["max_epochs"],
-        max_steps=c["max_steps"],
-        gan_mode=c["gan_mode"],
-        checkpoint_every=c["checkpoint_every"],
-        seed=cfg["run"]["seed"],
-    )
-    return g_spec, d_spec, p_spec, nce, train
+    nets = (_build(cls, c) for cls in (GeneratorSpec, DiscriminatorSpec, ProjectorSpec, NCEConfig))
+    return (*nets, _build(CutTrainConfig, c, seed=cfg["run"]["seed"]))
 
 
-@_spec_errors_are_config_errors
 def sr_settings(cfg):
     s = cfg["lapsrn"]
-    spec = PyramidSpec(
-        levels=s["levels"],
-        filters=s["filters"],
-        feat_layers=s["feat_layers"],
-        recon_layers=s["recon_layers"],
-    )
-    aug = AugmentationConfig(
-        flip=s["aug_flip"],
-        affine=s["aug_affine"],
-        ghost=s["aug_ghost"],
-        blur=s["aug_blur"],
-        gamma=s["aug_gamma"],
-    )
-    train = SRTrainConfig(
-        lr=s["learning_rate"],
-        momentum=s["momentum"],
-        weight_decay=s["weight_decay"],
-        eps_charbonnier=s["eps_charbonnier"],
-        grad_accum=s["grad_accum"],
-        plateau_patience_epochs=s["plateau_patience_epochs"],
-        max_epochs=s["max_epochs"],
-        max_steps=s["max_steps"],
-        core_size=s["core_size"],
-        halo=s["halo"],
-        checkpoint_every=s["checkpoint_every"],
-        seed=cfg["run"]["seed"],
-        augment=aug if aug.enabled() else None,
-    )
+    spec = _build(PyramidSpec, s)
+    aug = _build(AugmentationConfig, s)
+    train = _build(SRTrainConfig, s, seed=cfg["run"]["seed"],
+                   augment=aug if aug.enabled() else None)
     return spec, train
 
 
-@_spec_errors_are_config_errors
 def segmentation_settings(cfg):
-    p = cfg["postprocess"]
-    return SegmentationParams(
-        bone_threshold_hu=p["bone_threshold_hu"],
-        opening_radius=p["opening_radius"],
-        closing_radius=p["closing_radius"],
-        structuring_element=p["structuring_element"],
-    )
+    return _build(SegmentationParams, cfg["postprocess"])

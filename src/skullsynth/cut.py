@@ -32,24 +32,18 @@ class GeneratorSpec:
     base_filters: int = 64
     n_downsample: int = 2
     n_residual_blocks: int = 9
-    norm: str = "instance"
-    output_activation: str = "tanh"
 
     def __post_init__(self):
         if self.base_filters < 1:
             raise ValueError("base_filters must be >= 1")
         if self.n_residual_blocks < 1 or self.n_downsample < 1:
             raise ValueError("need n_residual_blocks >= 1 and n_downsample >= 1")
-        if self.norm != "instance" or self.output_activation != "tanh":
-            raise ValueError("only instance norm with tanh output is supported")
 
 
 @dataclass
 class DiscriminatorSpec:
     n_layers: int = 3
     base_filters: int = 64
-    norm: str = "instance"
-    activation: str = "leaky_relu"
 
     def __post_init__(self):
         if self.n_layers < 1 or self.base_filters < 1:
@@ -60,7 +54,6 @@ class DiscriminatorSpec:
 class ProjectorSpec:
     n_layers: int = 2
     embed_dim: int = 256
-    activation: str = "relu"
 
     def __post_init__(self):
         if self.n_layers < 1 or self.embed_dim < 1:
@@ -72,7 +65,6 @@ class NCEConfig:
     num_patches: int = 64
     tap_layers: Optional[tuple] = None  # None = all eligible taps, capped at 9
     temperature: float = 1.0
-    similarity: str = "dot"
 
     def __post_init__(self):
         if self.num_patches < 2:
@@ -90,10 +82,10 @@ class CutTrainConfig:
     adam_beta1: float = 0.5
     adam_beta2: float = 0.999
     batch_size: int = 8  # gradient-accumulation draws per optimizer step
+    gan_mode: str = "log"  # or "lsgan"
     plateau_patience_epochs: int = 50
     max_epochs: int = 100
     max_steps: int = 0  # 0 = no cap
-    gan_mode: str = "log"  # or "lsgan"
     checkpoint_every: int = 1  # epochs
     seed: int = 0
 
@@ -501,10 +493,7 @@ def load_cut_checkpoint(path):
     g_spec = GeneratorSpec(**meta["generator_spec"])
     d_spec = DiscriminatorSpec(**meta["discriminator_spec"])
     p_spec = ProjectorSpec(**meta["projector_spec"])
-    nce_meta = dict(meta["nce_config"])
-    if nce_meta.get("tap_layers") is not None:
-        nce_meta["tap_layers"] = tuple(nce_meta["tap_layers"])
-    nce_cfg = NCEConfig(**nce_meta)
+    nce_cfg = NCEConfig(**meta["nce_config"])
     cfg = CutTrainConfig(**meta["train_config"])
     g, d, f, tap_ids = build_networks(g_spec, d_spec, p_spec, nce_cfg, cfg.seed)
     for prefix, net in (("g", g), ("d", d), ("f", f)):

@@ -46,6 +46,12 @@ def fit(cfg, run_dir, prefix, columns, optimizers, epoch_steps, save, resumed):
 
     log_path = os.path.join(run_dir, f"{prefix}_log.csv")
     _truncate_log(log_path, columns, step)
+    # like the log rows, the epoch checkpoints past the start are an earlier
+    # run's; left in place, `latest_checkpoint` would pick one of them
+    for path in glob.glob(os.path.join(run_dir, f"{prefix}_epoch*.npz")):
+        epoch = os.path.basename(path)[len(prefix) + len("_epoch") : -len(".npz")]
+        if epoch.isdigit() and int(epoch) > epochs_done:
+            os.remove(path)
     rows = []
     with open(log_path, "a", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,4 +1,5 @@
-"""Checkpoint container: atomic saves and loud load failures."""
+"""Checkpoint container: atomic saves, loud load failures, and the trainers'
+settings surviving a save and a load."""
 
 import gc
 import json
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from skullsynth import FORMAT_VERSION, cut, lapsrn
+from skullsynth.augment import AugmentationConfig
 from skullsynth.checkpoint import load_checkpoint, save_checkpoint
+from skullsynth.engine.optim import SGD, Adam, PlateauDecay
 
 
 class _Unpicklable:
@@ -77,3 +80,47 @@ def test_truncated_file_raises_value_error(tmp_path, rng, fraction):
             load_checkpoint(path)
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_cut_checkpoint_round_trips_its_settings(tmp_path):
+    g_spec = cut.GeneratorSpec(base_filters=2, n_downsample=1, n_residual_blocks=1)
+    d_spec = cut.DiscriminatorSpec(n_layers=1, base_filters=3)
+    p_spec = cut.ProjectorSpec(n_layers=1, embed_dim=5)
+    nce_cfg = cut.NCEConfig(num_patches=4, tap_layers=(0, 2), temperature=0.07)
+    cfg = cut.CutTrainConfig(lr=1e-3, batch_size=2, gan_mode="lsgan", max_steps=9, seed=5)
+    g, d, f, taps = cut.build_networks(g_spec, d_spec, p_spec, nce_cfg, cfg.seed)
+    path = tmp_path / "cut.npz"
+    cut.save_cut_checkpoint(
+        path, g, d, f, Adam(d.parameters(), cfg.lr), Adam(g.parameters() + f.parameters(), cfg.lr),
+        cfg, g_spec, d_spec, p_spec, nce_cfg, taps, 3, 1,
+        PlateauDecay(cfg.lr, cfg.plateau_patience_epochs, cfg.max_epochs).state(),
+    )
+    state = cut.load_cut_checkpoint(path)
+    loaded = tuple(state[k] for k in ("g_spec", "d_spec", "p_spec", "nce_cfg", "cfg"))
+    assert loaded == (g_spec, d_spec, p_spec, nce_cfg, cfg)
+    assert state["tap_ids"] == (0, 2)
+
+
+def test_sr_checkpoint_round_trips_its_settings(tmp_path):
+    spec = lapsrn.PyramidSpec(levels=1, filters=3, feat_layers=3, recon_layers=2)
+    aug = AugmentationConfig(flip=True, blur=True, blur_sigma_hi=0.8)
+    cfg = lapsrn.SRTrainConfig(lr=1e-3, grad_accum=4, core_size=2, halo=1, seed=7, augment=aug)
+    net = lapsrn.build_sr_net(spec, cfg.seed)
+    path = tmp_path / "sr.npz"
+    lapsrn.save_sr_checkpoint(
+        path, net, SGD(net.parameters(), cfg.lr), cfg, spec, 4, 1,
+        PlateauDecay(cfg.lr, cfg.plateau_patience_epochs, cfg.max_epochs).state(),
+    )
+    state = lapsrn.load_sr_checkpoint(path)
+    assert (state["spec"], state["cfg"]) == (spec, cfg)
+
+
+def test_version_1_checkpoint_is_refused(tmp_path):
+    # version 1 stored spec fields that are gone, such as the generator's norm
+    path = tmp_path / "cut_v1.npz"
+    meta = {"format_version": 1, "kind": "cut",
+            "generator_spec": {"base_filters": 2, "norm": "instance"}}
+    payload = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, __meta__=payload)
+    with pytest.raises(ValueError, match="format version 1"):
+        cut.load_cut_checkpoint(path)

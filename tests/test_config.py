@@ -2,8 +2,10 @@
 
 import pytest
 
+from skullsynth import FORMAT_VERSION
 from skullsynth.config import (
     ConfigError,
+    cut_settings,
     default_config,
     dump_config,
     load_config,
@@ -11,6 +13,86 @@ from skullsynth.config import (
     segmentation_settings,
     sr_settings,
 )
+from skullsynth.cut import (
+    CutTrainConfig,
+    DiscriminatorSpec,
+    GeneratorSpec,
+    NCEConfig,
+    ProjectorSpec,
+)
+from skullsynth.lapsrn import PyramidSpec, SRTrainConfig
+from skullsynth.postprocess import SegmentationParams
+
+# every key of the INI, in dump order, at its default; an empty value keeps
+# the space after its "=", as in "mr_dir = "
+DEFAULT_INI_BODY = """
+[data]
+mr_dir = 
+ct_dir = 
+hr_dir = 
+format = raw
+floor_hu = -500.0
+resample_shape = 
+
+[cut]
+base_filters = 64
+n_downsample = 2
+n_residual_blocks = 9
+d_layers = 3
+d_base_filters = 64
+proj_layers = 2
+embed_dim = 256
+num_patches = 64
+tap_layers = 
+temperature = 1.0
+lambda_gan = 1.0
+lambda_syn = 1.0
+lambda_idt = 1.0
+learning_rate = 0.0002
+adam_beta1 = 0.5
+adam_beta2 = 0.999
+batch_size = 8
+gan_mode = log
+plateau_patience_epochs = 50
+max_epochs = 100
+max_steps = 0
+checkpoint_every = 1
+
+[lapsrn]
+levels = 1
+filters = 64
+feat_layers = 8
+recon_layers = 2
+learning_rate = 1e-05
+momentum = 0.9
+weight_decay = 0.0001
+eps_charbonnier = 0.001
+grad_accum = 16
+plateau_patience_epochs = 5
+max_epochs = 100
+max_steps = 0
+core_size = 64
+halo = 8
+checkpoint_every = 1
+aug_flip = false
+aug_affine = false
+aug_ghost = false
+aug_blur = false
+aug_gamma = false
+
+[postprocess]
+bone_threshold_hu = 200.0
+opening_radius = 1
+closing_radius = 1
+structuring_element = cube
+
+[metrics]
+sdsc_tolerance_mm = 1.0
+
+[run]
+seed = 0
+output_dir = runs/default
+"""
 
 
 @pytest.mark.parametrize("override,hint", [
@@ -84,3 +166,18 @@ def test_defaults_round_trip(tmp_path):
 def test_spec_errors_are_config_errors(settings, override, message):
     with pytest.raises(ConfigError, match=message):
         settings(load_config(overrides=[override]))
+
+
+def test_default_dump_is_pinned():
+    header = f"# resolved configuration (checkpoint format version {FORMAT_VERSION})\n"
+    assert dump_config(default_config()) == header + DEFAULT_INI_BODY
+
+
+def test_default_config_gives_default_settings():
+    # the benchmark's paper-default layer shapes and mask_eval rely on this
+    cfg = default_config()
+    assert cut_settings(cfg) == (
+        GeneratorSpec(), DiscriminatorSpec(), ProjectorSpec(), NCEConfig(), CutTrainConfig()
+    )
+    assert sr_settings(cfg) == (PyramidSpec(), SRTrainConfig())
+    assert segmentation_settings(cfg) == SegmentationParams()

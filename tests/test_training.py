@@ -1,5 +1,6 @@
 """The shared training loop, through both trainers: the log after a resume,
-the log handle after a failing step, and the work done for capped epochs."""
+the epoch checkpoints an earlier run left, the log handle after a failing
+step, and the work done for capped epochs."""
 
 import gc
 import warnings
@@ -7,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from skullsynth import cut, lapsrn
+from skullsynth import checkpoint as ckpt_io
+from skullsynth import cut, lapsrn, training
 from skullsynth.volume_io import UNIT, Volume
 
 CUT_NETS = dict(
@@ -53,6 +55,17 @@ def test_resume_in_same_run_dir_keeps_one_row_per_step(prefix, tmp_path):
     uninterrupted = log.read_bytes()
     train(tmp_path, max_epochs=4, resume_from=str(tmp_path / f"{prefix}_epoch0002.npz"))
     assert log.read_bytes() == uninterrupted
+
+
+@pytest.mark.parametrize("prefix", ["cut", "sr"])
+def test_fresh_run_drops_a_longer_runs_epoch_checkpoints(prefix, tmp_path):
+    train = TRAINERS[prefix]
+    train(tmp_path, max_epochs=4)
+    _, rows = train(tmp_path, max_epochs=2)
+    epochs = sorted(p.name for p in tmp_path.glob(f"{prefix}_epoch*.npz"))
+    assert epochs == [f"{prefix}_epoch0001.npz", f"{prefix}_epoch0002.npz"]
+    latest = training.latest_checkpoint(str(tmp_path), prefix)
+    assert ckpt_io.load_checkpoint(latest)[0]["step"] == len(rows)
 
 
 @pytest.mark.parametrize("prefix", ["cut", "sr"])
