@@ -2,4 +2,4 @@
 
 __version__ = "0.1.0"
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3

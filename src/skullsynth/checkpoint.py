@@ -1,9 +1,22 @@
 """Self-describing checkpoint container: one .npz holding arrays plus JSON metadata.
 
-Array keys are free-form strings (parameter names, optimizer slots); metadata
-is any JSON-serializable dict and always carries a format version.  Loading a
-container with a different format version fails loudly rather than guessing.
-Saves are atomic: readers see either the old file or the complete new one.
+`save_checkpoint`/`load_checkpoint` store free-form array keys next to a
+JSON-serializable metadata dict that always carries a format version.
+Loading a container with a different format version fails loudly rather
+than guessing.  Saves are atomic: readers see either the old file or the
+complete new one.
+
+`save_state`/`restore_state` are the one layout the trainers use, format
+version 3.  Networks and optimizers are passed as ``{name: object}`` dicts:
+
+- ``param/<module>/<parameter name>``: each network parameter;
+- ``opt/<optimizer>/<slot>/<i>``: slot `slot` (Adam ``m``/``v``, SGD ``buf``)
+  of the optimizer's i-th parameter;
+- ``meta["optimizers"][<optimizer>]``: its ``{"kind", "t", "lr"}``.
+
+The rest of the metadata (kind, step, epoch, settings, schedule state) is the
+caller's.  Loaders build their networks from it inside `restoring(path)`, so
+a file that does not fit them fails with a ValueError naming it.
 """
 
 import contextlib
@@ -59,34 +72,50 @@ def load_checkpoint(path):
     return meta, arrays
 
 
-_ARRAY_SENTINEL = "__arrays__"
-
-
-def optimizer_meta(opt):
-    """Optimizer state with array lists replaced by a sentinel; pairs with
-    optimizer_arrays, which stores those lists under indexed keys."""
-    return {
-        k: (_ARRAY_SENTINEL if isinstance(v, list) else v) for k, v in opt.state_dict().items()
+def save_state(path, meta: dict, modules: dict, optimizers: dict) -> None:
+    """Save `modules` and `optimizers` under the layout above, plus `meta`."""
+    arrays = {
+        f"param/{name}/{key}": p.data
+        for name, net in modules.items()
+        for key, p in net.named_parameters()
     }
+    meta = dict(meta, optimizers={})
+    for name, opt in optimizers.items():
+        state = opt.state_dict()
+        for slot in opt.slots:
+            arrays.update((f"opt/{name}/{slot}/{i}", a) for i, a in enumerate(state.pop(slot)))
+        meta["optimizers"][name] = state
+    save_checkpoint(path, meta, arrays)
 
 
-def optimizer_arrays(prefix, opt):
-    arrays = {}
-    for key, value in opt.state_dict().items():
-        if isinstance(value, list):
-            for i, arr in enumerate(value):
-                arrays[f"{prefix}/{key}/{i}"] = arr
-    return arrays
+def restore_state(meta: dict, arrays: dict, modules: dict, optimizers: dict) -> None:
+    """Load what `save_state` stored into `modules` and `optimizers`, which
+    the caller builds from the settings in `meta`.  Raises ValueError unless
+    the file holds exactly the arrays they need."""
+    unread = dict(arrays)
+
+    def take(key):
+        if key not in unread:
+            raise ValueError(f"missing array {key!r}")
+        return unread.pop(key)
+
+    for name, net in modules.items():
+        net.load_state_dict({key: take(f"param/{name}/{key}") for key, _ in net.named_parameters()})
+    for name, opt in optimizers.items():
+        state = dict(meta["optimizers"][name])
+        for slot in opt.slots:
+            state[slot] = [take(f"opt/{name}/{slot}/{i}") for i in range(len(opt.params))]
+        opt.load_state_dict(state)
+    if unread:
+        raise ValueError(f"unexpected arrays {sorted(unread)[:4]}")
 
 
-def load_optimizer(prefix, opt, meta_state, arrays):
-    state = dict(meta_state)
-    for key in list(state):
-        if state[key] == _ARRAY_SENTINEL:
-            seq = []
-            i = 0
-            while f"{prefix}/{key}/{i}" in arrays:
-                seq.append(arrays[f"{prefix}/{key}/{i}"])
-                i += 1
-            state[key] = seq
-    opt.load_state_dict(state)
+@contextlib.contextmanager
+def restoring(path):
+    """Report metadata or arrays that do not fit the settings, networks and
+    optimizers built from them as a ValueError naming the file, as a
+    malformed file is."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {path} cannot be restored: {type(exc).__name__}: {exc}") from exc

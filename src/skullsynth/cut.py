@@ -458,14 +458,16 @@ def build_networks(g_spec, d_spec, p_spec, nce_cfg, seed):
     return g, d, f, tuple(tap_ids)
 
 
+def _optimizers(cfg, g, d, f):
+    betas = (cfg.adam_beta1, cfg.adam_beta2)
+    return {
+        "opt_d": Adam(d.parameters(), cfg.lr, betas=betas),
+        "opt_g": Adam(g.parameters() + f.parameters(), cfg.lr, betas=betas),
+    }
+
+
 def save_cut_checkpoint(path, g, d, f, opt_d, opt_g, cfg, g_spec, d_spec, p_spec, nce_cfg,
-                        tap_ids, step, epoch, monitor, extra=None):
-    arrays = {}
-    for prefix, net in (("g", g), ("d", d), ("f", f)):
-        for name, p in net.named_parameters():
-            arrays[f"param/{prefix}/{name}"] = p.data
-    arrays.update(ckpt_io.optimizer_arrays("opt/d", opt_d))
-    arrays.update(ckpt_io.optimizer_arrays("opt/g", opt_g))
+                        tap_ids, step, epoch, monitor):
     meta = {
         "kind": "cut",
         "step": step,
@@ -477,44 +479,31 @@ def save_cut_checkpoint(path, g, d, f, opt_d, opt_g, cfg, g_spec, d_spec, p_spec
         "nce_config": asdict(nce_cfg),
         "tap_ids": list(tap_ids),
         "monitor": monitor,
-        "opt_d": ckpt_io.optimizer_meta(opt_d),
-        "opt_g": ckpt_io.optimizer_meta(opt_g),
-        "rng": {"scheme": "seed+name+step streams", "seed": cfg.seed},
     }
-    if extra:
-        meta.update(extra)
-    ckpt_io.save_checkpoint(path, meta, arrays)
+    ckpt_io.save_state(path, meta, {"g": g, "d": d, "f": f}, {"opt_d": opt_d, "opt_g": opt_g})
 
 
 def load_cut_checkpoint(path):
     meta, arrays = ckpt_io.load_checkpoint(path)
     if meta.get("kind") != "cut":
         raise ValueError(f"{path} is not a translation checkpoint (kind={meta.get('kind')!r})")
-    g_spec = GeneratorSpec(**meta["generator_spec"])
-    d_spec = DiscriminatorSpec(**meta["discriminator_spec"])
-    p_spec = ProjectorSpec(**meta["projector_spec"])
-    nce_cfg = NCEConfig(**meta["nce_config"])
-    cfg = CutTrainConfig(**meta["train_config"])
-    g, d, f, tap_ids = build_networks(g_spec, d_spec, p_spec, nce_cfg, cfg.seed)
-    for prefix, net in (("g", g), ("d", d), ("f", f)):
-        state = {
-            name[len(f"param/{prefix}/") :]: arr
-            for name, arr in arrays.items()
-            if name.startswith(f"param/{prefix}/")
+    with ckpt_io.restoring(path):
+        g_spec = GeneratorSpec(**meta["generator_spec"])
+        d_spec = DiscriminatorSpec(**meta["discriminator_spec"])
+        p_spec = ProjectorSpec(**meta["projector_spec"])
+        nce_cfg = NCEConfig(**meta["nce_config"])
+        cfg = CutTrainConfig(**meta["train_config"])
+        g, d, f, tap_ids = build_networks(g_spec, d_spec, p_spec, nce_cfg, cfg.seed)
+        nets = {"g": g, "d": d, "f": f}
+        opts = _optimizers(cfg, g, d, f)
+        ckpt_io.restore_state(meta, arrays, nets, opts)
+        return {
+            **nets, **opts,
+            "cfg": cfg, "g_spec": g_spec, "d_spec": d_spec, "p_spec": p_spec,
+            "nce_cfg": nce_cfg, "tap_ids": tuple(meta["tap_ids"]),
+            "step": int(meta["step"]), "epoch": int(meta["epoch"]),
+            "monitor": meta["monitor"],
         }
-        net.load_state_dict(state)
-    opt_d = Adam(d.parameters(), cfg.lr, betas=(cfg.adam_beta1, cfg.adam_beta2))
-    opt_g = Adam(g.parameters() + f.parameters(), cfg.lr, betas=(cfg.adam_beta1, cfg.adam_beta2))
-    ckpt_io.load_optimizer("opt/d", opt_d, meta["opt_d"], arrays)
-    ckpt_io.load_optimizer("opt/g", opt_g, meta["opt_g"], arrays)
-    return {
-        "g": g, "d": d, "f": f,
-        "opt_d": opt_d, "opt_g": opt_g,
-        "cfg": cfg, "g_spec": g_spec, "d_spec": d_spec, "p_spec": p_spec,
-        "nce_cfg": nce_cfg, "tap_ids": tuple(meta["tap_ids"]),
-        "step": int(meta["step"]), "epoch": int(meta["epoch"]),
-        "monitor": meta["monitor"],
-    }
 
 
 def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
@@ -547,8 +536,7 @@ def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
         nce_cfg, tap_ids = state["nce_cfg"], state["tap_ids"]
     else:
         g, d, f, tap_ids = build_networks(g_spec, d_spec, p_spec, nce_cfg, cfg.seed)
-        opt_d = Adam(d.parameters(), cfg.lr, betas=(cfg.adam_beta1, cfg.adam_beta2))
-        opt_g = Adam(g.parameters() + f.parameters(), cfg.lr, betas=(cfg.adam_beta1, cfg.adam_beta2))
+        opt_d, opt_g = _optimizers(cfg, g, d, f).values()
 
     n_mr, n_ct = len(mr_set), len(ct_set)
     steps_per_epoch = max(1, -(-max(n_mr, n_ct) // cfg.batch_size))

@@ -43,16 +43,6 @@ def tanh(t):
     return Tensor._make(out_data, (t,), backward)
 
 
-def sigmoid(t):
-    x = t.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward(g):
-        Tensor._accum(t, g * out_data * (1.0 - out_data))
-
-    return Tensor._make(out_data, (t,), backward)
-
-
 def log_sigmoid(t):
     """log(sigmoid(x)), finite with a non-zero gradient at any logit."""
     e = np.exp(-np.abs(t.data))
@@ -81,15 +71,6 @@ def log(t, floor=LOG_FLOOR):
         Tensor._accum(t, g * live / clamped)
 
     return Tensor._make(np.log(clamped), (t,), backward)
-
-
-def sqrt(t):
-    out_data = np.sqrt(t.data)
-
-    def backward(g):
-        Tensor._accum(t, g * 0.5 / out_data)
-
-    return Tensor._make(out_data, (t,), backward)
 
 
 def conv3d(x, w, b=None, stride=1, pad=0):

@@ -4,29 +4,53 @@ import numpy as np
 
 
 class Optimizer:
+    """Base class: `kind` names the optimizer in a checkpoint, and `slots`
+    names its per-parameter state arrays, one list per slot aligned with
+    `params`.  Together with the step count `t` and `lr` they are all of its
+    checkpointable state."""
+
+    kind = None
+    slots = ()
+
     def __init__(self, params, lr):
         self.params = list(params)
         self.lr = float(lr)
         self.t = 0
+        for slot in self.slots:
+            setattr(self, slot, [np.zeros_like(p.data) for p in self.params])
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def state_dict(self):
-        raise NotImplementedError
+        state = {"kind": self.kind, "t": self.t, "lr": self.lr}
+        for slot in self.slots:
+            state[slot] = [a.copy() for a in getattr(self, slot)]
+        return state
 
     def load_state_dict(self, state):
-        raise NotImplementedError
+        if state["kind"] != self.kind:
+            raise ValueError(f"optimizer kind mismatch: {state['kind']}")
+        slots = {s: [np.asarray(a, dtype=np.float64).copy() for a in state[s]] for s in self.slots}
+        shapes = [p.data.shape for p in self.params]
+        for slot, arrays in slots.items():
+            if [a.shape for a in arrays] != shapes:
+                raise ValueError(f"optimizer state {slot!r} does not match the parameter shapes")
+        self.t = int(state["t"])
+        self.lr = float(state["lr"])
+        for slot, arrays in slots.items():
+            setattr(self, slot, arrays)
 
 
 class Adam(Optimizer):
+    kind = "adam"
+    slots = ("m", "v")
+
     def __init__(self, params, lr, betas=(0.5, 0.999), eps=1e-8):
         super().__init__(params, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
@@ -42,32 +66,15 @@ class Adam(Optimizer):
             vhat = self.v[i] / b2c
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
-    def state_dict(self):
-        return {
-            "kind": "adam",
-            "t": self.t,
-            "lr": self.lr,
-            "m": [a.copy() for a in self.m],
-            "v": [a.copy() for a in self.v],
-        }
-
-    def load_state_dict(self, state):
-        if state["kind"] != "adam":
-            raise ValueError(f"optimizer kind mismatch: {state['kind']}")
-        self.t = int(state["t"])
-        self.lr = float(state["lr"])
-        self.m = [np.asarray(a, dtype=np.float64).copy() for a in state["m"]]
-        self.v = [np.asarray(a, dtype=np.float64).copy() for a in state["v"]]
-        if len(self.m) != len(self.params):
-            raise ValueError("optimizer state does not match parameter count")
-
 
 class SGD(Optimizer):
+    kind = "sgd"
+    slots = ("buf",)
+
     def __init__(self, params, lr, momentum=0.9, weight_decay=1e-4):
         super().__init__(params, lr)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.buf = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
@@ -79,23 +86,6 @@ class SGD(Optimizer):
                 g = g + self.weight_decay * p.data
             self.buf[i] = self.momentum * self.buf[i] + g
             p.data = p.data - self.lr * self.buf[i]
-
-    def state_dict(self):
-        return {
-            "kind": "sgd",
-            "t": self.t,
-            "lr": self.lr,
-            "buf": [a.copy() for a in self.buf],
-        }
-
-    def load_state_dict(self, state):
-        if state["kind"] != "sgd":
-            raise ValueError(f"optimizer kind mismatch: {state['kind']}")
-        self.t = int(state["t"])
-        self.lr = float(state["lr"])
-        self.buf = [np.asarray(a, dtype=np.float64).copy() for a in state["buf"]]
-        if len(self.buf) != len(self.params):
-            raise ValueError("optimizer state does not match parameter count")
 
 
 class PlateauDecay:

@@ -190,43 +190,41 @@ def build_sr_net(spec: PyramidSpec, seed: int) -> SRNet:
     return SRNet(spec, seeding.stream(seed, "sr.init"))
 
 
+def _optimizers(cfg, net):
+    return {"opt": SGD(net.parameters(), cfg.lr, momentum=cfg.momentum,
+                       weight_decay=cfg.weight_decay)}
+
+
 def save_sr_checkpoint(path, net, opt, cfg, spec, step, epoch, monitor):
-    arrays = {f"param/{name}": p.data for name, p in net.named_parameters()}
-    arrays.update(ckpt_io.optimizer_arrays("opt", opt))
-    cfg_dict = asdict(cfg)
     meta = {
         "kind": "lapsrn",
         "step": step,
         "epoch": epoch,
-        "train_config": cfg_dict,
+        "train_config": asdict(cfg),
         "pyramid_spec": asdict(spec),
         "monitor": monitor,
-        "opt": ckpt_io.optimizer_meta(opt),
-        "rng": {"scheme": "seed+name+step streams", "seed": cfg.seed},
     }
-    ckpt_io.save_checkpoint(path, meta, arrays)
+    ckpt_io.save_state(path, meta, {"net": net}, {"opt": opt})
 
 
 def load_sr_checkpoint(path):
     meta, arrays = ckpt_io.load_checkpoint(path)
     if meta.get("kind") != "lapsrn":
         raise ValueError(f"{path} is not a super-resolution checkpoint (kind={meta.get('kind')!r})")
-    spec = PyramidSpec(**meta["pyramid_spec"])
-    cfg_dict = dict(meta["train_config"])
-    if cfg_dict.get("augment") is not None:
-        cfg_dict["augment"] = AugmentationConfig(**cfg_dict["augment"])
-    cfg = SRTrainConfig(**cfg_dict)
-    net = build_sr_net(spec, cfg.seed)
-    net.load_state_dict(
-        {name[len("param/") :]: arr for name, arr in arrays.items() if name.startswith("param/")}
-    )
-    opt = SGD(net.parameters(), cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-    ckpt_io.load_optimizer("opt", opt, meta["opt"], arrays)
-    return {
-        "net": net, "opt": opt, "cfg": cfg, "spec": spec,
-        "step": int(meta["step"]), "epoch": int(meta["epoch"]),
-        "monitor": meta["monitor"],
-    }
+    with ckpt_io.restoring(path):
+        spec = PyramidSpec(**meta["pyramid_spec"])
+        cfg_dict = dict(meta["train_config"])
+        if cfg_dict.get("augment") is not None:
+            cfg_dict["augment"] = AugmentationConfig(**cfg_dict["augment"])
+        cfg = SRTrainConfig(**cfg_dict)
+        net = build_sr_net(spec, cfg.seed)
+        opts = _optimizers(cfg, net)
+        ckpt_io.restore_state(meta, arrays, {"net": net}, opts)
+        return {
+            "net": net, **opts, "cfg": cfg, "spec": spec,
+            "step": int(meta["step"]), "epoch": int(meta["epoch"]),
+            "monitor": meta["monitor"],
+        }
 
 
 def _epoch_microbatches(hr_set, cfg, spec, epoch):
@@ -275,7 +273,7 @@ def train_lapsrn(hr_set, cfg: SRTrainConfig, spec: PyramidSpec = None,
         net, opt, spec = state["net"], state["opt"], state["spec"]
     else:
         net = build_sr_net(spec, cfg.seed)
-        opt = SGD(net.parameters(), cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+        opt = _optimizers(cfg, net)["opt"]
 
     def run_group(group, step, epoch, lr):
         inv = 1.0 / len(group)

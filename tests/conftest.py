@@ -1,32 +1,10 @@
-"""Shared fixtures plus the acceptance summary printer.
-
-test_acceptance.py registers one entry per criterion in ACCEPTANCE_RESULTS;
-after the run, the terminal summary prints one PASS/FAIL line per criterion
-so the gate can be read off directly.
-"""
+"""Shared fixtures: a seeded generator, phantom training sets and a unit volume."""
 
 import numpy as np
 import pytest
 
 from skullsynth import phantom, seeding
 from skullsynth.volume_io import UNIT, Volume, hounsfield_floor, minmax_normalize
-
-ACCEPTANCE_RESULTS = {}
-
-
-def record_acceptance(number, passed, detail=""):
-    ACCEPTANCE_RESULTS[number] = (passed, detail)
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not ACCEPTANCE_RESULTS:
-        return
-    terminalreporter.section("acceptance criteria")
-    for number in sorted(ACCEPTANCE_RESULTS):
-        passed, detail = ACCEPTANCE_RESULTS[number]
-        verdict = "PASS" if passed else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        terminalreporter.write_line(f"ACCEPTANCE: criterion {number} {verdict}{suffix}")
 
 
 @pytest.fixture

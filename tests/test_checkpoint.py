@@ -1,9 +1,11 @@
-"""Checkpoint container: atomic saves, loud load failures, and the trainers'
-settings surviving a save and a load."""
+"""Checkpoint container: atomic saves, loud load failures, the trainers'
+settings surviving a save and a load, and the networks' and optimizers' state
+layout: a bitwise round trip, and a ValueError naming the file for any mismatch."""
 
 import gc
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -11,8 +13,10 @@ import pytest
 
 from skullsynth import FORMAT_VERSION, cut, lapsrn
 from skullsynth.augment import AugmentationConfig
-from skullsynth.checkpoint import load_checkpoint, save_checkpoint
+from skullsynth.checkpoint import load_checkpoint, restore_state, save_checkpoint, save_state
+from skullsynth.engine.layers import Module
 from skullsynth.engine.optim import SGD, Adam, PlateauDecay
+from skullsynth.engine.tensor import Tensor
 
 
 class _Unpicklable:
@@ -124,3 +128,127 @@ def test_version_1_checkpoint_is_refused(tmp_path):
     np.savez(path, __meta__=payload)
     with pytest.raises(ValueError, match="format version 1"):
         cut.load_cut_checkpoint(path)
+
+
+def test_version_2_checkpoint_is_refused(tmp_path):
+    # version 2 stored the SGD momentum as opt/buf/<i> with a sentinel in meta
+    path = tmp_path / "sr_v2.npz"
+    meta = {"format_version": 2, "kind": "lapsrn",
+            "opt": {"kind": "sgd", "t": 0, "lr": 1e-3, "buf": "__arrays__"}}
+    payload = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, __meta__=payload, **{"param/w": np.zeros(2), "opt/buf/0": np.zeros(2)})
+    with pytest.raises(ValueError, match="format version 2"):
+        lapsrn.load_sr_checkpoint(path)
+
+
+def _tiny_cut(path):
+    g_spec = cut.GeneratorSpec(base_filters=2, n_downsample=1, n_residual_blocks=1)
+    d_spec = cut.DiscriminatorSpec(n_layers=1, base_filters=2)
+    p_spec = cut.ProjectorSpec(n_layers=1, embed_dim=4)
+    nce_cfg = cut.NCEConfig(num_patches=4)
+    cfg = cut.CutTrainConfig()
+    g, d, f, taps = cut.build_networks(g_spec, d_spec, p_spec, nce_cfg, cfg.seed)
+    cut.save_cut_checkpoint(
+        path, g, d, f, Adam(d.parameters(), cfg.lr), Adam(g.parameters() + f.parameters(), cfg.lr),
+        cfg, g_spec, d_spec, p_spec, nce_cfg, taps, 0, 0,
+        PlateauDecay(cfg.lr, cfg.plateau_patience_epochs, cfg.max_epochs).state(),
+    )
+
+
+def _tiny_sr(path):
+    spec = lapsrn.PyramidSpec(levels=1, filters=2, feat_layers=3, recon_layers=2)
+    cfg = lapsrn.SRTrainConfig()
+    net = lapsrn.build_sr_net(spec, cfg.seed)
+    lapsrn.save_sr_checkpoint(
+        path, net, SGD(net.parameters(), cfg.lr), cfg, spec, 0, 0,
+        PlateauDecay(cfg.lr, cfg.plateau_patience_epochs, cfg.max_epochs).state(),
+    )
+
+
+TRAINERS = {"cut": (_tiny_cut, cut.load_cut_checkpoint, "generator_spec"),
+            "sr": (_tiny_sr, lapsrn.load_sr_checkpoint, "pyramid_spec")}
+
+
+@pytest.mark.parametrize("saved,loaded", [("cut", "sr"), ("sr", "cut")])
+def test_other_trainers_checkpoint_is_refused(tmp_path, saved, loaded):
+    path = tmp_path / f"{saved}.npz"
+    TRAINERS[saved][0](path)
+    with pytest.raises(ValueError, match="is not a"):
+        TRAINERS[loaded][1](path)
+
+
+def _first(arrays, prefix):
+    return min(k for k in arrays if k.startswith(prefix))
+
+
+TAMPERINGS = {
+    "missing parameter": lambda meta, arrays, spec: arrays.pop(_first(arrays, "param/")),
+    "extra parameter": lambda meta, arrays, spec: arrays.update({"param/x/w": np.zeros(2)}),
+    "missing optimizer slot": lambda meta, arrays, spec: arrays.pop(_first(arrays, "opt/")),
+    "missing meta key": lambda meta, arrays, spec: meta.pop("monitor"),
+    "unknown spec field": lambda meta, arrays, spec: meta[spec].update(norm="instance"),
+    "missing optimizer meta": lambda meta, arrays, spec: meta.pop("optimizers"),
+}
+
+
+@pytest.mark.parametrize("tampering", list(TAMPERINGS))
+@pytest.mark.parametrize("trainer", list(TRAINERS))
+def test_mismatched_checkpoint_is_a_value_error_naming_the_file(tmp_path, trainer, tampering):
+    save, load, spec = TRAINERS[trainer]
+    path = tmp_path / f"{trainer}.npz"
+    save(path)
+    meta, arrays = load_checkpoint(path)
+    TAMPERINGS[tampering](meta, arrays, spec)
+    save_checkpoint(path, meta, arrays)
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {path} cannot be restored")):
+        load(path)
+
+
+class _Net(Module):
+    def __init__(self, rng):
+        self.w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        self.b = Tensor(rng.normal(size=(4,)), requires_grad=True)
+
+
+def _trained(opt_cls, rng):
+    """A net and an optimizer that has taken three steps on random gradients."""
+    net = _Net(rng)
+    opt = opt_cls(net.parameters(), lr=0.01)
+    for _ in range(3):
+        for p in net.parameters():
+            p.grad = rng.normal(size=p.data.shape)
+        opt.step()
+    opt.lr = 0.005  # as a schedule leaves it
+    return net, opt
+
+
+@pytest.mark.parametrize("opt_cls", [Adam, SGD])
+def test_state_round_trip_is_bitwise(tmp_path, rng, opt_cls):
+    net, opt = _trained(opt_cls, rng)
+    save_state(tmp_path / "s.npz", {"kind": "test"}, {"net": net}, {"opt": opt})
+    meta, arrays = load_checkpoint(tmp_path / "s.npz")
+    net2 = _Net(rng)
+    opt2 = opt_cls(net2.parameters(), lr=1.0)
+    restore_state(meta, arrays, {"net": net2}, {"opt": opt2})
+    for (na, pa), (nb, pb) in zip(net.named_parameters(), net2.named_parameters()):
+        assert na == nb
+        assert pa.data.dtype == pb.data.dtype and np.array_equal(pa.data, pb.data)
+    want, got = opt.state_dict(), opt2.state_dict()
+    assert set(want) == set(got) == {"kind", "t", "lr", *opt_cls.slots}
+    assert (got["kind"], got["t"], got["lr"]) == (want["kind"], want["t"], want["lr"])
+    for slot in opt_cls.slots:
+        assert len(got[slot]) == len(want[slot]) == 2
+        for a, b in zip(want[slot], got[slot]):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("opt_cls", [Adam, SGD])
+def test_dropped_slot_array_raises(tmp_path, rng, opt_cls):
+    net, opt = _trained(opt_cls, rng)
+    save_state(tmp_path / "s.npz", {}, {"net": net}, {"opt": opt})
+    meta, arrays = load_checkpoint(tmp_path / "s.npz")
+    key = f"opt/opt/{opt_cls.slots[-1]}/1"
+    del arrays[key]
+    net2 = _Net(rng)
+    with pytest.raises(ValueError, match=f"missing array '{key}'"):
+        restore_state(meta, arrays, {"net": net2}, {"opt": opt_cls(net2.parameters(), lr=1.0)})

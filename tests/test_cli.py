@@ -2,17 +2,44 @@
 
 import pytest
 
+from skullsynth import checkpoint as ckpt_io
 from skullsynth.cli import main
+
+# one optimizer step of each trainer on 8^3 volumes
+TINY_RUN = {
+    "cut.base_filters": 2, "cut.n_downsample": 1, "cut.n_residual_blocks": 1,
+    "cut.d_layers": 1, "cut.d_base_filters": 2, "cut.proj_layers": 1, "cut.embed_dim": 4,
+    "cut.num_patches": 4, "cut.max_steps": 1,
+    "lapsrn.filters": 2, "lapsrn.feat_layers": 3, "lapsrn.core_size": 4, "lapsrn.halo": 2,
+    "lapsrn.max_steps": 1,
+}
 
 
 @pytest.fixture(scope="module")
 def phantoms(tmp_path_factory):
-    """One and two phantom cases (MR, CT and mask of each) in two directories."""
+    """One and two phantom cases (MR, CT and mask of each) in two directories;
+    the one case in the unit domain (`unit`); the final checkpoints of both
+    trainers run on it (`run`), and the CUT one with a parameter array
+    dropped (`cut_broken.npz`)."""
     root = tmp_path_factory.mktemp("phantoms")
     for count in (1, 2):
         assert main(["phantom-gen", "--out", str(root / f"n{count}"),
                      "--count", str(count), "--shape", "8"]) == 0
+    assert main(["preprocess", "--in-dir", str(root / "n1"), "--out-dir", str(root / "unit"),
+                 "--kind", "mr"]) == 0
+    settings = [f"--set={k}={v}" for k, v in {**TINY_RUN, "run.output_dir": root / "run"}.items()]
+    unit = str(root / "unit")
+    assert main(["train-cut", "--mr-dir", unit, "--ct-dir", unit, *settings]) == 0
+    assert main(["train-sr", "--hr-dir", unit, *settings]) == 0
+    meta, arrays = ckpt_io.load_checkpoint(root / "run" / "cut_final.npz")
+    del arrays["param/g/stem.weight"]
+    ckpt_io.save_checkpoint(root / "cut_broken.npz", meta, arrays)
     return root
+
+
+def _infer(d, p, cut_ckpt, sr_ckpt):
+    return ["infer", "--mr", p + "/unit/case000_mr.raw", "--cut-ckpt", cut_ckpt,
+            "--sr-ckpt", sr_ckpt, "--reference-ct", p + "/n1/case000_ct.raw", "--out", d]
 
 
 def test_phantom_gen_writes_every_case(phantoms):
@@ -34,6 +61,11 @@ EXIT_CODES = [
                                   "--set", f"run.output_dir={d}/run"]),
     ("evaluate case-id mismatch", 1, lambda d, p: ["evaluate", "--pred-dir", p + "/n1",
                                                    "--gt-dir", p + "/n2", "--out", d + "/e.csv"]),
+    ("infer", 0, lambda d, p: _infer(d, p, p + "/run/cut_final.npz", p + "/run/sr_final.npz")),
+    ("infer, checkpoints swapped", 1,
+     lambda d, p: _infer(d, p, p + "/run/sr_final.npz", p + "/run/cut_final.npz")),
+    ("infer, parameter array missing", 1,
+     lambda d, p: _infer(d, p, p + "/cut_broken.npz", p + "/run/sr_final.npz")),
 ]
 
 

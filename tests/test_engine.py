@@ -215,10 +215,8 @@ class TestAutodiff:
         check_grads(lambda x: ops.relu(x).sum(), [a])
         check_grads(lambda x: ops.leaky_relu(x, 0.2).sum(), [a])
         check_grads(lambda x: ops.tanh(x).sum(), [a])
-        check_grads(lambda x: ops.sigmoid(x).sum(), [a])
         check_grads(lambda x: ops.exp(x * 0.3).sum(), [a])
         check_grads(lambda x: ops.log(ops.exp(x)).sum(), [a])
-        check_grads(lambda x: ops.sqrt(x * x + 1.0).sum(), [a])
 
     def test_log_sigmoid_matches_scipy(self):
         x = np.linspace(-60.0, 60.0, 2401)
