@@ -32,9 +32,6 @@ class ChunkGrid:
         )
         return cls(shape, int(core_size), int(halo), origins)
 
-    def n_chunks(self):
-        return len(self.origins)
-
     def core_slices(self, origin):
         return tuple(
             slice(o, min(o + self.core_size, n)) for o, n in zip(origin, self.source_shape)

@@ -19,29 +19,24 @@ from skullsynth import volume_io as vio
 from skullsynth.config import ConfigError
 
 
-def _fmt_constant(name):
-    table = {"raw": vio.RAW_F32, "nifti": vio.NIFTI}
-    if name not in table:
-        raise ConfigError(f"unknown volume format {name!r}; expected raw or nifti")
-    return table[name]
+def _format(cfg):
+    fmt = cfg["data"]["format"]
+    if fmt not in vio.EXTENSIONS:
+        raise ConfigError(f"unknown volume format {fmt!r}; expected {' or '.join(vio.EXTENSIONS)}")
+    return fmt
 
 
 def _volume_paths(directory, fmt):
     if not os.path.isdir(directory):
         raise FileNotFoundError(directory)
-    if fmt == vio.RAW_F32:
-        keep = lambda n: n.endswith(".raw")
-    else:
-        keep = lambda n: n.endswith(".nii") or n.endswith(".nii.gz")
-    return [os.path.join(directory, n) for n in sorted(os.listdir(directory)) if keep(n)]
+    names = sorted(n for n in os.listdir(directory) if n.endswith(vio.EXTENSIONS[fmt]))
+    return [os.path.join(directory, n) for n in names]
 
 
 def _case_id(path):
     name = os.path.basename(path)
-    for ext in (".nii.gz", ".nii", ".raw"):
-        if name.endswith(ext):
-            return name[: -len(ext)]
-    return os.path.splitext(name)[0]
+    ext = next(e for exts in vio.EXTENSIONS.values() for e in exts if name.endswith(e))
+    return name[: -len(ext)]
 
 
 def _require_file(path):
@@ -61,8 +56,8 @@ def _load_dir(directory, fmt):
 
 def cmd_phantom_gen(args, cfg):
     seed = cfg["run"]["seed"]
-    fmt = _fmt_constant(cfg["data"]["format"])
-    ext = ".raw" if fmt == vio.RAW_F32 else ".nii.gz"
+    fmt = _format(cfg)
+    ext = vio.EXTENSIONS[fmt][0]
     os.makedirs(args.out, exist_ok=True)
     shape = (args.shape,) * 3
     for i in range(args.count):
@@ -87,10 +82,14 @@ def cmd_phantom_gen(args, cfg):
 
 
 def cmd_preprocess(args, cfg):
-    fmt = _fmt_constant(cfg["data"]["format"])
+    fmt = _format(cfg)
     paths = _volume_paths(args.in_dir, fmt)
     if not paths:
-        raise ConfigError(f"no {cfg['data']['format']} volumes found in {args.in_dir}")
+        raise ConfigError(f"no {fmt} volumes found in {args.in_dir}")
+    # a phantom-gen directory holds every kind of a case: keep the requested one
+    by_kind = {k: [p for p in paths if _case_id(p).endswith("_" + k)] for k in ("mr", "ct")}
+    if all(by_kind.values()):
+        paths = by_kind[args.kind]
     os.makedirs(args.out_dir, exist_ok=True)
     target_shape = cfg["data"]["resample_shape"]
     for path in paths:
@@ -122,7 +121,7 @@ def _resolve_resume(arg, run_dir, latest_fn):
 
 def cmd_train_cut(args, cfg):
     g_spec, d_spec, p_spec, nce, train_cfg = config_mod.cut_settings(cfg)
-    fmt = _fmt_constant(cfg["data"]["format"])
+    fmt = _format(cfg)
     mr_dir = args.mr_dir or cfg["data"]["mr_dir"]
     ct_dir = args.ct_dir or cfg["data"]["ct_dir"]
     if not mr_dir or not ct_dir:
@@ -133,17 +132,17 @@ def cmd_train_cut(args, cfg):
         raise ConfigError(f"empty dataset: {mr_dir} has {len(mr_set)}, {ct_dir} has {len(ct_set)}")
     run_dir = _prepare_run_dir(cfg)
     resume = _resolve_resume(args.resume, run_dir, cut.latest_checkpoint)
-    final, reports = cut.train_cut(
+    final, rows = cut.train_cut(
         mr_set, ct_set, train_cfg, g_spec, d_spec, p_spec, nce,
         run_dir=run_dir, resume_from=resume,
     )
-    print(f"trained {len(reports)} step(s); final checkpoint {final}")
+    print(f"trained {len(rows)} step(s); final checkpoint {final}")
     return 0
 
 
 def cmd_train_sr(args, cfg):
     spec, train_cfg = config_mod.sr_settings(cfg)
-    fmt = _fmt_constant(cfg["data"]["format"])
+    fmt = _format(cfg)
     hr_dir = args.hr_dir or cfg["data"]["hr_dir"]
     if not hr_dir:
         raise ConfigError("train-sr needs [data] hr_dir (or --hr-dir)")
@@ -161,8 +160,8 @@ def cmd_train_sr(args, cfg):
 
 def cmd_infer(args, cfg):
     params = config_mod.segmentation_settings(cfg)
-    fmt = _fmt_constant(cfg["data"]["format"])
-    ext = ".raw" if fmt == vio.RAW_F32 else ".nii.gz"
+    fmt = _format(cfg)
+    ext = vio.EXTENSIONS[fmt][0]
     _require_file(args.mr)
     _require_file(args.cut_ckpt)
     if not args.skip_sr:
@@ -190,7 +189,7 @@ def cmd_infer(args, cfg):
 
 
 def cmd_evaluate(args, cfg):
-    fmt = _fmt_constant(cfg["data"]["format"])
+    fmt = _format(cfg)
     pred_paths = {_case_id(p): p for p in _volume_paths(args.pred_dir, fmt)}
     gt_paths = {_case_id(p): p for p in _volume_paths(args.gt_dir, fmt)}
     if set(pred_paths) != set(gt_paths):

@@ -23,7 +23,7 @@ from skullsynth import seeding, training
 from skullsynth.engine import ops
 from skullsynth.engine.layers import Conv3d, ConvTranspose3d, InstanceNorm3d, Linear, Module
 from skullsynth.engine.optim import Adam
-from skullsynth.engine.tensor import Tensor
+from skullsynth.engine.tensor import Tensor, as_tensor
 from skullsynth.volume_io import UNIT, Volume
 
 
@@ -69,6 +69,8 @@ class NCEConfig:
     def __post_init__(self):
         if self.num_patches < 2:
             raise ValueError("num_patches must be >= 2 (at least one negative)")
+        if self.temperature <= 0:
+            raise ValueError("temperature must be > 0")
         if self.tap_layers is not None:
             self.tap_layers = tuple(int(t) for t in self.tap_layers)
 
@@ -94,20 +96,10 @@ class CutTrainConfig:
             raise ValueError("loss weights must be >= 0")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.gan_mode not in ("log", "lsgan"):
             raise ValueError(f"unknown gan_mode {self.gan_mode!r}")
-
-
-@dataclass
-class LossReport:
-    step: int
-    epoch: int
-    l_gan_d: float
-    l_gan_g: float
-    l_nce_syn: float
-    l_nce_idt: float
-    total: float
-    lr: float
 
 
 @dataclass
@@ -226,7 +218,8 @@ class Discriminator(Module):
     def __init__(self, spec: DiscriminatorSpec, rng):
         self.spec = spec
         f = spec.base_filters
-        convs, norms = [Conv3d(1, f, 4, stride=2, pad=1, rng=rng)], [None]
+        # the first conv is not normalized
+        convs, norms = [Conv3d(1, f, 4, stride=2, pad=1, rng=rng)], []
         c = f
         for i in range(1, spec.n_layers):
             nxt = min(f * 2**i, f * 8)
@@ -237,17 +230,13 @@ class Discriminator(Module):
         convs.append(Conv3d(c, nxt, 4, stride=1, pad=1, rng=rng))
         norms.append(InstanceNorm3d(nxt))
         self.convs = convs
-        self.norms = [n for n in norms if n is not None]
+        self.norms = norms
         self.final = Conv3d(nxt, 1, 4, stride=1, pad=1, rng=rng)
 
     def __call__(self, x):
-        h = x
-        norm_iter = iter(self.norms)
-        for i, conv in enumerate(self.convs):
-            h = conv(h)
-            if i > 0:
-                h = next(norm_iter)(h)
-            h = ops.leaky_relu(h, 0.2)
+        h = ops.leaky_relu(self.convs[0](x), 0.2)
+        for conv, norm in zip(self.convs[1:], self.norms):
+            h = ops.leaky_relu(norm(conv(h)), 0.2)
         return self.final(h)
 
 
@@ -256,70 +245,28 @@ class FeatureProjector(Module):
 
     def __init__(self, tap_channels, spec: ProjectorSpec, rng):
         self.spec = spec
-        mlps = []
+        mlps = []  # spec.n_layers consecutive layers per tap
         for c in tap_channels:
-            layers = []
             cin = c
-            for _ in range(max(1, spec.n_layers)):
-                layers.append(Linear(cin, spec.embed_dim, rng=rng))
+            for _ in range(spec.n_layers):
+                mlps.append(Linear(cin, spec.embed_dim, rng=rng))
                 cin = spec.embed_dim
-            mlps.append(layers)
-        self.mlps = [l for layers in mlps for l in layers]  # flattened for param discovery
-        self._per_tap = mlps
+        self.mlps = mlps
 
     def project(self, patches, tap_index):
         """(S, C) patch features -> (S, E) unit-norm embeddings."""
+        n = self.spec.n_layers
         h = patches
-        layers = self._per_tap[tap_index]
-        for i, lin in enumerate(layers):
-            h = lin(h)
-            if i + 1 < len(layers):
+        for i, lin in enumerate(self.mlps[tap_index * n : (tap_index + 1) * n]):
+            if i:
                 h = ops.relu(h)
+            h = lin(h)
         return ops.l2_normalize_rows(h)
 
 
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
-
-
-def _as_input_tensor(x):
-    if isinstance(x, Tensor):
-        return x
-    data = np.asarray(getattr(x, "data", x), dtype=np.float64)
-    if data.ndim == 3:
-        data = data[None]
-    return Tensor(data)
-
-
-def generator_forward(g: Generator, x) -> Volume:
-    """Pure inference through G; Volume in, Volume out (UNIT domain)."""
-    if isinstance(x, Volume) and x.domain != UNIT:
-        raise ValueError(f"generator input must be UNIT domain, got {x.domain}")
-    out, _ = g(_as_input_tensor(x))
-    spacing = x.spacing if isinstance(x, Volume) else (1.0, 1.0, 1.0)
-    return Volume(out.data[0], spacing, UNIT)
-
-
-def info_nce(ref, pos, negs, temperature: float = 1.0):
-    """The contrastive loss for one reference vector against one positive and
-    N-1 negatives, dot-product similarity.  Returns a scalar Tensor; gradients
-    flow into any argument passed as a Tensor."""
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    ref_t = ref if isinstance(ref, Tensor) else Tensor(np.asarray(ref, dtype=np.float64))
-    pos_t = pos if isinstance(pos, Tensor) else Tensor(np.asarray(pos, dtype=np.float64))
-    negs_t = negs if isinstance(negs, Tensor) else Tensor(np.asarray(negs, dtype=np.float64))
-    if negs_t.data.ndim != 2 or negs_t.data.shape[0] < 1:
-        raise ValueError("need a nonempty (N-1, E) negative matrix")
-    if ref_t.data.shape != pos_t.data.shape or negs_t.data.shape[1] != ref_t.data.shape[0]:
-        raise ValueError("embedding dimensions disagree")
-    inv_t = 1.0 / temperature
-    s_pos = (ref_t * pos_t).sum() * inv_t
-    s_negs = (negs_t * ref_t.reshape(1, -1)).sum(axis=1) * inv_t
-    shift = float(max(s_pos.data, s_negs.data.max()))
-    denom = ops.exp(s_pos - shift).sum() + ops.exp(s_negs - shift).sum()
-    return ops.log(denom) + shift - s_pos
 
 
 def sample_locations(feature_shapes, num_patches, rng):
@@ -331,12 +278,6 @@ def sample_locations(feature_shapes, num_patches, rng):
         locs = np.sort(rng.choice(n_sites, size=k, replace=False))
         locations.append(locs)
     return locations
-
-
-def encoder_features(g, f, x, tap_ids, cfg: NCEConfig, rng=None, locations=None) -> FeatureStack:
-    """Tap features of x projected to embeddings; samples locations unless given."""
-    feats = g.encode(_as_input_tensor(x), tap_ids)
-    return project_features(f, feats, tap_ids, cfg, rng=rng, locations=locations)
 
 
 def project_features(f, feats, tap_ids, cfg, rng=None, locations=None) -> FeatureStack:
@@ -384,20 +325,6 @@ def transpose_rows(t: Tensor) -> Tensor:
     return Tensor._make(out_data, (t,), backward)
 
 
-def patch_nce_loss(g, f, source, translated, cfg: NCEConfig, rng=None):
-    """PatchNCE between a source volume and its translation.
-
-    Samples locations on the source stack and reuses them for the translated
-    stack.  Returns (scalar loss Tensor, per-layer float breakdown).
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    tap_ids = cfg.tap_layers if cfg.tap_layers is not None else g.default_tap_ids()
-    src_stack = encoder_features(g, f, source, tap_ids, cfg, rng=rng)
-    tr_stack = encoder_features(g, f, translated, tap_ids, cfg, locations=src_stack.locations)
-    return nce_from_stacks(tr_stack, src_stack, cfg.temperature)
-
-
 def gan_losses(d, real_ct, syn_ct, mode: str = "log"):
     """(d_loss, g_adv_loss) for one real/synthetic pair.
 
@@ -406,8 +333,8 @@ def gan_losses(d, real_ct, syn_ct, mode: str = "log"):
     work is skipped at forward capture).  Both discriminator evaluations use
     the current parameters; the trainer steps D before G either way.
     """
-    real_t = _as_input_tensor(real_ct)
-    syn_t = _as_input_tensor(syn_ct)
+    real_t = as_tensor(real_ct)
+    syn_t = as_tensor(syn_ct)
     if real_t.data.shape != syn_t.data.shape:
         raise ValueError(f"shape mismatch: {real_t.data.shape} vs {syn_t.data.shape}")
     logits_real = d(real_t)
@@ -430,13 +357,9 @@ def gan_losses(d, real_ct, syn_ct, mode: str = "log"):
 
 
 def cut_total_loss(l_gan, l_nce_syn, l_nce_idt, cfg: CutTrainConfig):
-    total = cfg.lambda_gan * l_gan + cfg.lambda_syn * l_nce_syn + cfg.lambda_idt * l_nce_idt
-    return total, {
-        "L_GAN": l_gan,
-        "L_NCE_syn": l_nce_syn,
-        "L_NCE_idt": l_nce_idt,
-        "total": total,
-    }
+    """The generator objective: weighted GAN, synthesis and identity terms.
+    Takes loss Tensors to train on, or their float means to log."""
+    return cfg.lambda_gan * l_gan + cfg.lambda_syn * l_nce_syn + cfg.lambda_idt * l_nce_idt
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +437,8 @@ def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
     Per optimizer step, `batch_size` independent (MR, CT) draws accumulate
     gradients; the discriminator steps first, then generator and projector
     jointly.  Emits a CSV row per step and an epoch-stamped checkpoint.
-    Returns (final checkpoint path, list of LossReport).
+    Returns (final checkpoint path, rows) where each row holds the
+    `CSV_COLUMNS` values of one step.
     """
     if not mr_set or not ct_set:
         raise ValueError("both datasets must be nonempty")
@@ -546,8 +470,8 @@ def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
         acc = np.zeros(4)  # d, g_adv, nce_syn, nce_idt
         for k in range(cfg.batch_size):
             draw = seeding.stream(cfg.seed, "cut.draw", step, k)
-            x = _as_input_tensor(mr_set[int(draw.integers(n_mr))])
-            y = _as_input_tensor(ct_set[int(draw.integers(n_ct))])
+            x = as_tensor(mr_set[int(draw.integers(n_mr))])
+            y = as_tensor(ct_set[int(draw.integers(n_ct))])
             syn, feats_mr = g(x, tap_ids)
             idt, feats_ct = g(y, tap_ids)
             d_loss, g_adv = gan_losses(d, y, syn, cfg.gan_mode)
@@ -563,7 +487,7 @@ def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
                 nce.append(nce_from_stacks(tr, src, nce_cfg.temperature)[0])
             nce_syn, nce_idt = nce
 
-            g_loss = cfg.lambda_gan * g_adv + cfg.lambda_syn * nce_syn + cfg.lambda_idt * nce_idt
+            g_loss = cut_total_loss(g_adv, nce_syn, nce_idt, cfg)
             (d_loss * inv_b).backward()
             (g_loss * inv_b).backward()
             acc += (d_loss.item(), g_adv.item(), nce_syn.item(), nce_idt.item())
@@ -572,18 +496,17 @@ def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
         opt_g.step()
         opt_g.zero_grad()
         d_mean, g_mean, syn_mean, idt_mean = (float(v) for v in acc * inv_b)
-        total, _ = cut_total_loss(g_mean, syn_mean, idt_mean, cfg)
+        total = cut_total_loss(g_mean, syn_mean, idt_mean, cfg)
         return (d_mean, g_mean, syn_mean, idt_mean, total), total
 
     def save(path, step, epoch, monitor):
         save_cut_checkpoint(path, g, d, f, opt_d, opt_g, cfg, g_spec, d_spec, p_spec,
                             nce_cfg, tap_ids, step, epoch, monitor)
 
-    final, rows = training.fit(
+    return training.fit(
         cfg, run_dir, "cut", CSV_COLUMNS, (opt_d, opt_g),
         lambda epoch: [run_step] * steps_per_epoch, save, state,
     )
-    return final, [LossReport(*row) for row in rows]
 
 
 def latest_checkpoint(run_dir):
@@ -591,6 +514,10 @@ def latest_checkpoint(run_dir):
 
 
 def translate(checkpoint, mr: Volume) -> Volume:
-    """Inference through a trained generator; accepts a path or a loaded state."""
+    """Inference through a trained generator, UNIT volume in and out; accepts
+    a checkpoint path or a loaded state."""
     state = load_cut_checkpoint(checkpoint) if not isinstance(checkpoint, dict) else checkpoint
-    return generator_forward(state["g"], mr)
+    if mr.domain != UNIT:
+        raise ValueError(f"generator input must be UNIT domain, got {mr.domain}")
+    out, _ = state["g"](as_tensor(mr))
+    return Volume(out.data[0], mr.spacing, UNIT)

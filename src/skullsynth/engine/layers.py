@@ -32,9 +32,6 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def n_params(self):
-        return sum(p.data.size for p in self.parameters())
-
     def zero_grad(self):
         for p in self.parameters():
             p.grad = None

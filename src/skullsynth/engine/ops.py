@@ -12,8 +12,6 @@ import numpy as np
 from skullsynth.engine import kernels
 from skullsynth.engine.tensor import Tensor
 
-LOG_FLOOR = 1e-12
-
 
 def relu(t):
     mask = t.data > 0
@@ -62,63 +60,42 @@ def exp(t):
     return Tensor._make(out_data, (t,), backward)
 
 
-def log(t, floor=LOG_FLOOR):
-    """Natural log clamped below at ``floor``; zero gradient in the clamped region."""
-    clamped = np.maximum(t.data, floor)
-    live = t.data >= floor
+def _conv(x, w, b, stride, pad, forward, backward_input, backward_weight):
+    """Autograd node of ``forward(x, w) + b`` whose input and weight gradients
+    come from the other two kernels.  Callers look the kernels up on `kernels`
+    at each call, so a tracer that replaces those attributes sees every call."""
+    k = w.data.shape[2]
+    y = forward(x.data, w.data, stride, pad)
+    if b is not None:
+        y = y + b.data[:, None, None, None]
+    in_shape = x.data.shape
+    x_req = x.requires_grad
+    w_req = w.requires_grad
+    b_req = b is not None and b.requires_grad
+    parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
-        Tensor._accum(t, g * live / clamped)
+        g = np.ascontiguousarray(g)
+        if x_req:
+            Tensor._accum(x, backward_input(g, w.data, in_shape, stride, pad))
+        if w_req:
+            Tensor._accum(w, backward_weight(g, x.data, k, stride, pad))
+        if b_req:
+            Tensor._accum(b, g.sum(axis=(1, 2, 3)))
 
-    return Tensor._make(np.log(clamped), (t,), backward)
+    return Tensor._make(y, parents, backward)
 
 
 def conv3d(x, w, b=None, stride=1, pad=0):
     """3-D convolution; x (C_in,D,H,W), w (C_out,C_in,k,k,k), b (C_out,)."""
-    k = w.data.shape[2]
-    y = kernels.conv3d_forward(x.data, w.data, stride, pad)
-    if b is not None:
-        y = y + b.data[:, None, None, None]
-    in_shape = x.data.shape
-    x_req = x.requires_grad
-    w_req = w.requires_grad
-    b_req = b is not None and b.requires_grad
-    parents = (x, w) if b is None else (x, w, b)
-
-    def backward(g):
-        g = np.ascontiguousarray(g)
-        if x_req:
-            Tensor._accum(x, kernels.conv3d_backward_input(g, w.data, in_shape, stride, pad))
-        if w_req:
-            Tensor._accum(w, kernels.conv3d_backward_weight(g, x.data, k, stride, pad))
-        if b_req:
-            Tensor._accum(b, g.sum(axis=(1, 2, 3)))
-
-    return Tensor._make(y, parents, backward)
+    return _conv(x, w, b, stride, pad, kernels.conv3d_forward,
+                 kernels.conv3d_backward_input, kernels.conv3d_backward_weight)
 
 
 def conv_transpose3d(x, w, b=None, stride=2, pad=1):
     """Transposed 3-D convolution; w (C_in,C_out,k,k,k).  k=4,s=2,p=1 doubles each axis."""
-    k = w.data.shape[2]
-    y = kernels.tconv3d_forward(x.data, w.data, stride, pad)
-    if b is not None:
-        y = y + b.data[:, None, None, None]
-    in_shape = x.data.shape
-    x_req = x.requires_grad
-    w_req = w.requires_grad
-    b_req = b is not None and b.requires_grad
-    parents = (x, w) if b is None else (x, w, b)
-
-    def backward(g):
-        g = np.ascontiguousarray(g)
-        if x_req:
-            Tensor._accum(x, kernels.tconv3d_backward_input(g, w.data, in_shape, stride, pad))
-        if w_req:
-            Tensor._accum(w, kernels.tconv3d_backward_weight(g, x.data, k, stride, pad))
-        if b_req:
-            Tensor._accum(b, g.sum(axis=(1, 2, 3)))
-
-    return Tensor._make(y, parents, backward)
+    return _conv(x, w, b, stride, pad, kernels.tconv3d_forward,
+                 kernels.tconv3d_backward_input, kernels.tconv3d_backward_weight)
 
 
 def instance_norm(t, eps=1e-8):

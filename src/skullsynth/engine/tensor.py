@@ -208,3 +208,12 @@ class Tensor:
             Tensor._accum(self, g.reshape(self.data.shape))
 
         return Tensor._make(out_data, (self,), backward)
+
+
+def as_tensor(x):
+    """A network input: a Tensor as it is, a Volume or array as a Tensor with
+    a leading channel axis added to 3-D data, (D, H, W) -> (1, D, H, W)."""
+    if isinstance(x, Tensor):
+        return x
+    data = np.asarray(getattr(x, "data", x))
+    return Tensor(data[None] if data.ndim == 3 else data)

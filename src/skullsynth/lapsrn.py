@@ -22,7 +22,7 @@ from skullsynth.chunks import Chunk, ChunkGrid, assemble_chunks, chunk_volume
 from skullsynth.engine import kernels, ops
 from skullsynth.engine.layers import Conv3d, ConvTranspose3d, Module, trilinear_filter
 from skullsynth.engine.optim import SGD
-from skullsynth.engine.tensor import Tensor
+from skullsynth.engine.tensor import Tensor, as_tensor
 from skullsynth.volume_io import UNIT, Volume, resample
 
 
@@ -129,13 +129,8 @@ class SRNet(Module):
         return self._inv_norm_cache[shape]
 
     def __call__(self, x):
-        if not isinstance(x, Tensor):
-            data = np.asarray(getattr(x, "data", x), dtype=np.float64)
-            if data.ndim == 3:
-                data = data[None]
-            x = Tensor(data)
         outs = []
-        img = x
+        img = as_tensor(x)
         for level in self.levels:
             up = level.upsample(img, self._inv_norm(img.data.shape[1:]))
             img = up + level.residual(img)
@@ -152,7 +147,7 @@ def charbonnier_loss(preds, targets, eps: float = 1e-3):
         raise ValueError(f"{len(preds)} predictions vs {len(targets)} targets")
     total = None
     for pred, target in zip(preds, targets):
-        t = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=np.float64))
+        t = target if isinstance(target, Tensor) else Tensor(target)
         if pred.data.shape != t.data.shape:
             raise ValueError(f"shape mismatch {pred.data.shape} vs {t.data.shape}")
         d = pred - t

@@ -93,10 +93,3 @@ def make_phantom(spec: PhantomSpec):
     ct_vol = Volume(ct, spec.spacing, HU, provenance=f"phantom(seed={spec.seed})")
     mask = SegmentationMask(shell.astype(np.uint8), spec.spacing)
     return mr_vol, ct_vol, mask
-
-
-def make_defect_phantom(spec: PhantomSpec):
-    """Phantom with a spherical hole punched through the shell."""
-    if spec.defect_radius <= 0:
-        raise ValueError("defect phantom needs defect_radius > 0")
-    return make_phantom(spec)

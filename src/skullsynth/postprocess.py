@@ -69,8 +69,3 @@ def segment_from_matched(matched_ct: Volume, params: SegmentationParams) -> Segm
     mask = threshold_hu(matched_ct, params.bone_threshold_hu)
     mask = binary_open(mask, params)
     return binary_close(mask, params)
-
-
-def segment_skull(syn_ct: Volume, reference_ct: Volume, params: SegmentationParams) -> SegmentationMask:
-    """histogram_match -> threshold_hu -> binary_open -> binary_close, in that order."""
-    return segment_from_matched(histogram_match(syn_ct, reference_ct), params)

@@ -26,8 +26,11 @@ UNIT = "UNIT"
 ARBITRARY = "ARBITRARY"
 DOMAINS = (HU, UNIT, ARBITRARY)
 
-RAW_F32 = "RAW_F32"
-NIFTI = "NIFTI"
+# the `[data] format` values
+RAW_F32 = "raw"
+NIFTI = "nifti"
+# file extensions per format; the first is the one a new file gets
+EXTENSIONS = {RAW_F32: (".raw",), NIFTI: (".nii.gz", ".nii")}
 
 
 class FormatError(ValueError):
@@ -256,11 +259,6 @@ def save_volume(v: Volume, path, format=RAW_F32) -> None:
         _save_nifti(v, path)
     else:
         raise ValueError(f"unknown format {format!r}")
-
-
-def detect_format(path) -> str:
-    name = str(path)
-    return NIFTI if name.endswith(".nii") or name.endswith(".nii.gz") else RAW_F32
 
 
 def resample(v: Volume, target_shape) -> Volume:

@@ -11,13 +11,13 @@ from skullsynth.chunks import Chunk, ChunkGrid, assemble_chunks, chunk_volume
 class TestGrid:
     def test_origin_lattice(self):
         grid = ChunkGrid.build((128, 128, 128), core_size=64, halo=8)
-        assert grid.n_chunks() == 8
+        assert len(grid.origins) == 8
         assert grid.origins[0] == (0, 0, 0)
         assert grid.origins[-1] == (64, 64, 64)
 
     def test_ragged_tail_cores(self):
         grid = ChunkGrid.build((10, 5, 7), core_size=4, halo=1)
-        assert grid.n_chunks() == 3 * 2 * 2
+        assert len(grid.origins) == 3 * 2 * 2
         # last core along z covers [8, 10): shorter than core_size
         sl = grid.core_slices((8, 4, 4))
         assert (sl[0].start, sl[0].stop) == (8, 10)

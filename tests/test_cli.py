@@ -42,6 +42,11 @@ def _infer(d, p, cut_ckpt, sr_ckpt):
             "--sr-ckpt", sr_ckpt, "--reference-ct", p + "/n1/case000_ct.raw", "--out", d]
 
 
+def _train_cut(d, p, setting):
+    return ["train-cut", "--mr-dir", p + "/unit", "--ct-dir", p + "/unit", "--set", setting,
+            "--set", f"run.output_dir={d}/run"]
+
+
 def test_phantom_gen_writes_every_case(phantoms):
     assert sorted(p.name for p in (phantoms / "n2").iterdir()) == [
         f"case00{i}_{kind}.raw{ext}"
@@ -61,6 +66,10 @@ EXIT_CODES = [
                                   "--set", f"run.output_dir={d}/run"]),
     ("evaluate case-id mismatch", 1, lambda d, p: ["evaluate", "--pred-dir", p + "/n1",
                                                    "--gt-dir", p + "/n2", "--out", d + "/e.csv"]),
+    ("temperature=0", 2, lambda d, p: _train_cut(d, p, "cut.temperature=0")),
+    ("temperature=-1", 2, lambda d, p: _train_cut(d, p, "cut.temperature=-1")),
+    ("batch_size=0", 2, lambda d, p: _train_cut(d, p, "cut.batch_size=0")),
+    ("batch_size=-2", 2, lambda d, p: _train_cut(d, p, "cut.batch_size=-2")),
     ("infer", 0, lambda d, p: _infer(d, p, p + "/run/cut_final.npz", p + "/run/sr_final.npz")),
     ("infer, checkpoints swapped", 1,
      lambda d, p: _infer(d, p, p + "/run/sr_final.npz", p + "/run/cut_final.npz")),
@@ -77,10 +86,30 @@ def test_exit_code(argv, code, phantoms, tmp_path, capsys):
     assert bool(err) == bool(code)  # every failure says why on stderr
 
 
+# the EXIT_CODES cases a spec rejects, with its message; each would run in <d>/run
+SPEC_ERRORS = {
+    "levels=0": "levels must be >= 1",
+    "temperature=0": "temperature must be > 0",
+    "temperature=-1": "temperature must be > 0",
+    "batch_size=0": "batch_size must be >= 1",
+    "batch_size=-2": "batch_size must be >= 1",
+}
+
+
 def test_spec_error_leaves_no_run_dir(phantoms, tmp_path, capsys):
-    run_dir = tmp_path / "run"
-    argv = ["train-sr", "--hr-dir", str(phantoms / "n1"), "--set", "lapsrn.levels=0",
-            "--set", f"run.output_dir={run_dir}"]
-    assert main(argv) == 2
-    assert "levels must be >= 1" in capsys.readouterr().err
-    assert not run_dir.exists()
+    for name, _, argv in EXIT_CODES:
+        if name in SPEC_ERRORS:
+            d = tmp_path / name
+            assert main(argv(str(d), str(phantoms))) == 2
+            assert SPEC_ERRORS[name] in capsys.readouterr().err
+            assert not (d / "run").exists()
+
+
+@pytest.mark.parametrize("kind", ["mr", "ct"])
+def test_preprocess_takes_the_requested_kind(phantoms, tmp_path, kind, capsys):
+    # a phantom-gen directory holds the MR, CT and mask of each case
+    argv = ["preprocess", "--in-dir", str(phantoms / "n1"), "--out-dir", str(tmp_path),
+            "--kind", kind]
+    assert main(argv) == 0
+    assert f"preprocessed 1 {kind} volume(s)" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.glob("*.raw")) == [f"case000_{kind}.raw"]

@@ -133,3 +133,17 @@ class TestSuperResolve:
         assert out.domain == UNIT
         assert out.spacing == whole.spacing
         np.testing.assert_array_equal(out.data, whole.data)
+
+    def test_chunked_equals_whole_volume_at_paper_width(self):
+        # From 48 input channels a GEMM conv may round differently on a crop
+        # than on the whole volume; the paper's 64 filters must still match.
+        # Halo 3 covers this pyramid's receptive field; at halo 2 the passes differ.
+        net = build_sr_net(PyramidSpec(filters=64, feat_layers=4), seed=5)
+        rng = np.random.default_rng(5)
+        for p in net.parameters():
+            p.data += rng.normal(scale=0.05, size=p.data.shape)
+        vol = Volume(rng.random((10, 10, 10)), (1.0, 1.0, 1.0), UNIT)
+        whole = np.clip(net(vol.data)[-1].data[0], 0.0, 1.0).astype(np.float32)
+        state = {"net": net, "cfg": fast_cfg(), "spec": net.spec}
+        out = super_resolve(state, vol, core_size=5, halo=3)
+        np.testing.assert_array_equal(out.data, whole)

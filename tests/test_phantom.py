@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from skullsynth import phantom
-from skullsynth.phantom import PhantomSpec, make_defect_phantom, make_phantom
+from skullsynth.phantom import PhantomSpec, make_phantom
 from skullsynth.postprocess import threshold_hu
 from skullsynth.volume_io import HU, UNIT
 
@@ -73,7 +73,7 @@ class TestDefects:
     def test_defect_mask_is_set_difference(self):
         spec = sphere_spec(defect_radius=5.0)
         _, _, clean_mask = make_phantom(sphere_spec())
-        _, _, defect_mask = make_defect_phantom(spec)
+        _, _, defect_mask = make_phantom(spec)
         removed = clean_mask.data.astype(bool) & ~defect_mask.data.astype(bool)
         assert removed.any()
         # nothing outside the defect sphere may change
@@ -91,20 +91,16 @@ class TestDefects:
     def test_defect_exposes_soft_tissue_in_all_outputs(self):
         spec = sphere_spec(defect_radius=5.0)
         mr_c, ct_c, mask_c = make_phantom(sphere_spec())
-        mr_d, ct_d, mask_d = make_defect_phantom(spec)
+        mr_d, ct_d, mask_d = make_phantom(spec)
         removed = mask_c.data.astype(bool) & ~mask_d.data.astype(bool)
         assert np.all(ct_d.data[removed] == phantom.CT_BRAIN)
         assert np.all(mr_d.data[removed] == phantom.MR_BRAIN)
 
     def test_defect_covering_shell_empties_mask(self):
-        _, _, mask = make_defect_phantom(
+        _, _, mask = make_phantom(
             sphere_spec(defect_center=(15.5, 15.5, 15.5), defect_radius=40.0)
         )
         assert mask.data.sum() == 0
-
-    def test_requires_positive_radius(self):
-        with pytest.raises(ValueError, match="defect_radius"):
-            make_defect_phantom(sphere_spec())
 
     def test_removed_fraction_matches_analytic_estimate(self):
         # spherical defect centred on the shell wall: voxel count of
@@ -117,7 +113,7 @@ class TestDefects:
             seed=3,
         )
         _, _, clean = make_phantom(PhantomSpec(**{**spec.__dict__, "defect_radius": 0.0}))
-        _, _, holed = make_defect_phantom(spec)
+        _, _, holed = make_phantom(spec)
         got = int(clean.data.sum() - holed.data.sum())
 
         rng = np.random.default_rng(0)

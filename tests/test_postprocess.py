@@ -13,7 +13,6 @@ from skullsynth.postprocess import (
     binary_open,
     histogram_match,
     segment_from_matched,
-    segment_skull,
     threshold_hu,
 )
 from skullsynth.volume_io import HU, UNIT, DomainError, SegmentationMask, Volume
@@ -141,15 +140,16 @@ class TestSegmentSkull:
         _, ct, mask = make_phantom(spec)
         syn = Volume((ct.data - ct.data.min()) / np.ptp(ct.data), (1, 1, 1), UNIT)
         params = SegmentationParams(opening_radius=0, closing_radius=0)
-        out = segment_skull(syn, ct, params)
+        out = segment_from_matched(histogram_match(syn, ct), params)
         np.testing.assert_array_equal(out.data, mask.data)
 
     def test_matches_stagewise_composition(self, rng):
-        syn = unit_volume_of(rng.random((8, 8, 8)))
-        ref = hu_volume(rng.normal(scale=400.0, size=(8, 8, 8)))
+        matched = histogram_match(unit_volume_of(rng.random((8, 8, 8))),
+                                  hu_volume(rng.normal(scale=400.0, size=(8, 8, 8))))
         params = SegmentationParams()
-        whole = segment_skull(syn, ref, params)
-        staged = segment_from_matched(histogram_match(syn, ref), params)
+        whole = segment_from_matched(matched, params)
+        staged = binary_close(binary_open(threshold_hu(matched, params.bone_threshold_hu), params),
+                              params)
         np.testing.assert_array_equal(whole.data, staged.data)
 
     def test_idempotent_on_matched_volume(self, rng):

@@ -144,11 +144,6 @@ class TestNifti:
         with pytest.raises(FormatError):
             vio.load_volume(path, vio.NIFTI)
 
-    def test_detect_format(self):
-        assert vio.detect_format("x.nii") == vio.NIFTI
-        assert vio.detect_format("x.nii.gz") == vio.NIFTI
-        assert vio.detect_format("x.raw") == vio.RAW_F32
-
 
 class TestResample:
     def test_identity(self, rng):
