@@ -221,6 +221,10 @@ def sr_settings(cfg):
     aug = _build(AugmentationConfig, s)
     train = _build(SRTrainConfig, s, seed=cfg["run"]["seed"],
                    augment=aug if aug.enabled() else None)
+    try:
+        spec.check_halo(train.halo)
+    except ValueError as exc:
+        raise ConfigError(f"lapsrn.{exc}") from exc
     return spec, train
 
 

@@ -3,71 +3,142 @@
 All convolution kernels use cubic kernel windows, isotropic stride and
 zero padding.  Array layouts: activations (C, D, H, W), conv weights
 (C_out, C_in, k, k, k), transposed-conv weights (C_in, C_out, k, k, k).
-Every kernel accumulates in a fixed order, so repeated calls are bitwise
-reproducible.
+
+Convolution forward and input-gradient passes are gathers followed by BLAS
+matrix multiplies.  Each output voxel owns one column that stacks the
+inputs under its kernel window; the columns go through ``np.matmul`` in
+blocks of BLOCK voxels, the last block padded, and the contraction is padded
+with zero rows to a multiple of K_ALIGN.  So every GEMM has a shape set by
+the layer alone (rows, contraction, BLOCK), never by the volume:
+
+* A voxel's value depends only on its own column.  A crop of a volume
+  therefore reproduces the whole-volume bits at every voxel whose window
+  lies inside the crop, which chunked inference relies on.  A GEMM sized by
+  the volume gives no such promise: OpenBLAS picks its inner kernel, and
+  whether to split the work between threads, by matrix size.
+* OpenBLAS splits a contraction longer than its K chunk differently with one
+  thread than with several unless the length is a multiple of 32, so the
+  padding keeps the bits independent of the BLAS thread count.
+
+Columns are built a group of planes or rows at a time, so the column buffer
+stays near GROUP_ELEMS entries whatever the volume.  Weight gradients use
+one ``np.tensordot`` per tap.  Every kernel accumulates in a fixed order,
+so repeated calls are bitwise reproducible.
 """
 
 import numpy as np
+
+BLOCK = 256  # output voxels per GEMM column block
+GROUP_ELEMS = 1 << 18  # column-matrix entries built per batched GEMM call
+K_ALIGN = 32  # contraction lengths are padded to a multiple of this
 
 
 def _out_dim(d, k, stride, pad):
     return (d + 2 * pad - k) // stride + 1
 
 
+def _gather_gemm(w2, windows, out):
+    """``out[..., v] = w2 @ column v`` for every voxel v, where column v is
+    ``windows[..., v]`` flattened in (channel, tap) order.
+
+    ``windows`` is a (C, a, b, c) + out.shape[-3:] view of one padded input,
+    holding each voxel's C x a x b x c kernel window; ``out``'s leading
+    axes hold w2's rows.  Columns are built in groups of whole planes or
+    rows, at most GROUP_ELEMS entries when a row fits, and multiplied in
+    blocks of BLOCK voxels, the last one padded.
+    """
+    m, kk = w2.shape
+    lead, (nz, ny, nx) = out.shape[:-3], out.shape[-3:]
+    if not out.size:
+        return out
+    cap = max(1, GROUP_ELEMS // (kk * BLOCK)) * BLOCK
+    if ny * nx <= cap:
+        step = cap // (ny * nx)
+        pieces = [(slice(z, min(z + step, nz)), slice(0, ny)) for z in range(0, nz, step)]
+    else:
+        step = max(1, cap // nx)
+        pieces = [(slice(z, z + 1), slice(y, min(y + step, ny)))
+                  for z in range(nz) for y in range(0, ny, step)]
+    zs, ys = pieces[0]
+    width = -(-(zs.stop - zs.start) * (ys.stop - ys.start) * nx // BLOCK) * BLOCK
+    # Zero rows take the contraction to a multiple of K_ALIGN.  Padding
+    # columns hold zeros or an earlier group's entries; their results are
+    # dropped.
+    kp = -(-kk // K_ALIGN) * K_ALIGN
+    wp = np.zeros((m, kp), dtype=w2.dtype)
+    wp[:, :kk] = w2
+    cols = np.zeros((kp, width), dtype=windows.dtype)
+    taps = windows.shape[:4]
+    cols_taps = cols[:kk].reshape(taps + (width,))
+    res = np.empty((m, width), dtype=np.result_type(wp, cols))
+    for zs, ys in pieces:
+        shape = (zs.stop - zs.start, ys.stop - ys.start, nx)
+        n = shape[0] * shape[1] * nx
+        nb = -(-n // BLOCK)
+        cols_taps[..., :n].reshape(taps + shape)[...] = windows[..., zs, ys, :]
+        np.matmul(
+            wp,
+            cols[:, : nb * BLOCK].reshape(kp, nb, BLOCK).transpose(1, 0, 2),
+            out=res[:, : nb * BLOCK].reshape(m, nb, BLOCK).transpose(1, 0, 2),
+        )
+        out[..., zs, ys, :] = res[:, :n].reshape(*lead, *shape)
+    return out
+
+
+def _windows(a, k, stride=1):
+    """(C, k, k, k, D', H', W') view of ``a`` (C, D, H, W): the k^3 window at
+    every stride-th position where one fits."""
+    v = np.lib.stride_tricks.sliding_window_view(a, (k, k, k), axis=(1, 2, 3))
+    return v[:, ::stride, ::stride, ::stride].transpose(0, 4, 5, 6, 1, 2, 3)
+
+
+def _phases(a, s):
+    """(s, s, s, C, D/s, H/s, W/s) view of ``a`` (C, D, H, W), each axis a
+    multiple of s: entry [bz, by, bx, c, i, j, l] is a[c, s*i+bz, s*j+by, s*l+bx]."""
+    c, d, h, w = a.shape
+    return a.reshape(c, d // s, s, h // s, s, w // s, s).transpose(2, 4, 6, 0, 1, 3, 5)
+
+
 def _conv_forward(x, w, stride, pad):
-    ci, d, h, wd = x.shape
-    co, _, k = w.shape[0], w.shape[1], w.shape[2]
-    do, ho, wo = _out_dim(d, k, stride, pad), _out_dim(h, k, stride, pad), _out_dim(wd, k, stride, pad)
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
-    y = np.zeros((co, do, ho, wo), dtype=x.dtype)
-    for dz in range(k):
-        for dy in range(k):
-            for dx in range(k):
-                xs = xp[
-                    :,
-                    dz : dz + stride * (do - 1) + 1 : stride,
-                    dy : dy + stride * (ho - 1) + 1 : stride,
-                    dx : dx + stride * (wo - 1) + 1 : stride,
-                ]
-                y += np.einsum("oc,cdhw->odhw", w[:, :, dz, dy, dx], xs)
-    return y
+    co, ci, k = w.shape[:3]
+    out = tuple(_out_dim(n, k, stride, pad) for n in x.shape[1:])
+    windows = _windows(np.pad(x, ((0, 0),) + ((pad, pad),) * 3), k, stride)
+    y = np.empty((co,) + out, dtype=np.result_type(x, w))
+    return _gather_gemm(w.reshape(co, ci * k**3), windows, y)
 
 
 def _conv_backward_input(gy, w, in_shape, stride, pad):
-    ci, d, h, wd = in_shape
-    co, _, k = w.shape[0], w.shape[1], w.shape[2]
-    do, ho, wo = gy.shape[1:]
-    gxp = np.zeros((ci, d + 2 * pad, h + 2 * pad, wd + 2 * pad), dtype=gy.dtype)
-    for dz in range(k):
-        for dy in range(k):
-            for dx in range(k):
-                gxp[
-                    :,
-                    dz : dz + stride * (do - 1) + 1 : stride,
-                    dy : dy + stride * (ho - 1) + 1 : stride,
-                    dx : dx + stride * (wo - 1) + 1 : stride,
-                ] += np.einsum("oc,odhw->cdhw", w[:, :, dz, dy, dx], gy)
-    if pad:
-        return np.ascontiguousarray(gxp[:, pad : pad + d, pad : pad + h, pad : pad + wd])
-    return gxp
+    co, ci, k = w.shape[:3]
+    s, span = stride, -(-k // stride)
+    # Padded input position s*m + b takes tap d = b + s*j from gy[m - j],
+    # for each j < span with d < k.  So one gather over m serves all s^3
+    # phases b: its rows are the (b, channel) pairs, a tap a phase lacks has
+    # zero weights, and its output seen through _phases is the padded
+    # gradient from position s*m0 on.
+    m0 = pad // s
+    nm = tuple(-(-(pad + n) // s) - m0 for n in in_shape[1:])
+    gyp = np.pad(gy, ((0, 0),) + tuple((span - 1, max(0, m0 + m - n)) for n, m in
+                                        zip(gy.shape[1:], nm)))
+    # window entry span - 1 - j of position m holds tap j of m
+    windows = _windows(gyp, span)[:, ::-1, ::-1, ::-1,
+                                  m0 : m0 + nm[0], m0 : m0 + nm[1], m0 : m0 + nm[2]]
+    wk = np.zeros((co, ci) + (s * span,) * 3, dtype=w.dtype)
+    wk[:, :, :k, :k, :k] = w
+    w2 = wk.reshape(co, ci, span, s, span, s, span, s).transpose(3, 5, 7, 1, 0, 2, 4, 6)
+    gxp = np.empty((ci,) + tuple(s * n for n in nm), dtype=np.result_type(gy, w))
+    _gather_gemm(w2.reshape(s**3 * ci, co * span**3), windows, _phases(gxp, s))
+    o = pad - s * m0
+    return np.ascontiguousarray(gxp[(slice(None),) + tuple(slice(o, o + n) for n in in_shape[1:])])
 
 
 def _conv_backward_weight(gy, x, k, stride, pad):
-    co = gy.shape[0]
-    ci = x.shape[0]
-    do, ho, wo = gy.shape[1:]
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
+    co, ci = gy.shape[0], x.shape[0]
+    windows = _windows(np.pad(x, ((0, 0),) + ((pad, pad),) * 3), k, stride)
     gw = np.zeros((co, ci, k, k, k), dtype=gy.dtype)
-    for dz in range(k):
-        for dy in range(k):
-            for dx in range(k):
-                xs = xp[
-                    :,
-                    dz : dz + stride * (do - 1) + 1 : stride,
-                    dy : dy + stride * (ho - 1) + 1 : stride,
-                    dx : dx + stride * (wo - 1) + 1 : stride,
-                ]
-                gw[:, :, dz, dy, dx] = np.tensordot(gy, xs, axes=([1, 2, 3], [1, 2, 3]))
+    for tap in np.ndindex(k, k, k):
+        gw[(slice(None), slice(None)) + tap] = np.tensordot(
+            gy, windows[(slice(None),) + tap], axes=([1, 2, 3], [1, 2, 3])
+        )
     return gw
 
 

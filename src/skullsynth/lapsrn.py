@@ -47,6 +47,31 @@ class PyramidSpec:
     def scale(self):
         return 2**self.levels
 
+    @property
+    def receptive_radius(self):
+        """Smallest chunk halo, in input voxels, at which chunked inference
+        equals the whole-volume pass.
+
+        At a chunk face the zero padding stands in for the missing
+        neighbours, so wrong values reach inwards.  Per level, in that
+        level's input voxels: each 3^3 conv adds one voxel of reach, the
+        k4/s2/p1 transposed conv doubles it and adds one, and the head conv
+        at the doubled resolution adds one more.
+        """
+        reach = 0
+        for _ in range(self.levels):
+            residual = 2 * (reach + self.feat_layers - 2) + 1 + 1
+            upsample = 2 * (reach + self.recon_layers - 1) + 1
+            reach = max(residual, upsample)
+        return -(-reach // self.scale)
+
+    def check_halo(self, halo):
+        if halo < self.receptive_radius:
+            raise ValueError(
+                f"halo {halo} is below this pyramid's receptive radius {self.receptive_radius}: "
+                "chunked inference would differ from the whole-volume pass"
+            )
+
 
 @dataclass
 class SRTrainConfig:
@@ -298,13 +323,19 @@ def latest_checkpoint(run_dir):
 
 
 def super_resolve(checkpoint, vol: Volume, core_size=None, halo=None) -> Volume:
-    """Chunked inference: upsample a UNIT volume by the net's pyramid scale."""
+    """Chunked inference: upsample a UNIT volume by the net's pyramid scale.
+
+    Without ``halo`` the checkpoint's halo is used, and refused when it is
+    below the pyramid's receptive radius; an explicit ``halo`` is not checked.
+    """
     state = load_sr_checkpoint(checkpoint) if not isinstance(checkpoint, dict) else checkpoint
     net, cfg, spec = state["net"], state["cfg"], state["spec"]
     if vol.domain != UNIT:
         raise ValueError(f"super-resolution input must be UNIT domain, got {vol.domain}")
     core_size = core_size or cfg.core_size
-    halo = cfg.halo if halo is None else halo
+    if halo is None:
+        halo = cfg.halo
+        spec.check_halo(halo)
     scale = spec.scale
     grid = ChunkGrid.build(vol.data.shape, core_size, halo)
     out_grid = grid.scaled(scale)

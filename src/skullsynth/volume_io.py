@@ -179,8 +179,9 @@ def _save_nifti(v, path):
     descrip = f"domain={v.domain}".encode("ascii")[:79]
     hdr[148 : 148 + len(descrip)] = descrip
     hdr[344:348] = b"n+1\x00"
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wb") as fh:
+    # A zero gzip mtime keeps the bytes of a .nii.gz independent of the clock.
+    fh = gzip.GzipFile(path, "wb", mtime=0) if str(path).endswith(".gz") else open(path, "wb")
+    with fh:
         fh.write(bytes(hdr))
         fh.write(b"\x00\x00\x00\x00")  # extension flag
         fh.write(np.ascontiguousarray(v.data, dtype="<f4").tobytes())

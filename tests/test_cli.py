@@ -19,8 +19,9 @@ TINY_RUN = {
 def phantoms(tmp_path_factory):
     """One and two phantom cases (MR, CT and mask of each) in two directories;
     the one case in the unit domain (`unit`); the final checkpoints of both
-    trainers run on it (`run`), and the CUT one with a parameter array
-    dropped (`cut_broken.npz`)."""
+    trainers run on it (`run`), the CUT one with a parameter array dropped
+    (`cut_broken.npz`) and the SR one with a halo below its pyramid's
+    receptive radius (`sr_short_halo.npz`)."""
     root = tmp_path_factory.mktemp("phantoms")
     for count in (1, 2):
         assert main(["phantom-gen", "--out", str(root / f"n{count}"),
@@ -34,6 +35,9 @@ def phantoms(tmp_path_factory):
     meta, arrays = ckpt_io.load_checkpoint(root / "run" / "cut_final.npz")
     del arrays["param/g/stem.weight"]
     ckpt_io.save_checkpoint(root / "cut_broken.npz", meta, arrays)
+    meta, arrays = ckpt_io.load_checkpoint(root / "run" / "sr_final.npz")
+    meta["train_config"]["halo"] = TINY_RUN["lapsrn.halo"] - 1
+    ckpt_io.save_checkpoint(root / "sr_short_halo.npz", meta, arrays)
     return root
 
 
@@ -64,6 +68,8 @@ EXIT_CODES = [
     ("non-int value", 2, lambda d, p: ["phantom-gen", "--out", d, "--set", "cut.batch_size=two"]),
     ("levels=0", 2, lambda d, p: ["train-sr", "--hr-dir", p + "/n1", "--set", "lapsrn.levels=0",
                                   "--set", f"run.output_dir={d}/run"]),
+    ("halo=6", 2, lambda d, p: ["train-sr", "--hr-dir", p + "/n1", "--set", "lapsrn.halo=6",
+                                "--set", f"run.output_dir={d}/run"]),
     ("evaluate case-id mismatch", 1, lambda d, p: ["evaluate", "--pred-dir", p + "/n1",
                                                    "--gt-dir", p + "/n2", "--out", d + "/e.csv"]),
     ("temperature=0", 2, lambda d, p: _train_cut(d, p, "cut.temperature=0")),
@@ -75,6 +81,8 @@ EXIT_CODES = [
      lambda d, p: _infer(d, p, p + "/run/sr_final.npz", p + "/run/cut_final.npz")),
     ("infer, parameter array missing", 1,
      lambda d, p: _infer(d, p, p + "/cut_broken.npz", p + "/run/sr_final.npz")),
+    ("infer, halo below the receptive radius", 1,
+     lambda d, p: _infer(d, p, p + "/run/cut_final.npz", p + "/sr_short_halo.npz")),
 ]
 
 
@@ -93,6 +101,7 @@ SPEC_ERRORS = {
     "temperature=-1": "temperature must be > 0",
     "batch_size=0": "batch_size must be >= 1",
     "batch_size=-2": "batch_size must be >= 1",
+    "halo=6": "lapsrn.halo 6 is below this pyramid's receptive radius 7",
 }
 
 

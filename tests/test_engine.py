@@ -1,6 +1,10 @@
-"""Engine tests: kernels against scipy oracles and adjoint identities,
-autodiff against central finite differences, optimizers against textbook
-reference updates."""
+"""Engine tests: kernels against scipy oracles and adjoint identities, the
+conv kernels' crop and thread-count bit contract, autodiff against central
+finite differences, optimizers against textbook reference updates."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import scipy.ndimage as ndi
 import scipy.signal
 import scipy.special
 
+import skullsynth
 from skullsynth.engine import kernels, ops, optim
 from skullsynth.engine.layers import (
     Conv3d,
@@ -105,6 +110,64 @@ class TestConvKernels:
         gw = kernels.tconv3d_backward_weight(gy, x, k, stride, pad)
         np.testing.assert_allclose((y * gy).sum(), (x * gx).sum(), rtol=1e-10)
         np.testing.assert_allclose((y * gy).sum(), (w * gw).sum(), rtol=1e-10)
+
+
+# Whole volume, a crop of it, and where the crop's interior sits in the
+# whole-volume output of a k3/s1/p1 conv and of a k4/s2/p1 transposed conv.
+BIT_VOLUME = (9, 12, 10)
+BIT_CROP = ((2, 8), (3, 10), (1, 8))
+CONV_INTERIOR = tuple(slice(a + 1, b - 1) for a, b in BIT_CROP)
+TCONV_INTERIOR = tuple(slice(2 * a + 1, 2 * b - 1) for a, b in BIT_CROP)
+
+# Prints a digest of conv and transposed-conv outputs.  At 56 channels the
+# GEMMs are large enough to run threaded, and the contractions 56*27 and 56*8
+# are longer than one OpenBLAS K chunk without being multiples of 32.
+THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+from skullsynth.engine import kernels
+rng = np.random.default_rng(0)
+x = rng.normal(size=(56, 10, 9, 11))
+w3 = rng.normal(size=(56, 56, 3, 3, 3))
+w4 = rng.normal(size=(56, 56, 4, 4, 4))
+outs = [
+    kernels.conv3d_forward(x, w3, 1, 1),
+    kernels.conv3d_forward(x, w4, 2, 1),
+    kernels.conv3d_backward_input(x, w3, x.shape, 1, 1),
+    kernels.tconv3d_forward(x, w4, 2, 1),
+]
+print(hashlib.sha256(b"".join(o.tobytes() for o in outs)).hexdigest())
+"""
+
+
+class TestConvBitContract:
+    """Chunked inference relies on a crop reproducing the whole-volume bits,
+    and a rerun on another machine on bits that do not follow the thread count."""
+
+    @pytest.mark.parametrize("c_in,c_out", [(1, 16), (16, 16), (16, 1), (48, 48), (64, 64),
+                                            (128, 128)])
+    def test_crop_interior_equals_whole_volume(self, c_in, c_out, rng):
+        x = rng.normal(size=(c_in,) + BIT_VOLUME)
+        crop = (slice(None),) + tuple(slice(a, b) for a, b in BIT_CROP)
+        inner = (slice(None),) + (slice(1, -1),) * 3
+        w = rng.normal(size=(c_out, c_in, 3, 3, 3))
+        whole = kernels.conv3d_forward(x, w, 1, 1)
+        part = kernels.conv3d_forward(np.ascontiguousarray(x[crop]), w, 1, 1)
+        np.testing.assert_array_equal(part[inner], whole[(slice(None),) + CONV_INTERIOR])
+        wt = rng.normal(size=(c_in, c_out, 4, 4, 4))
+        whole = kernels.tconv3d_forward(x, wt, 2, 1)
+        part = kernels.tconv3d_forward(np.ascontiguousarray(x[crop]), wt, 2, 1)
+        np.testing.assert_array_equal(part[inner], whole[(slice(None),) + TCONV_INTERIOR])
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(skullsynth.__file__)))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env,
+                                 capture_output=True, text=True, check=True, timeout=120)
+            digests.add(run.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestMorphologyKernels:

@@ -147,3 +147,42 @@ class TestSuperResolve:
         state = {"net": net, "cfg": fast_cfg(), "spec": net.spec}
         out = super_resolve(state, vol, core_size=5, halo=3)
         np.testing.assert_array_equal(out.data, whole)
+
+
+def perturbed_state(spec, halo, seed=5):
+    """An SR state whose every layer matters, with ``halo`` as its stored halo."""
+    net = build_sr_net(spec, seed=seed)
+    rng = np.random.default_rng(seed)
+    for p in net.parameters():
+        p.data += rng.normal(scale=0.05, size=p.data.shape)
+    return {"net": net, "cfg": fast_cfg(halo=halo), "spec": spec}
+
+
+class TestReceptiveRadius:
+    def test_known_pyramids(self):
+        assert TINY_SPEC.receptive_radius == TINY_HALO
+        assert PyramidSpec(filters=64, feat_layers=4).receptive_radius == 3
+        assert PyramidSpec().receptive_radius == 7  # the default halo of 8 covers it
+
+    @pytest.mark.parametrize("spec", [
+        PyramidSpec(levels=1, filters=2, feat_layers=3, recon_layers=2),
+        PyramidSpec(levels=1, filters=2, feat_layers=3, recon_layers=5),
+        PyramidSpec(levels=1, filters=2, feat_layers=5, recon_layers=2),
+        PyramidSpec(levels=2, filters=2, feat_layers=3, recon_layers=2),
+        PyramidSpec(levels=2, filters=2, feat_layers=4, recon_layers=3),
+    ], ids=lambda s: f"L{s.levels}F{s.feat_layers}R{s.recon_layers}")
+    def test_is_the_smallest_halo_matching_the_whole_volume(self, spec):
+        state = perturbed_state(spec, halo=0)
+        vol = Volume(np.random.default_rng(7).random((9, 8, 10)), (1.0,) * 3, UNIT)
+        whole = super_resolve(state, vol, core_size=10, halo=0).data
+        r = spec.receptive_radius
+        assert np.array_equal(super_resolve(state, vol, core_size=3, halo=r).data, whole)
+        assert not np.array_equal(super_resolve(state, vol, core_size=3, halo=r - 1).data, whole)
+
+    def test_stored_halo_below_it_is_refused(self):
+        state = perturbed_state(TINY_SPEC, halo=TINY_HALO - 1)
+        vol = Volume(np.random.default_rng(7).random((6, 6, 6)), (1.0,) * 3, UNIT)
+        with pytest.raises(ValueError, match="receptive radius 2"):
+            super_resolve(state, vol, core_size=3)
+        # an explicit halo is an unchecked override
+        assert super_resolve(state, vol, core_size=3, halo=0).data.shape == (12, 12, 12)

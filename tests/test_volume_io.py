@@ -3,6 +3,7 @@
 import gc
 import gzip
 import struct
+import time
 import warnings
 
 import numpy as np
@@ -121,6 +122,17 @@ class TestNifti:
         back = vio.load_volume(path, vio.NIFTI)
         assert np.array_equal(back.data, v.data)
         assert back.domain == UNIT
+
+    def test_gzip_bytes_do_not_depend_on_the_clock(self, tmp_path, rng, monkeypatch):
+        v = Volume(rng.random((4, 4, 4)), (1, 1, 1), UNIT)
+        blobs = []
+        for i, now in enumerate((1.0e9, 2.0e9)):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            path = tmp_path / str(i) / "vol.nii.gz"
+            path.parent.mkdir()
+            vio.save_volume(v, path, vio.NIFTI)
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_scaled_int16_payload(self, tmp_path, rng):
         # writer emits float32; build an int16 file by hand to cover scl_slope
