@@ -3,6 +3,9 @@
 All convolution kernels use cubic kernel windows, isotropic stride and
 zero padding.  Array layouts: activations (C, D, H, W), conv weights
 (C_out, C_in, k, k, k), transposed-conv weights (C_in, C_out, k, k, k).
+Convolution results, and every buffer they are built in, follow the
+operands' dtype: float32 operands run in float32 (sgemm), float64 ones in
+float64 (dgemm).
 
 Convolution forward and input-gradient passes are gathers followed by BLAS
 matrix multiplies.  Each output voxel owns one column that stacks the

@@ -1,9 +1,11 @@
-"""Parameterized layers and the module/parameter bookkeeping they share."""
+"""Parameterized layers and the module/parameter bookkeeping they share.
+
+Layers create their parameters in the engine dtype, ``tensor.DTYPE``."""
 
 import numpy as np
 
 from skullsynth.engine import ops
-from skullsynth.engine.tensor import Tensor
+from skullsynth.engine.tensor import DTYPE, Tensor
 
 
 class Module:
@@ -54,14 +56,14 @@ class Module:
             extra = sorted(set(state) - set(own))
             raise KeyError(f"state mismatch; missing={missing} unexpected={extra}")
         for name, p in own.items():
-            arr = np.asarray(state[name], dtype=np.float64)
+            arr = np.array(state[name], dtype=p.data.dtype)  # a copy, cast to the parameter's dtype
             if arr.shape != p.data.shape:
                 raise ValueError(f"{name}: shape {arr.shape} != {p.data.shape}")
-            p.data = arr.copy()
+            p.data = arr
 
 
 def he_normal(rng, shape, fan_in):
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(DTYPE)
 
 
 def trilinear_filter(k=4, stride=2):
@@ -78,7 +80,7 @@ class Conv3d(Module):
         fan_in = c_in * k**3
         rng = rng or np.random.default_rng()
         self.weight = Tensor(he_normal(rng, (c_out, c_in, k, k, k), fan_in), requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(c_out, DTYPE), requires_grad=True) if bias else None
 
     def __call__(self, x):
         return ops.conv3d(x, self.weight, self.bias, self.stride, self.pad)
@@ -92,7 +94,7 @@ class ConvTranspose3d(Module):
         self.pad = pad
         rng = rng or np.random.default_rng()
         if init == "trilinear":
-            w = np.zeros((c_in, c_out, k, k, k))
+            w = np.zeros((c_in, c_out, k, k, k), DTYPE)
             filt = trilinear_filter(k, stride)
             for c in range(min(c_in, c_out)):
                 w[c, c] = filt
@@ -101,7 +103,7 @@ class ConvTranspose3d(Module):
         else:
             raise ValueError(f"unknown init {init!r}")
         self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(c_out, DTYPE), requires_grad=True) if bias else None
 
     def __call__(self, x):
         return ops.conv_transpose3d(x, self.weight, self.bias, self.stride, self.pad)
@@ -110,8 +112,8 @@ class ConvTranspose3d(Module):
 class InstanceNorm3d(Module):
     def __init__(self, c, eps=1e-5):
         self.eps = eps
-        self.gamma = Tensor(np.ones(c), requires_grad=True)
-        self.beta = Tensor(np.zeros(c), requires_grad=True)
+        self.gamma = Tensor(np.ones(c, DTYPE), requires_grad=True)
+        self.beta = Tensor(np.zeros(c, DTYPE), requires_grad=True)
 
     def __call__(self, x):
         c = x.data.shape[0]
@@ -123,7 +125,7 @@ class Linear(Module):
     def __init__(self, c_in, c_out, bias=True, rng=None):
         rng = rng or np.random.default_rng()
         self.weight = Tensor(he_normal(rng, (c_in, c_out), c_in), requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(c_out, DTYPE), requires_grad=True) if bias else None
 
     def __call__(self, x):
         return ops.linear(x, self.weight, self.bias)

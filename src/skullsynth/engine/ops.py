@@ -23,8 +23,8 @@ def relu(t):
 
 
 def leaky_relu(t, alpha=0.2):
-    mask = t.data > 0
-    slope = np.where(mask, 1.0, alpha)
+    scalar = t.data.dtype.type
+    slope = np.where(t.data > 0, scalar(1), scalar(alpha))
 
     def backward(g):
         Tensor._accum(t, g * slope)
@@ -128,7 +128,7 @@ def gather_sites(t, flat_index):
     out_data = flat[:, flat_index].T.copy()
 
     def backward(g):
-        gf = np.zeros((flat.shape[1], c))
+        gf = np.zeros((flat.shape[1], c), dtype=flat.dtype)
         np.add.at(gf, flat_index, g)
         Tensor._accum(t, gf.T.reshape((c,) + spatial_shape))
 

@@ -32,7 +32,7 @@ class Optimizer:
     def load_state_dict(self, state):
         if state["kind"] != self.kind:
             raise ValueError(f"optimizer kind mismatch: {state['kind']}")
-        slots = {s: [np.asarray(a, dtype=np.float64).copy() for a in state[s]] for s in self.slots}
+        slots = {s: [np.asarray(a) for a in state[s]] for s in self.slots}
         shapes = [p.data.shape for p in self.params]
         for slot, arrays in slots.items():
             if [a.shape for a in arrays] != shapes:
@@ -40,7 +40,8 @@ class Optimizer:
         self.t = int(state["t"])
         self.lr = float(state["lr"])
         for slot, arrays in slots.items():
-            setattr(self, slot, arrays)
+            # copies, each cast to its parameter's dtype
+            setattr(self, slot, [a.astype(p.data.dtype) for a, p in zip(arrays, self.params)])
 
 
 class Adam(Optimizer):

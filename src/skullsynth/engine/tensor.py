@@ -5,12 +5,21 @@ are (S, E) matrices, losses are scalars.  Batching happens through gradient
 accumulation: ``backward`` adds into ``.grad`` without zeroing, so several
 backward passes before an optimizer step average over a micro-batch.
 
-All engine math runs in float64.  The graph is built eagerly; ``backward``
-walks it once in reverse topological order (iteratively, so deep residual
-stacks cannot hit the recursion limit).
+A Tensor keeps the dtype of its data, and every operation and gradient
+follows its operands' dtype.  The networks compute in DTYPE: their
+parameters are created in it and `as_tensor` hands them their inputs in it.
+Tensors built from float64 data, as the finite-difference tests build them,
+compute in float64.  A Python number in arithmetic takes the Tensor's dtype,
+as it does in numpy.
+
+The graph is built eagerly; ``backward`` walks it once in reverse
+topological order (iteratively, so deep residual stacks cannot hit the
+recursion limit).
 """
 
 import numpy as np
+
+DTYPE = np.float32  # the networks' compute dtype
 
 
 def _unbroadcast(grad, shape):
@@ -30,7 +39,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -50,6 +60,7 @@ class Tensor:
     @staticmethod
     def _accum(t, g):
         if t.requires_grad:
+            g = g.astype(t.data.dtype, copy=False)  # a gradient has its tensor's dtype
             t.grad = g if t.grad is None else t.grad + g
 
     # -- bookkeeping ---------------------------------------------------------
@@ -104,12 +115,15 @@ class Tensor:
 
     # -- arithmetic ------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
-        return other if isinstance(other, Tensor) else Tensor(other)
+    def _coerce(self, other):
+        if isinstance(other, Tensor):
+            return other
+        if isinstance(other, (int, float)):
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return Tensor(other)
 
     def __add__(self, other):
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
         out_data = self.data + other.data
 
         def backward(g):
@@ -121,7 +135,7 @@ class Tensor:
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
         out_data = self.data * other.data
 
         def backward(g):
@@ -139,13 +153,13 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other):
-        return self + (-Tensor._coerce(other))
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
-        return Tensor._coerce(other) + (-self)
+        return self._coerce(other) + (-self)
 
     def __truediv__(self, other):
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
         out_data = self.data / other.data
 
         def backward(g):
@@ -155,7 +169,7 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other):
-        return Tensor._coerce(other) / self
+        return self._coerce(other) / self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -168,7 +182,7 @@ class Tensor:
         return Tensor._make(out_data, (self,), backward)
 
     def __matmul__(self, other):
-        other = Tensor._coerce(other)
+        other = self._coerce(other)
         out_data = self.data @ other.data
 
         def backward(g):
@@ -182,7 +196,7 @@ class Tensor:
     def sum(self, axis=None):
         if axis is None:
             def backward(g):
-                Tensor._accum(self, np.full(self.data.shape, float(g)))
+                Tensor._accum(self, np.full(self.data.shape, float(g), dtype=self.data.dtype))
 
             return Tensor._make(self.data.sum(), (self,), backward)
 
@@ -195,7 +209,7 @@ class Tensor:
         n = self.data.size
 
         def backward(g):
-            Tensor._accum(self, np.full(self.data.shape, float(g) / n))
+            Tensor._accum(self, np.full(self.data.shape, float(g) / n, dtype=self.data.dtype))
 
         return Tensor._make(self.data.mean(), (self,), backward)
 
@@ -211,9 +225,9 @@ class Tensor:
 
 
 def as_tensor(x):
-    """A network input: a Tensor as it is, a Volume or array as a Tensor with
-    a leading channel axis added to 3-D data, (D, H, W) -> (1, D, H, W)."""
+    """A network input: a Tensor as it is, a Volume or array as a DTYPE Tensor
+    with a leading channel axis added to 3-D data, (D, H, W) -> (1, D, H, W)."""
     if isinstance(x, Tensor):
         return x
-    data = np.asarray(getattr(x, "data", x))
+    data = np.asarray(getattr(x, "data", x), dtype=DTYPE)
     return Tensor(data[None] if data.ndim == 3 else data)

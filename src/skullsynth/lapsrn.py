@@ -22,7 +22,7 @@ from skullsynth.chunks import Chunk, ChunkGrid, assemble_chunks, chunk_volume
 from skullsynth.engine import kernels, ops
 from skullsynth.engine.layers import Conv3d, ConvTranspose3d, Module, trilinear_filter
 from skullsynth.engine.optim import SGD
-from skullsynth.engine.tensor import Tensor, as_tensor
+from skullsynth.engine.tensor import DTYPE, Tensor, as_tensor
 from skullsynth.volume_io import UNIT, Volume, resample
 
 
@@ -147,8 +147,8 @@ class SRNet(Module):
         # exactly 1.0 (the filter taps sum to one), so interior voxels keep
         # their bits and chunked inference still matches the global pass.
         if shape not in self._inv_norm_cache:
-            ones = np.ones((1,) + tuple(shape), dtype=np.float64)
-            w = trilinear_filter()[None, None]
+            ones = np.ones((1,) + tuple(shape), dtype=DTYPE)
+            w = trilinear_filter()[None, None].astype(DTYPE)
             norm = kernels.tconv3d_forward(ones, w, 2, 1)
             self._inv_norm_cache[shape] = Tensor(1.0 / norm)
         return self._inv_norm_cache[shape]

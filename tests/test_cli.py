@@ -1,9 +1,15 @@
 """CLI exit codes: 0 success, 1 runtime failure, 2 usage or configuration error."""
 
+import numpy as np
 import pytest
 
 from skullsynth import checkpoint as ckpt_io
+from skullsynth import cut, lapsrn
 from skullsynth.cli import main
+from skullsynth.engine import kernels
+
+CONV_KERNELS = ("conv3d_forward", "conv3d_backward_input", "conv3d_backward_weight",
+                "tconv3d_forward", "tconv3d_backward_input", "tconv3d_backward_weight")
 
 # one optimizer step of each trainer on 8^3 volumes
 TINY_RUN = {
@@ -122,3 +128,52 @@ def test_preprocess_takes_the_requested_kind(phantoms, tmp_path, kind, capsys):
     assert main(argv) == 0
     assert f"preprocessed 1 {kind} volume(s)" in capsys.readouterr().out
     assert sorted(p.name for p in tmp_path.glob("*.raw")) == [f"case000_{kind}.raw"]
+
+
+def _train_both(p, run_dir):
+    settings = [f"--set={k}={v}" for k, v in {**TINY_RUN, "run.output_dir": run_dir}.items()]
+    assert main(["train-cut", "--mr-dir", p + "/unit", "--ct-dir", p + "/unit", *settings]) == 0
+    assert main(["train-sr", "--hr-dir", p + "/unit", *settings]) == 0
+
+
+def test_no_float64_reaches_a_conv_kernel(phantoms, tmp_path, monkeypatch):
+    # wrap the kernels where `ops` and `lapsrn` look them up, as a tracer does
+    seen = {}
+    for name in CONV_KERNELS:
+        def wrapped(*args, _name=name, _kernel=getattr(kernels, name), **kwargs):
+            operands = [*args, *kwargs.values()]
+            seen.setdefault(_name, set()).update(a.dtype for a in operands if isinstance(a, np.ndarray))
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, wrapped)
+    p = str(phantoms)
+    _train_both(p, tmp_path / "run")
+    run = str(tmp_path / "run")
+    assert main(_infer(str(tmp_path / "out"), p, run + "/cut_final.npz", run + "/sr_final.npz")) == 0
+    assert seen == {name: {np.dtype(np.float32)} for name in CONV_KERNELS}
+
+
+def test_float64_checkpoints_load_as_float32(phantoms, tmp_path, engine_dtype):
+    """Checkpoints of format 3 written in float64 load by casting every
+    array to its parameter's dtype, and `infer` runs from them."""
+    p = str(phantoms)
+    engine_dtype(np.float64)
+    _train_both(p, tmp_path / "run")
+    engine_dtype(np.float32)
+    for prefix, load, nets, opts in (
+        ("cut", cut.load_cut_checkpoint, ("g", "d", "f"), ("opt_d", "opt_g")),
+        ("sr", lapsrn.load_sr_checkpoint, ("net",), ("opt",)),
+    ):
+        path = tmp_path / "run" / f"{prefix}_final.npz"
+        _, saved = ckpt_io.load_checkpoint(path)
+        assert {a.dtype for a in saved.values()} == {np.dtype(np.float64)}
+        state = load(path)
+        ckpt_io.save_state(tmp_path / "resaved.npz", {}, {n: state[n] for n in nets},
+                           {n: state[n] for n in opts})
+        _, resaved = ckpt_io.load_checkpoint(tmp_path / "resaved.npz")
+        assert resaved.keys() == saved.keys()
+        for key, arr in resaved.items():
+            assert arr.dtype == np.float32, key
+            np.testing.assert_array_equal(arr, saved[key].astype(np.float32), err_msg=key)
+    run = str(tmp_path / "run")
+    assert main(_infer(str(tmp_path / "out"), p, run + "/cut_final.npz", run + "/sr_final.npz")) == 0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from skullsynth import checkpoint as ckpt_io
 from skullsynth.cut import (
     CSV_COLUMNS,
     CutTrainConfig,
@@ -259,7 +260,8 @@ class TestPatchSampling:
 
 
 class TestPatchNCE:
-    def test_loss_matches_manual_softmax(self, rng):
+    def test_loss_matches_manual_softmax(self, rng, engine_dtype):
+        engine_dtype(np.float64)  # the tolerance is float64's
         g, _, f, tap_ids = tiny_nets()
         src = unit_vol(rng)
         tr = unit_vol(rng)
@@ -455,6 +457,22 @@ class TestTrainLoop:
             d_spec=TINY_D, p_spec=TINY_P, nce_cfg=TINY_NCE, run_dir=str(tmp_path),
         )
         assert len(reports) == 3
+
+    def test_float32_losses_track_float64(self, small_sets, tmp_path, engine_dtype):
+        mrs, cts = small_sets
+        losses = {}
+        for dtype in (np.float32, np.float64):
+            engine_dtype(dtype)
+            final, rows = train_cut(
+                mrs, cts, fast_cfg(max_epochs=4, max_steps=4), g_spec=TINY_G, d_spec=TINY_D,
+                p_spec=TINY_P, nce_cfg=TINY_NCE, run_dir=str(tmp_path / np.dtype(dtype).name),
+            )
+            _, arrays = ckpt_io.load_checkpoint(final)
+            assert {a.dtype for a in arrays.values()} == {np.dtype(dtype)}
+            losses[dtype] = np.array([r[2:7] for r in rows])
+        assert losses[np.float32].shape == (4, 5)
+        # the tolerance was set before measuring; the gap measured is far smaller
+        np.testing.assert_allclose(losses[np.float32], losses[np.float64], rtol=1e-3)
 
     def test_rerun_is_bitwise_deterministic(self, small_sets, tmp_path):
         mrs, cts = small_sets

@@ -23,7 +23,8 @@ from skullsynth.engine.layers import (
     trilinear_filter,
 )
 from skullsynth.engine.optim import Adam, PlateauDecay, SGD
-from skullsynth.engine.tensor import Tensor
+from skullsynth.engine.tensor import DTYPE, Tensor, as_tensor
+from skullsynth.volume_io import UNIT, Volume
 
 # Kernel test ids keep the "numpy" suffix they have always carried (the name
 # of the kernels' implementation), so they stay comparable across history.
@@ -119,25 +120,31 @@ BIT_CROP = ((2, 8), (3, 10), (1, 8))
 CONV_INTERIOR = tuple(slice(a + 1, b - 1) for a, b in BIT_CROP)
 TCONV_INTERIOR = tuple(slice(2 * a + 1, 2 * b - 1) for a, b in BIT_CROP)
 
-# Prints a digest of conv and transposed-conv outputs.  At 56 channels the
-# GEMMs are large enough to run threaded, and the contractions 56*27 and 56*8
-# are longer than one OpenBLAS K chunk without being multiples of 32.
+# Prints a digest of conv and transposed-conv outputs in the dtype named by
+# the first argument.  At 56 channels the GEMMs are large enough to run
+# threaded, and the contractions 56*27 and 56*8 are longer than one OpenBLAS
+# K chunk without being multiples of 32, in dgemm and in sgemm.
 THREAD_SCRIPT = """
 import hashlib
+import sys
 import numpy as np
 from skullsynth.engine import kernels
 rng = np.random.default_rng(0)
-x = rng.normal(size=(56, 10, 9, 11))
-w3 = rng.normal(size=(56, 56, 3, 3, 3))
-w4 = rng.normal(size=(56, 56, 4, 4, 4))
+dtype = np.dtype(sys.argv[1])
+x = rng.normal(size=(56, 10, 9, 11)).astype(dtype)
+w3 = rng.normal(size=(56, 56, 3, 3, 3)).astype(dtype)
+w4 = rng.normal(size=(56, 56, 4, 4, 4)).astype(dtype)
 outs = [
     kernels.conv3d_forward(x, w3, 1, 1),
     kernels.conv3d_forward(x, w4, 2, 1),
     kernels.conv3d_backward_input(x, w3, x.shape, 1, 1),
     kernels.tconv3d_forward(x, w4, 2, 1),
 ]
+assert all(o.dtype == dtype for o in outs)
 print(hashlib.sha256(b"".join(o.tobytes() for o in outs)).hexdigest())
 """
+
+BIT_DTYPES = (np.float64, np.float32)  # the test oracles' dtype and the networks'
 
 
 class TestConvBitContract:
@@ -147,27 +154,33 @@ class TestConvBitContract:
     @pytest.mark.parametrize("c_in,c_out", [(1, 16), (16, 16), (16, 1), (48, 48), (64, 64),
                                             (128, 128)])
     def test_crop_interior_equals_whole_volume(self, c_in, c_out, rng):
-        x = rng.normal(size=(c_in,) + BIT_VOLUME)
         crop = (slice(None),) + tuple(slice(a, b) for a, b in BIT_CROP)
         inner = (slice(None),) + (slice(1, -1),) * 3
-        w = rng.normal(size=(c_out, c_in, 3, 3, 3))
-        whole = kernels.conv3d_forward(x, w, 1, 1)
-        part = kernels.conv3d_forward(np.ascontiguousarray(x[crop]), w, 1, 1)
-        np.testing.assert_array_equal(part[inner], whole[(slice(None),) + CONV_INTERIOR])
-        wt = rng.normal(size=(c_in, c_out, 4, 4, 4))
-        whole = kernels.tconv3d_forward(x, wt, 2, 1)
-        part = kernels.tconv3d_forward(np.ascontiguousarray(x[crop]), wt, 2, 1)
-        np.testing.assert_array_equal(part[inner], whole[(slice(None),) + TCONV_INTERIOR])
+        for dtype in BIT_DTYPES:
+            x = rng.normal(size=(c_in,) + BIT_VOLUME).astype(dtype)
+            w = rng.normal(size=(c_out, c_in, 3, 3, 3)).astype(dtype)
+            whole = kernels.conv3d_forward(x, w, 1, 1)
+            part = kernels.conv3d_forward(np.ascontiguousarray(x[crop]), w, 1, 1)
+            assert whole.dtype == dtype
+            np.testing.assert_array_equal(part[inner], whole[(slice(None),) + CONV_INTERIOR])
+            wt = rng.normal(size=(c_in, c_out, 4, 4, 4)).astype(dtype)
+            whole = kernels.tconv3d_forward(x, wt, 2, 1)
+            part = kernels.tconv3d_forward(np.ascontiguousarray(x[crop]), wt, 2, 1)
+            assert whole.dtype == dtype
+            np.testing.assert_array_equal(part[inner], whole[(slice(None),) + TCONV_INTERIOR])
 
     def test_bits_do_not_depend_on_blas_threads(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(skullsynth.__file__)))
-        digests = set()
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-            run = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env,
-                                 capture_output=True, text=True, check=True, timeout=120)
-            digests.add(run.stdout.strip())
-        assert len(digests) == 1
+        for dtype in BIT_DTYPES:
+            digests = set()
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+                run = subprocess.run(
+                    [sys.executable, "-c", THREAD_SCRIPT, np.dtype(dtype).name], env=env,
+                    capture_output=True, text=True, check=True, timeout=120,
+                )
+                digests.add(run.stdout.strip())
+            assert len(digests) == 1, np.dtype(dtype).name
 
 
 class TestMorphologyKernels:
@@ -281,19 +294,24 @@ class TestAutodiff:
         check_grads(lambda x: ops.exp(x * 0.3).sum(), [a])
 
     def test_log_sigmoid_matches_scipy(self):
-        x = np.linspace(-60.0, 60.0, 2401)
-        got = ops.log_sigmoid(Tensor(x)).data
-        np.testing.assert_allclose(got, scipy.special.log_expit(x), rtol=1e-13, atol=1e-300)
+        for dtype, rtol in ((np.float64, 1e-13), (np.float32, 1e-6)):
+            x = np.linspace(-60.0, 60.0, 2401, dtype=dtype)
+            got = ops.log_sigmoid(Tensor(x)).data
+            assert got.dtype == dtype
+            want = scipy.special.log_expit(x.astype(np.float64))
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-300)
 
     def test_log_sigmoid_gradient(self, rng):
         a = rng.normal(size=(3, 5)) * 4.0
         check_grads(lambda x: (ops.log_sigmoid(x) * x).sum(), [a])
 
     def test_log_sigmoid_gradient_survives_large_logits(self):
-        t = Tensor(np.array([-50.0, 50.0]), requires_grad=True)
-        ops.log_sigmoid(t).sum().backward()
-        np.testing.assert_allclose(t.grad, scipy.special.expit([50.0, -50.0]), rtol=1e-13)
-        assert (t.grad > 0).all()
+        for dtype, rtol in ((np.float64, 1e-13), (np.float32, 1e-6)):
+            t = Tensor(np.array([-50.0, 50.0], dtype=dtype), requires_grad=True)
+            ops.log_sigmoid(t).sum().backward()
+            assert t.grad.dtype == dtype
+            np.testing.assert_allclose(t.grad, scipy.special.expit([50.0, -50.0]), rtol=rtol)
+            assert (t.grad > 0).all()
 
     def test_conv3d_op(self, rng):
         x = rng.normal(size=(2, 4, 4, 4))
@@ -361,6 +379,76 @@ class TestAutodiff:
         np.testing.assert_allclose(t.grad, 4 * a)
         t.zero_grad()
         assert t.grad is None
+
+
+class TestFloat32Numerics:
+    """The networks compute in float32: every op keeps it, and the losses and
+    the normalization stay finite and match float64 oracles there.
+    ``TestAutodiff`` checks `log_sigmoid` in float32 too."""
+
+    def test_layers_and_inputs_use_the_engine_dtype(self, rng):
+        assert DTYPE == np.float32
+        layers = [Conv3d(2, 3, rng=rng), ConvTranspose3d(2, 3, rng=rng),
+                  ConvTranspose3d(2, 2, init="trilinear"), InstanceNorm3d(3), Linear(3, 4, rng=rng)]
+        assert {p.data.dtype for layer in layers for p in layer.parameters()} == {np.dtype(DTYPE)}
+        vol = Volume(rng.random((4, 4, 4)), (1.0, 1.0, 1.0), UNIT)
+        for x in (vol, rng.random((4, 4, 4)), rng.random((2, 4, 4, 4))):
+            assert as_tensor(x).data.dtype == DTYPE
+        assert Tensor(np.zeros(3)).data.dtype == np.float64  # a Tensor keeps a float dtype
+
+    def test_every_op_keeps_float32(self, rng, monkeypatch):
+        # every backward closure hands its gradient over through _accum
+        handed = set()
+        accum = Tensor._accum
+
+        def record(t, g):
+            handed.add(np.asarray(g).dtype)
+            accum(t, g)
+
+        monkeypatch.setattr(Tensor, "_accum", staticmethod(record))
+        x = Tensor(rng.normal(size=(2, 4, 4, 4)).astype(np.float32), requires_grad=True)
+        conv, tconv = Conv3d(2, 3, rng=rng), ConvTranspose3d(3, 2, rng=rng)
+        norm, lin = InstanceNorm3d(3), Linear(3, 4, rng=rng)
+        h = ops.leaky_relu(norm(conv(x)), 0.2)
+        up = ops.relu(tconv(h)) * 0.5 + 1.0
+        emb = ops.l2_normalize_rows(lin(ops.gather_sites(h, np.array([0, 5, 9]))))
+        logits = ops.exp(emb) / 2.0 - 1.0
+        terms = [
+            ops.cross_entropy_rows(logits, np.array([0, 1, 3])),
+            ops.log_sigmoid(-h).mean(),
+            ops.tanh(up).sum(axis=0).mean(),
+            (2.0 / (up**2)).mean(),
+            (1.0 - ops.instance_norm(up)).reshape(-1).sum(),
+        ]
+        loss = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
+        for t in (h, up, emb, logits, *terms, loss):
+            assert t.data.dtype == np.float32
+        loss.backward()
+        params = [p for m in (conv, tconv, norm, lin) for p in m.parameters()]
+        assert {t.grad.dtype for t in [x, *params]} == {np.dtype(np.float32)}
+        assert handed == {np.dtype(np.float32)}
+
+    def test_cross_entropy_rows_at_large_logits(self):
+        # exp(89) already overflows float32; the max shift keeps every term finite
+        z = np.array([[1e4, -1e4, 0.0], [200.0, 300.0, 250.0], [-80.0, -90.0, -100.0]], np.float32)
+        targets = np.array([1, 1, 2])
+        t = Tensor(z, requires_grad=True)
+        loss = ops.cross_entropy_rows(t, targets)
+        loss.backward()
+        z64 = z.astype(np.float64)
+        want = np.mean(scipy.special.logsumexp(z64, axis=1) - z64[np.arange(3), targets])
+        assert loss.data.dtype == np.float32
+        assert float(loss.data) == pytest.approx(want, rel=1e-6)
+        assert np.isfinite(t.grad).all()
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-5])  # the op's default and InstanceNorm3d's
+    def test_instance_norm_of_a_constant_volume(self, eps):
+        t = Tensor(np.full((2, 5, 6, 7), 0.3, np.float32), requires_grad=True)
+        out = ops.instance_norm(t, eps)
+        (out * out).sum().backward()
+        assert out.data.dtype == np.float32 and t.grad.dtype == np.float32
+        assert np.isfinite(out.data).all() and np.isfinite(t.grad).all()
+        assert np.abs(out.data).max() < 1e-2
 
 
 class TestLayers:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skullsynth import checkpoint as ckpt_io
 from skullsynth import lapsrn
 from skullsynth.lapsrn import (
     CSV_COLUMNS,
@@ -77,6 +78,18 @@ class TestTrainLoop:
         assert [r[0] for r in rows] == list(range(1, 7))
         state = load_sr_checkpoint(final)
         assert (state["step"], state["epoch"]) == (6, 1)
+
+    def test_float32_losses_track_float64(self, hr_set, tmp_path, engine_dtype):
+        losses = {}
+        for dtype in (np.float32, np.float64):
+            engine_dtype(dtype)
+            final, rows = train(hr_set, tmp_path / np.dtype(dtype).name, fast_cfg(max_steps=4))
+            _, arrays = ckpt_io.load_checkpoint(final)
+            assert {a.dtype for a in arrays.values()} == {np.dtype(dtype)}
+            losses[dtype] = np.array([r[2] for r in rows])
+        assert losses[np.float32].shape == (4,)
+        # the tolerance was set before measuring; the gap measured is far smaller
+        np.testing.assert_allclose(losses[np.float32], losses[np.float64], rtol=1e-3)
 
     def test_rerun_is_bitwise_deterministic(self, hr_set, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
