@@ -6,17 +6,22 @@ Loading a container with a different format version fails loudly rather
 than guessing.  Saves are atomic: readers see either the old file or the
 complete new one.
 
-`save_state`/`restore_state` are the one layout the trainers use, format
-version 3.  Networks and optimizers are passed as ``{name: object}`` dicts:
+`save_state`/`restore_state` are the only code that knows how networks and
+optimizers are stored; the trainers use them, format version 3.  Networks
+and optimizers are passed as ``{name: object}`` dicts:
 
 - ``param/<module>/<parameter name>``: each network parameter;
 - ``opt/<optimizer>/<slot>/<i>``: slot `slot` (Adam ``m``/``v``, SGD ``buf``)
   of the optimizer's i-th parameter;
 - ``meta["optimizers"][<optimizer>]``: its ``{"kind", "t", "lr"}``.
 
-The rest of the metadata (kind, step, epoch, settings, schedule state) is the
-caller's.  Loaders build their networks from it inside `restoring(path)`, so
-a file that does not fit them fails with a ValueError naming it.
+`restore_state` checks every array's shape against its parameter and every
+optimizer's kind, refuses missing and unexpected arrays, and casts each array
+to its parameter's dtype, so a format-3 file written in float64 loads into
+float32 networks.  The rest of the metadata (kind, step, epoch, settings,
+schedule state) is the caller's.  Loaders build their networks from it
+inside `restoring(path)`, so a file that does not fit them fails with a
+ValueError naming it.
 """
 
 import contextlib
@@ -81,31 +86,38 @@ def save_state(path, meta: dict, modules: dict, optimizers: dict) -> None:
     }
     meta = dict(meta, optimizers={})
     for name, opt in optimizers.items():
-        state = opt.state_dict()
         for slot in opt.slots:
-            arrays.update((f"opt/{name}/{slot}/{i}", a) for i, a in enumerate(state.pop(slot)))
-        meta["optimizers"][name] = state
+            arrays.update((f"opt/{name}/{slot}/{i}", a) for i, a in enumerate(getattr(opt, slot)))
+        meta["optimizers"][name] = {"kind": opt.kind, "t": opt.t, "lr": opt.lr}
     save_checkpoint(path, meta, arrays)
 
 
 def restore_state(meta: dict, arrays: dict, modules: dict, optimizers: dict) -> None:
     """Load what `save_state` stored into `modules` and `optimizers`, which
     the caller builds from the settings in `meta`.  Raises ValueError unless
-    the file holds exactly the arrays they need."""
+    the file holds exactly the arrays they need, in their shapes."""
     unread = dict(arrays)
 
-    def take(key):
+    def take(key, param):
+        """The array stored under `key`: a copy, cast to `param`'s dtype."""
         if key not in unread:
             raise ValueError(f"missing array {key!r}")
-        return unread.pop(key)
+        arr = unread.pop(key)
+        if arr.shape != param.data.shape:
+            raise ValueError(f"{key}: shape {arr.shape} != {param.data.shape}")
+        return arr.astype(param.data.dtype)
 
     for name, net in modules.items():
-        net.load_state_dict({key: take(f"param/{name}/{key}") for key, _ in net.named_parameters()})
+        for key, p in net.named_parameters():
+            p.data = take(f"param/{name}/{key}", p)
     for name, opt in optimizers.items():
-        state = dict(meta["optimizers"][name])
+        state = meta["optimizers"][name]
+        if state["kind"] != opt.kind:
+            raise ValueError(f"optimizer {name!r} is {opt.kind!r}, the file's is {state['kind']!r}")
         for slot in opt.slots:
-            state[slot] = [take(f"opt/{name}/{slot}/{i}") for i in range(len(opt.params))]
-        opt.load_state_dict(state)
+            setattr(opt, slot, [take(f"opt/{name}/{slot}/{i}", p) for i, p in enumerate(opt.params)])
+        opt.t = int(state["t"])
+        opt.lr = float(state["lr"])
     if unread:
         raise ValueError(f"unexpected arrays {sorted(unread)[:4]}")
 

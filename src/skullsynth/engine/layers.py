@@ -1,6 +1,8 @@
-"""Parameterized layers and the module/parameter bookkeeping they share.
+"""Parameterized layers and the module bookkeeping they share.
 
-Layers create their parameters in the engine dtype, ``tensor.DTYPE``."""
+A Module discovers its parameters and freezes or unfreezes them; saving and
+restoring them is `checkpoint.save_state`/`restore_state`'s job.  Layers
+create their parameters in the engine dtype, ``tensor.DTYPE``."""
 
 import numpy as np
 
@@ -34,10 +36,6 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
-
     def freeze(self):
         for p in self.parameters():
             p.requires_grad = False
@@ -45,21 +43,6 @@ class Module:
     def unfreeze(self):
         for p in self.parameters():
             p.requires_grad = True
-
-    def state_dict(self):
-        return {name: p.data.copy() for name, p in self.named_parameters()}
-
-    def load_state_dict(self, state):
-        own = dict(self.named_parameters())
-        if set(own) != set(state):
-            missing = sorted(set(own) - set(state))
-            extra = sorted(set(state) - set(own))
-            raise KeyError(f"state mismatch; missing={missing} unexpected={extra}")
-        for name, p in own.items():
-            arr = np.array(state[name], dtype=p.data.dtype)  # a copy, cast to the parameter's dtype
-            if arr.shape != p.data.shape:
-                raise ValueError(f"{name}: shape {arr.shape} != {p.data.shape}")
-            p.data = arr
 
 
 def he_normal(rng, shape, fan_in):

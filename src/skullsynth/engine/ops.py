@@ -51,15 +51,6 @@ def log_sigmoid(t):
     return Tensor._make(np.minimum(t.data, 0.0) - np.log1p(e), (t,), backward)
 
 
-def exp(t):
-    out_data = np.exp(t.data)
-
-    def backward(g):
-        Tensor._accum(t, g * out_data)
-
-    return Tensor._make(out_data, (t,), backward)
-
-
 def _conv(x, w, b, stride, pad, forward, backward_input, backward_weight):
     """Autograd node of ``forward(x, w) + b`` whose input and weight gradients
     come from the other two kernels.  Callers look the kernels up on `kernels`

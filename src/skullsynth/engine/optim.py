@@ -1,4 +1,8 @@
-"""Optimizers with checkpointable state."""
+"""Optimizers and the learning-rate schedule.
+
+An optimizer is its update rule plus the state that rule keeps: the step
+count `t`, the rate `lr` and its per-parameter slot arrays.
+`checkpoint.save_state`/`restore_state` read and write that state."""
 
 import numpy as np
 
@@ -7,7 +11,7 @@ class Optimizer:
     """Base class: `kind` names the optimizer in a checkpoint, and `slots`
     names its per-parameter state arrays, one list per slot aligned with
     `params`.  Together with the step count `t` and `lr` they are all of its
-    checkpointable state."""
+    state."""
 
     kind = None
     slots = ()
@@ -22,26 +26,6 @@ class Optimizer:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
-
-    def state_dict(self):
-        state = {"kind": self.kind, "t": self.t, "lr": self.lr}
-        for slot in self.slots:
-            state[slot] = [a.copy() for a in getattr(self, slot)]
-        return state
-
-    def load_state_dict(self, state):
-        if state["kind"] != self.kind:
-            raise ValueError(f"optimizer kind mismatch: {state['kind']}")
-        slots = {s: [np.asarray(a) for a in state[s]] for s in self.slots}
-        shapes = [p.data.shape for p in self.params]
-        for slot, arrays in slots.items():
-            if [a.shape for a in arrays] != shapes:
-                raise ValueError(f"optimizer state {slot!r} does not match the parameter shapes")
-        self.t = int(state["t"])
-        self.lr = float(state["lr"])
-        for slot, arrays in slots.items():
-            # copies, each cast to its parameter's dtype
-            setattr(self, slot, [a.astype(p.data.dtype) for a, p in zip(arrays, self.params)])
 
 
 class Adam(Optimizer):

@@ -65,26 +65,11 @@ class Tensor:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data)
 
     def detach(self):
         return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}{flag})"
 
     # -- backward pass -------------------------------------------------------
 
@@ -132,8 +117,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), backward)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         other = self._coerce(other)
         out_data = self.data * other.data
@@ -154,22 +137,6 @@ class Tensor:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        out_data = self.data / other.data
-
-        def backward(g):
-            Tensor._accum(self, _unbroadcast(g / other.data, self.data.shape))
-            Tensor._accum(other, _unbroadcast(-g * out_data / other.data, other.data.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -192,18 +159,6 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     # -- reductions / shaping ---------------------------------------------
-
-    def sum(self, axis=None):
-        if axis is None:
-            def backward(g):
-                Tensor._accum(self, np.full(self.data.shape, float(g), dtype=self.data.dtype))
-
-            return Tensor._make(self.data.sum(), (self,), backward)
-
-        def backward_axis(g):
-            Tensor._accum(self, np.broadcast_to(np.expand_dims(g, axis), self.data.shape).copy())
-
-        return Tensor._make(self.data.sum(axis=axis), (self,), backward_axis)
 
     def mean(self):
         n = self.data.size

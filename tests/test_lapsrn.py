@@ -113,7 +113,7 @@ class TestTrainLoop:
         b = load_sr_checkpoint(final)
         assert a["step"] == b["step"] == 16
         assert_same_params(a["net"], b["net"])
-        for ba, bb in zip(a["opt"].state_dict()["buf"], b["opt"].state_dict()["buf"]):
+        for ba, bb in zip(a["opt"].buf, b["opt"].buf):
             np.testing.assert_array_equal(ba, bb)
 
 
