@@ -66,7 +66,7 @@ def cmd_phantom_gen(args, cfg):
         spec = phantom.PhantomSpec(
             shape=shape,
             semi_axes=semi,
-            thickness=float(jitter.uniform(1.6, 2.6)),
+            thickness=float(jitter.uniform(4.0, 5.0)),
             noise_sigma_mr=args.noise_mr,
             noise_sigma_ct=args.noise_ct,
             defect_radius=args.defect_radius,

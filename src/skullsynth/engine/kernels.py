@@ -24,9 +24,11 @@ the layer alone (rows, contraction, BLOCK), never by the volume:
   padding keeps the bits independent of the BLAS thread count.
 
 Columns are built a group of planes or rows at a time, so the column buffer
-stays near GROUP_ELEMS entries whatever the volume.  Weight gradients use
-one ``np.tensordot`` per tap.  Every kernel accumulates in a fixed order,
-so repeated calls are bitwise reproducible.
+stays near GROUP_ELEMS entries whatever the volume.  Weight gradients are
+one GEMM per tap that contracts over the output voxels; that contraction is
+zero-padded to a multiple of K_ALIGN too, so their bits do not depend on the
+BLAS thread count either.  Every kernel accumulates in a fixed order, so
+repeated calls are bitwise reproducible.
 """
 
 import numpy as np
@@ -137,11 +139,18 @@ def _conv_backward_input(gy, w, in_shape, stride, pad):
 def _conv_backward_weight(gy, x, k, stride, pad):
     co, ci = gy.shape[0], x.shape[0]
     windows = _windows(np.pad(x, ((0, 0),) + ((pad, pad),) * 3), k, stride)
+    # Each tap's GEMM contracts over the output voxels, zero-padded to a
+    # multiple of K_ALIGN so its bits do not follow the BLAS thread count.
+    n = gy[0].size
+    npad = -(-n // K_ALIGN) * K_ALIGN
+    g2 = np.zeros((co, npad), dtype=gy.dtype)
+    g2[:, :n] = gy.reshape(co, n)
+    cols = np.zeros((ci, npad), dtype=x.dtype)
+    cols_vol = cols[:, :n].reshape(windows.shape[:1] + windows.shape[4:])
     gw = np.zeros((co, ci, k, k, k), dtype=gy.dtype)
     for tap in np.ndindex(k, k, k):
-        gw[(slice(None), slice(None)) + tap] = np.tensordot(
-            gy, windows[(slice(None),) + tap], axes=([1, 2, 3], [1, 2, 3])
-        )
+        cols_vol[...] = windows[(slice(None),) + tap]
+        gw[(slice(None), slice(None)) + tap] = g2 @ cols.T
     return gw
 
 

@@ -188,6 +188,12 @@ TAMPERINGS = {
     "missing meta key": lambda meta, arrays, spec: meta.pop("monitor"),
     "unknown spec field": lambda meta, arrays, spec: meta[spec].update(norm="instance"),
     "missing optimizer meta": lambda meta, arrays, spec: meta.pop("optimizers"),
+    "parameter shape": lambda meta, arrays, spec: arrays.update(
+        {_first(arrays, "param/"): arrays[_first(arrays, "param/")][None]}),
+    "optimizer slot shape": lambda meta, arrays, spec: arrays.update(
+        {_first(arrays, "opt/"): arrays[_first(arrays, "opt/")][None]}),
+    "optimizer kind": lambda meta, arrays, spec: meta["optimizers"][
+        min(meta["optimizers"])].update(kind="rmsprop"),
 }
 
 
@@ -252,18 +258,3 @@ def test_dropped_slot_array_raises(tmp_path, rng, opt_cls):
     with pytest.raises(ValueError, match=f"missing array '{key}'"):
         restore_state(meta, arrays, {"net": net2}, {"opt": opt_cls(net2.parameters(), lr=1.0)})
 
-
-@pytest.mark.parametrize("what", ["parameter shape", "slot shape", "optimizer kind"])
-def test_wrong_shape_or_kind_raises(tmp_path, rng, what):
-    net, opt = _trained(Adam, rng)
-    save_state(tmp_path / "s.npz", {}, {"net": net}, {"opt": opt})
-    meta, arrays = load_checkpoint(tmp_path / "s.npz")
-    if what == "parameter shape":
-        arrays["param/net/w"] = arrays["param/net/w"].T
-    elif what == "slot shape":
-        arrays["opt/opt/v/1"] = arrays["opt/opt/v/1"][:2]
-    else:
-        meta["optimizers"]["opt"]["kind"] = "sgd"
-    net2 = _Net(rng)
-    with pytest.raises(ValueError, match="shape|'adam', the file's is 'sgd'"):
-        restore_state(meta, arrays, {"net": net2}, {"opt": Adam(net2.parameters(), lr=1.0)})

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from skullsynth import checkpoint as ckpt_io
-from skullsynth import cut, lapsrn
+from skullsynth import config, cut, lapsrn, metrics, postprocess
+from skullsynth import volume_io as vio
 from skullsynth.cli import main
 from skullsynth.engine import kernels
 
@@ -62,6 +63,18 @@ def test_phantom_gen_writes_every_case(phantoms):
         f"case00{i}_{kind}.raw{ext}"
         for i in range(2) for kind in ("ct", "mask", "mr") for ext in ("", ".meta")
     ]
+
+
+def test_phantom_gen_shells_survive_default_masking(tmp_path):
+    """The default masking (radius-1 opening and closing) keeps the shells
+    phantom-gen draws: masking its CT recovers the truth mask."""
+    assert main(["phantom-gen", "--out", str(tmp_path), "--count", "2", "--shape", "32",
+                 "--noise-ct", "20"]) == 0
+    params = config.segmentation_settings(config.load_config())
+    for case in ("case000", "case001"):
+        ct = vio.load_volume(str(tmp_path / f"{case}_ct.raw"))
+        truth = vio.mask_from_volume(vio.load_volume(str(tmp_path / f"{case}_mask.raw")))
+        assert metrics.dice(postprocess.segment_from_matched(ct, params), truth) >= 0.95, case
 
 
 EXIT_CODES = [

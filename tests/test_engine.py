@@ -121,10 +121,11 @@ BIT_CROP = ((2, 8), (3, 10), (1, 8))
 CONV_INTERIOR = tuple(slice(a + 1, b - 1) for a, b in BIT_CROP)
 TCONV_INTERIOR = tuple(slice(2 * a + 1, 2 * b - 1) for a, b in BIT_CROP)
 
-# Prints a digest of conv and transposed-conv outputs in the dtype named by
-# the first argument.  At 56 channels the GEMMs are large enough to run
-# threaded, and the contractions 56*27 and 56*8 are longer than one OpenBLAS
-# K chunk without being multiples of 32, in dgemm and in sgemm.
+# Prints a digest of conv and transposed-conv outputs and weight gradients in
+# the dtype named by the first argument.  At 56 channels the GEMMs are large
+# enough to run threaded, and the contractions 56*27 and 56*8, and the
+# weight gradients' 10*9*11 voxels, are longer than one OpenBLAS K chunk
+# without being multiples of 32, in dgemm and in sgemm.
 THREAD_SCRIPT = """
 import hashlib
 import sys
@@ -140,6 +141,10 @@ outs = [
     kernels.conv3d_forward(x, w4, 2, 1),
     kernels.conv3d_backward_input(x, w3, x.shape, 1, 1),
     kernels.tconv3d_forward(x, w4, 2, 1),
+]
+outs += [
+    kernels.conv3d_backward_weight(x, x, 3, 1, 1),
+    kernels.tconv3d_backward_weight(outs[3], x, 4, 2, 1),
 ]
 assert all(o.dtype == dtype for o in outs)
 print(hashlib.sha256(b"".join(o.tobytes() for o in outs)).hexdigest())

@@ -1,44 +1,96 @@
-"""Every public module-level function and class of the package is named by
-code in the package or the benchmark outside its own definition, so code
-that only tests run does not build up.  Names are matched by identifier, as
-a name, an attribute or a string (the benchmark wraps callables by attribute
-name)."""
+"""Every public module-level function and class of the package is used by code
+in the package or the benchmark outside its own definition, so code that only
+tests run does not build up.
+
+A name counts as used only where it is bound to its own module: referenced as
+``<its module>.name`` (import aliases resolved), imported with ``from <its
+module> import name``, or named bare in its own module.  A string that spells
+the name counts too, since the benchmark wraps callables by attribute name.
+So ``np.exp`` does not count as a use of ``ops.exp``."""
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "skullsynth"
-# the SR report of ROADMAP item B is to use these
+SRC = ROOT / "src"
+PACKAGE = SRC / "skullsynth"
+# the end-to-end test's SR report uses these (tests/test_acceptance.py)
 ALLOWED = {"psnr", "trilinear_baseline"}
 
 
+def _module(path):
+    """Dotted module name of a file: skullsynth.engine.ops, perfbench.run."""
+    rel = path.relative_to(SRC if path.is_relative_to(SRC) else ROOT).with_suffix("")
+    parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
+    return ".".join(parts)
+
+
+def _aliases(tree):
+    """What each imported local name is bound to, as a dotted name."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.asname:
+                    bound[a.asname] = a.name
+                else:
+                    head = a.name.partition(".")[0]
+                    bound[head] = head
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for a in node.names:
+                bound[a.asname or a.name] = f"{node.module}.{a.name}"
+    return bound
+
+
+def _uses(stmt, module, bound):
+    """Dotted names `stmt` uses, and the identifiers it spells as strings."""
+    names, strings = set(), set()
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        if isinstance(node, ast.Attribute):
+            base = resolve(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Attribute):
+            base = resolve(node.value)
+            if base:
+                names.add(f"{base}.{node.attr}")
+        elif isinstance(node, ast.Name):
+            names.add(f"{module}.{node.id}")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.update(f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            strings.add(node.value)
+    return names, strings
+
+
 def _statements():
-    """(path, top-level statement) of every module in the package and the benchmark."""
+    """(path, module, top-level statement, dotted names used, strings) of every
+    module in the package and the benchmark."""
     for path in sorted([*PACKAGE.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            yield path, stmt
-
-
-def _identifiers(node):
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
-            yield n.attr
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
-            yield n.value
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module, bound = _module(path), _aliases(tree)
+        for stmt in tree.body:
+            yield (path, module, stmt, *_uses(stmt, module, bound))
 
 
 def test_every_public_name_has_a_caller():
-    statements = [(path, stmt, set(_identifiers(stmt))) for path, stmt in _statements()]
+    statements = list(_statements())
     uncalled = [
         f"{path.relative_to(PACKAGE)}:{stmt.name}"
-        for path, stmt, _ in statements
+        for path, module, stmt, _, _ in statements
         if path.is_relative_to(PACKAGE)
         and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
         and not stmt.name.startswith("_")
         and stmt.name not in ALLOWED
-        and not any(stmt.name in names for _, other, names in statements if other is not stmt)
+        and not any(
+            f"{module}.{stmt.name}" in names or stmt.name in strings
+            for _, _, other, names, strings in statements
+            if other is not stmt
+        )
     ]
     assert uncalled == []
