@@ -207,6 +207,11 @@ def cmd_evaluate(args, cfg):
     for case in sorted(pred_paths):
         pred_vol = vio.load_volume(pred_paths[case], fmt)
         gt_vol = vio.load_volume(gt_paths[case], fmt)
+        if pred_vol.spacing != gt_vol.spacing:
+            raise RuntimeError(
+                f"case {case}: prediction spacing {pred_vol.spacing} differs from "
+                f"truth spacing {gt_vol.spacing}"
+            )
         pred = vio.mask_from_volume(pred_vol)
         gt = vio.mask_from_volume(gt_vol)
         d = metrics.dice(pred, gt)

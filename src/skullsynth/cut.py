@@ -406,10 +406,15 @@ def save_cut_checkpoint(path, g, d, f, opt_d, opt_g, cfg, g_spec, d_spec, p_spec
     ckpt_io.save_state(path, meta, {"g": g, "d": d, "f": f}, {"opt_d": opt_d, "opt_g": opt_g})
 
 
-def load_cut_checkpoint(path):
+def _read_cut_checkpoint(path):
     meta, arrays = ckpt_io.load_checkpoint(path)
     if meta.get("kind") != "cut":
         raise ValueError(f"{path} is not a translation checkpoint (kind={meta.get('kind')!r})")
+    return meta, arrays
+
+
+def load_cut_checkpoint(path):
+    meta, arrays = _read_cut_checkpoint(path)
     with ckpt_io.restoring(path):
         g_spec = GeneratorSpec(**meta["generator_spec"])
         d_spec = DiscriminatorSpec(**meta["discriminator_spec"])
@@ -513,11 +518,23 @@ def latest_checkpoint(run_dir):
     return training.latest_checkpoint(run_dir, "cut")
 
 
+def _load_generator(path):
+    """The generator of a CUT checkpoint alone: the discriminator, projector
+    and optimizers stored next to it are not built."""
+    meta, arrays = _read_cut_checkpoint(path)
+    with ckpt_io.restoring(path):
+        cfg = CutTrainConfig(**meta["train_config"])
+        g = Generator(GeneratorSpec(**meta["generator_spec"]), seeding.stream(cfg.seed, "cut.init.g"))
+        ckpt_io.restore_state(meta, {k: a for k, a in arrays.items() if k.startswith("param/g/")},
+                              {"g": g}, {})
+    return g
+
+
 def translate(checkpoint, mr: Volume) -> Volume:
     """Inference through a trained generator, UNIT volume in and out; accepts
-    a checkpoint path or a loaded state."""
-    state = load_cut_checkpoint(checkpoint) if not isinstance(checkpoint, dict) else checkpoint
+    a checkpoint path or a loaded state (a dict holding the generator "g")."""
+    g = checkpoint["g"] if isinstance(checkpoint, dict) else _load_generator(checkpoint)
     if mr.domain != UNIT:
         raise ValueError(f"generator input must be UNIT domain, got {mr.domain}")
-    out, _ = state["g"](as_tensor(mr))
+    out, _ = g(as_tensor(mr))
     return Volume(out.data[0], mr.spacing, UNIT)

@@ -1,5 +1,7 @@
 """CLI exit codes: 0 success, 1 runtime failure, 2 usage or configuration error."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,17 @@ def _infer(d, p, cut_ckpt, sr_ckpt):
             "--sr-ckpt", sr_ckpt, "--reference-ct", p + "/n1/case000_ct.raw", "--out", d]
 
 
+def _evaluate_at_scale(d, p, scale):
+    """`evaluate` of the one-case phantom mask against itself saved with its
+    spacing times `scale`."""
+    truth = vio.load_volume(p + "/n1/case000_mask.raw")
+    scaled = tuple(s * scale for s in truth.spacing)
+    for name, spacing in (("gt", truth.spacing), ("pred", scaled)):
+        os.makedirs(f"{d}/{name}")
+        vio.save_volume(vio.Volume(truth.data, spacing, truth.domain), f"{d}/{name}/case000.raw")
+    return ["evaluate", "--pred-dir", d + "/pred", "--gt-dir", d + "/gt", "--out", d + "/e.csv"]
+
+
 def _train_cut(d, p, setting):
     return ["train-cut", "--mr-dir", p + "/unit", "--ct-dir", p + "/unit", "--set", setting,
             "--set", f"run.output_dir={d}/run"]
@@ -91,6 +104,8 @@ EXIT_CODES = [
                                 "--set", f"run.output_dir={d}/run"]),
     ("evaluate case-id mismatch", 1, lambda d, p: ["evaluate", "--pred-dir", p + "/n1",
                                                    "--gt-dir", p + "/n2", "--out", d + "/e.csv"]),
+    ("evaluate", 0, lambda d, p: _evaluate_at_scale(d, p, 1.0)),
+    ("evaluate, spacings differ", 1, lambda d, p: _evaluate_at_scale(d, p, 0.5)),
     ("temperature=0", 2, lambda d, p: _train_cut(d, p, "cut.temperature=0")),
     ("temperature=-1", 2, lambda d, p: _train_cut(d, p, "cut.temperature=-1")),
     ("batch_size=0", 2, lambda d, p: _train_cut(d, p, "cut.batch_size=0")),
@@ -111,6 +126,13 @@ def test_exit_code(argv, code, phantoms, tmp_path, capsys):
     assert main(argv(str(tmp_path), str(phantoms))) == code
     err = capsys.readouterr().err
     assert bool(err) == bool(code)  # every failure says why on stderr
+
+
+def test_evaluate_names_the_case_and_both_spacings(phantoms, tmp_path, capsys):
+    assert main(_evaluate_at_scale(str(tmp_path), str(phantoms), 0.5)) == 1
+    err = capsys.readouterr().err
+    assert "case000" in err and "(0.5, 0.5, 0.5)" in err and "(1.0, 1.0, 1.0)" in err
+    assert not (tmp_path / "e.csv").exists()
 
 
 # the EXIT_CODES cases a spec rejects, with its message; each would run in <d>/run

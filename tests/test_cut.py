@@ -522,6 +522,32 @@ class TestTrainLoop:
         assert out.domain == UNIT and out.data.shape == mrs[0].data.shape
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
+    def test_translate_restores_only_the_generator(self, small_sets, tmp_path):
+        mrs, cts = small_sets
+        final, _ = train_cut(
+            mrs, cts, fast_cfg(max_epochs=1), g_spec=TINY_G, d_spec=TINY_D,
+            p_spec=TINY_P, nce_cfg=TINY_NCE, run_dir=str(tmp_path),
+        )
+        want = translate(load_cut_checkpoint(final), mrs[0]).data
+        np.testing.assert_array_equal(translate(final, mrs[0]).data, want)
+        # the discriminator's, projector's and optimizers' arrays are not read
+        meta, arrays = ckpt_io.load_checkpoint(final)
+        only_g = {k: a for k, a in arrays.items() if k.startswith("param/g/")}
+        assert 0 < len(only_g) < len(arrays)
+        path = str(tmp_path / "g_only.npz")
+        ckpt_io.save_checkpoint(path, meta, only_g)
+        np.testing.assert_array_equal(translate(path, mrs[0]).data, want)
+        # but the generator's are checked as before
+        key = "param/g/stem.weight"
+        for broken, match in (
+            ({**only_g, "param/g/extra": np.zeros(1)}, "unexpected arrays"),
+            ({k: a for k, a in only_g.items() if k != key}, "missing array"),
+            ({**only_g, key: only_g[key][:1]}, "shape"),
+        ):
+            ckpt_io.save_checkpoint(path, meta, broken)
+            with pytest.raises(ValueError, match=match):
+                translate(path, mrs[0])
+
     def test_checkpoint_roundtrip_specs(self, small_sets, tmp_path):
         mrs, cts = small_sets
         final, _ = train_cut(

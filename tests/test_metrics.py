@@ -1,10 +1,17 @@
-"""Dice, surface Dice, and PSNR against hand-computed cases."""
+"""Dice, surface Dice, and PSNR against hand-computed cases; surface Dice
+also against two whole-volume Euclidean distance transforms."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from skullsynth.metrics import dice, psnr, surface_dice
+from skullsynth.metrics import _surface, dice, psnr, surface_dice
 from skullsynth.volume_io import SegmentationMask
+
+SPACINGS = [(1.0, 1.0, 1.0), (0.5, 1.0, 1.0), (0.7, 0.7, 1.2), (1.3, 0.9, 0.6)]
 
 
 def mask_of(data):
@@ -100,6 +107,128 @@ class TestSurfaceDice:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             surface_dice(np.zeros((3, 3, 3)), np.zeros((3, 3, 3)), -0.5)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            surface_dice(np.ones((3, 3, 3)), np.ones((3, 3, 4)), 1.0)
+
+
+def edt_surface_dice(a, b, tol_mm, spacing=(1.0, 1.0, 1.0)):
+    """Oracle: surface Dice from the distance of every voxel to the other
+    boundary, by scipy's Euclidean distance transform over the whole volume."""
+    a = np.asarray(a).astype(bool)
+    b = np.asarray(b).astype(bool)
+    sa, sb = _surface(a), _surface(b)
+    na, nb = int(sa.sum()), int(sb.sum())
+    if na + nb == 0:
+        return 1.0
+    if na == 0 or nb == 0:
+        return 0.0
+    spacing = tuple(float(s) for s in spacing)
+    dist_to_b = ndimage.distance_transform_edt(~sb, sampling=spacing)
+    dist_to_a = ndimage.distance_transform_edt(~sa, sampling=spacing)
+    ok_a = int((dist_to_b[sa] <= tol_mm).sum())
+    ok_b = int((dist_to_a[sb] <= tol_mm).sum())
+    return (ok_a + ok_b) / (na + nb)
+
+
+def agrees(a, b, tol_mm, spacing):
+    return surface_dice(a, b, tol_mm, spacing) == edt_surface_dice(a, b, tol_mm, spacing)
+
+
+def _distance(step, spacing):
+    """Length in mm of a voxel step, as the distance transform computes it."""
+    sq = (np.asarray(step, dtype=np.float64) * spacing) ** 2
+    return float(np.sqrt(sq[0] + sq[1] + sq[2]))
+
+
+def lattice_distances(spacing, reach):
+    """Every distance between two voxels at most `reach` apart per axis."""
+    steps = itertools.product(range(reach + 1), repeat=3)
+    return sorted({_distance(step, spacing) for step in steps})
+
+
+def random_pairs(seed, count, max_edge=12):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        shape = tuple(int(n) for n in rng.integers(3, max_edge + 1, size=3))
+        yield tuple(rng.random(shape) < rng.uniform(0.05, 0.6) for _ in range(2))
+
+
+class TestSurfaceDiceEqualsDistanceTransform:
+    """The k-d tree query gives exactly the distance-transform value, but
+    where the transform breaks a tie towards the farther computed distance."""
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    def test_random_masks(self, spacing):
+        tols = (0.0, 0.5, 0.7, 1.0, math.sqrt(2), 1.4, 2.0, 2.1)
+        seed = len(SPACINGS) + SPACINGS.index(spacing)
+        for i, (a, b) in enumerate(random_pairs(seed, count=12)):
+            for tol in tols:
+                assert agrees(a, b, tol, spacing), (i, tol)
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    def test_tolerance_at_lattice_distances(self, spacing):
+        # a tolerance equal to a voxel-to-voxel distance sits exactly on the
+        # inclusive edge of the predicate
+        tols = lattice_distances(spacing, reach=3)
+        if spacing == (1.0, 1.0, 1.0):
+            assert {0.0, 1.0, math.sqrt(2), math.sqrt(3), 2.0} <= set(tols)
+        if spacing == (0.7, 0.7, 1.2):
+            assert 0.7 in tols
+        for i, (a, b) in enumerate(random_pairs(SPACINGS.index(spacing), count=6)):
+            for tol in tols:
+                assert agrees(a, b, tol, spacing), (i, tol)
+
+    def test_neighbours_tied_in_exact_arithmetic(self):
+        # at this spacing the steps (1, 2, 0) and (1, 0, 3) are both sqrt(4.93)
+        # mm long, but compute an ulp apart; the voxel is within the shorter
+        spacing = (1.3, 0.9, 0.6)
+        short = _distance((1, 0, 3), spacing)
+        assert short < _distance((1, 2, 0), spacing)
+        a = box((9, 9, 9), np.s_[4, 5, 2])
+        b = a * 0
+        b[5, 7, 2] = b[5, 5, 5] = 1
+        assert surface_dice(a, b, short, spacing) == 2 / 3
+        assert agrees(a, b, short, spacing)
+
+    def test_tie_counts_the_nearer_computed_distance(self):
+        # at 0.6 mm the steps (0, 0, 3), (2, 1, 2) and (2, 2, 1) are all 1.8 mm
+        # long; only the first computes to the tolerance, the others an ulp
+        # above.  The voxel counts, as it is within the tolerance of one
+        # neighbour.  The distance transform keeps a (2, *, *) neighbour here
+        # and gives 0.25 (scipy 1.17).
+        spacing = (0.6, 0.6, 0.6)
+        tol = _distance((0, 0, 3), spacing)
+        assert tol < _distance((2, 1, 2), spacing) == _distance((2, 2, 1), spacing)
+        a = box((11, 5, 15), np.s_[1, 0, 1])
+        b = a * 0
+        b[1, 0, 4] = b[3, 1, 3] = b[3, 2, 2] = 1
+        assert surface_dice(a, b, tol, spacing) == 2 / 4
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    def test_masks_touching_the_border(self, spacing):
+        a = box((7, 8, 9), np.s_[0:4, :, 2:9])
+        b = box((7, 8, 9), np.s_[2:7, 0:6, :])
+        b[6, 7, 8] = 1
+        for tol in (0.0, 0.6, 1.0, 1.3, 2.0, 3.0):
+            assert agrees(a, b, tol, spacing), tol
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    def test_one_voxel_masks(self, spacing):
+        a = box((6, 6, 6), np.s_[1, 2, 3])
+        for where in (np.s_[1, 2, 3], np.s_[2, 2, 3], np.s_[2, 3, 4], np.s_[5, 5, 5], np.s_[0, 0, 0]):
+            b = box((6, 6, 6), where)
+            for tol in lattice_distances(spacing, reach=3):
+                assert agrees(a, b, tol, spacing), (where, tol)
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    def test_tolerance_beyond_the_volume_diagonal(self, spacing):
+        a = box((5, 6, 7), np.s_[0, 0, 0])
+        b = box((5, 6, 7), np.s_[4, 5, 6])
+        diagonal = float(np.linalg.norm(np.asarray((5, 6, 7)) * spacing))
+        assert surface_dice(a, b, diagonal, spacing) == 1.0
+        assert agrees(a, b, diagonal, spacing)
 
 
 class TestPSNR:
