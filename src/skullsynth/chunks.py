@@ -57,7 +57,6 @@ class ChunkGrid:
 class Chunk:
     data: np.ndarray
     origin: tuple  # absolute start of the core
-    start: tuple  # absolute start of the chunk payload (core - clipped halo)
 
 
 def chunk_volume(data, grid: ChunkGrid):
@@ -65,11 +64,7 @@ def chunk_volume(data, grid: ChunkGrid):
     data = np.asarray(getattr(data, "data", data))
     if tuple(data.shape) != grid.source_shape:
         raise ValueError(f"data shape {data.shape} does not match grid {grid.source_shape}")
-    out = []
-    for origin in grid.origins:
-        sl = grid.chunk_slices(origin)
-        out.append(Chunk(data[sl].copy(), origin, tuple(s.start for s in sl)))
-    return out
+    return [Chunk(data[grid.chunk_slices(o)].copy(), o) for o in grid.origins]
 
 
 def assemble_chunks(chunks, grid: ChunkGrid) -> np.ndarray:

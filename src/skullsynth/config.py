@@ -96,14 +96,12 @@ _PARSERS = {int: int, float: float, bool: _bool, str: _identity, Optional[tuple]
 
 
 def _ini_fields(cls):
-    """(INI key, field) for each field of `cls` the INI holds.  Of the
-    augmentation settings only the on/off switches are keys, as `aug_<name>`."""
+    """(INI key, field) for each field of `cls` the INI holds.  The
+    augmentation switches are keys `aug_<name>`."""
+    prefix = "aug_" if cls is AugmentationConfig else ""
     for f in dataclasses.fields(cls):
-        if cls is AugmentationConfig:
-            if f.type is bool:
-                yield f"aug_{f.name}", f
-        elif (cls, f.name) not in _NOT_KEYS:
-            yield _RENAMED.get((cls, f.name), f.name), f
+        if (cls, f.name) not in _NOT_KEYS:
+            yield _RENAMED.get((cls, f.name), prefix + f.name), f
 
 
 REGISTRY = {
@@ -218,9 +216,8 @@ def cut_settings(cfg):
 def sr_settings(cfg):
     s = cfg["lapsrn"]
     spec = _build(PyramidSpec, s)
-    aug = _build(AugmentationConfig, s)
     train = _build(SRTrainConfig, s, seed=cfg["run"]["seed"],
-                   augment=aug if aug.enabled() else None)
+                   augment=_build(AugmentationConfig, s))
     try:
         spec.check_halo(train.halo)
     except ValueError as exc:

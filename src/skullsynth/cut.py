@@ -73,6 +73,8 @@ class NCEConfig:
             raise ValueError("temperature must be > 0")
         if self.tap_layers is not None:
             self.tap_layers = tuple(int(t) for t in self.tap_layers)
+            if any(t < 0 for t in self.tap_layers):
+                raise ValueError(f"tap_layers must be >= 0, got {self.tap_layers}")
 
 
 @dataclass
@@ -450,20 +452,21 @@ def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
     for v in list(mr_set) + list(ct_set):
         if v.domain != UNIT:
             raise ValueError(f"training volumes must be UNIT domain, got {v.domain}")
-    g_spec = g_spec or GeneratorSpec()
-    d_spec = d_spec or DiscriminatorSpec()
-    p_spec = p_spec or ProjectorSpec()
-    nce_cfg = nce_cfg or NCEConfig()
-
     state = load_cut_checkpoint(resume_from) if resume_from else None
     if state:
         # architecture and optimizer state come from the checkpoint; the
         # schedule (epochs, lr, weights, seed) stays with the caller's config
         g, d, f = state["g"], state["d"], state["f"]
         opt_d, opt_g = state["opt_d"], state["opt_g"]
-        g_spec, d_spec, p_spec = state["g_spec"], state["d_spec"], state["p_spec"]
-        nce_cfg, tap_ids = state["nce_cfg"], state["tap_ids"]
+        g_spec, d_spec, p_spec, nce_cfg = training.resumed_specs(
+            resume_from, (g_spec, d_spec, p_spec, nce_cfg),
+            (state["g_spec"], state["d_spec"], state["p_spec"], state["nce_cfg"]))
+        tap_ids = state["tap_ids"]
     else:
+        g_spec = g_spec or GeneratorSpec()
+        d_spec = d_spec or DiscriminatorSpec()
+        p_spec = p_spec or ProjectorSpec()
+        nce_cfg = nce_cfg or NCEConfig()
         g, d, f, tap_ids = build_networks(g_spec, d_spec, p_spec, nce_cfg, cfg.seed)
         opt_d, opt_g = _optimizers(cfg, g, d, f).values()
 

@@ -227,35 +227,21 @@ def erode(mask, offsets):
 def resample3d(vol, out_shape):
     """Trilinear resample to ``out_shape`` (half-pixel centers, edge clamp).
 
-    Returns float64; resampling to the input shape reproduces it exactly.
+    Trilinear interpolation is linear interpolation along each axis in turn,
+    so this runs three 1-D passes instead of gathering all eight corners of
+    every output voxel.  Returns float64; resampling to the input shape
+    reproduces it exactly.
     """
-    v = np.asarray(vol, dtype=np.float64)
-    src_idx = []
-    for n_in, n_out in zip(v.shape, map(int, out_shape)):
+    out = np.asarray(vol, dtype=np.float64)
+    for axis, n_out in enumerate(map(int, out_shape)):
+        n_in = out.shape[axis]
         coords = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
         coords = np.clip(coords, 0.0, n_in - 1.0)
         lo = np.floor(coords).astype(np.int64)
-        frac = coords - lo
         hi = np.minimum(lo + 1, n_in - 1)
-        src_idx.append((lo, hi, frac))
-    (z0, z1, fz), (y0, y1, fy), (x0, x1, fx) = src_idx
-    fz = fz[:, None, None]
-    fy = fy[None, :, None]
-    fx = fx[None, None, :]
-
-    def gather(zi, yi, xi):
-        return v[zi[:, None, None], yi[None, :, None], xi[None, None, :]]
-
-    return (
-        gather(z0, y0, x0) * (1 - fz) * (1 - fy) * (1 - fx)
-        + gather(z0, y0, x1) * (1 - fz) * (1 - fy) * fx
-        + gather(z0, y1, x0) * (1 - fz) * fy * (1 - fx)
-        + gather(z0, y1, x1) * (1 - fz) * fy * fx
-        + gather(z1, y0, x0) * fz * (1 - fy) * (1 - fx)
-        + gather(z1, y0, x1) * fz * (1 - fy) * fx
-        + gather(z1, y1, x0) * fz * fy * (1 - fx)
-        + gather(z1, y1, x1) * fz * fy * fx
-    )
+        frac = (coords - lo).reshape((-1,) + (1,) * (2 - axis))
+        out = np.take(out, lo, axis=axis) * (1 - frac) + np.take(out, hi, axis=axis) * frac
+    return out
 
 
 def structuring_offsets(kind, radius):

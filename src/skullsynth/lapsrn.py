@@ -10,8 +10,7 @@ forward pass wherever the halo covers the receptive field.
 """
 
 import functools
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -87,7 +86,7 @@ class SRTrainConfig:
     halo: int = 8  # chunk overlap, in low-res voxels
     checkpoint_every: int = 1  # epochs
     seed: int = 0
-    augment: Optional[AugmentationConfig] = None
+    augment: AugmentationConfig = field(default_factory=AugmentationConfig)
 
     def __post_init__(self):
         if self.lr <= 0 or self.eps_charbonnier <= 0:
@@ -234,8 +233,11 @@ def load_sr_checkpoint(path):
     with ckpt_io.restoring(path):
         spec = PyramidSpec(**meta["pyramid_spec"])
         cfg_dict = dict(meta["train_config"])
-        if cfg_dict.get("augment") is not None:
-            cfg_dict["augment"] = AugmentationConfig(**cfg_dict["augment"])
+        # files written before the augmentation ranges became constants store
+        # None for "all off", or the switches next to the ranges
+        stored = cfg_dict["augment"] or {}
+        cfg_dict["augment"] = AugmentationConfig(
+            **{f.name: stored.get(f.name, False) for f in fields(AugmentationConfig)})
         cfg = SRTrainConfig(**cfg_dict)
         net = build_sr_net(spec, cfg.seed)
         opts = _optimizers(cfg, net)
@@ -255,7 +257,7 @@ def _epoch_microbatches(hr_set, cfg, spec, epoch):
     micros = []
     for v_idx, vol in enumerate(hr_set):
         hr = vol
-        if cfg.augment is not None and cfg.augment.enabled():
+        if cfg.augment.enabled():
             aug_seed = int(
                 seeding.stream(cfg.seed, "sr.augment", epoch, v_idx).integers(2**63)
             )
@@ -286,12 +288,12 @@ def train_lapsrn(hr_set, cfg: SRTrainConfig, spec: PyramidSpec = None,
     for v in hr_set:
         if v.domain != UNIT:
             raise ValueError(f"training volumes must be UNIT domain, got {v.domain}")
-    spec = spec or PyramidSpec()
-
     state = load_sr_checkpoint(resume_from) if resume_from else None
     if state:
-        net, opt, spec = state["net"], state["opt"], state["spec"]
+        net, opt = state["net"], state["opt"]
+        (spec,) = training.resumed_specs(resume_from, (spec,), (state["spec"],))
     else:
+        spec = spec or PyramidSpec()
         net = build_sr_net(spec, cfg.seed)
         opt = _optimizers(cfg, net)["opt"]
 
@@ -339,11 +341,8 @@ def super_resolve(checkpoint, vol: Volume, core_size=None, halo=None) -> Volume:
     scale = spec.scale
     grid = ChunkGrid.build(vol.data.shape, core_size, halo)
     out_grid = grid.scaled(scale)
-    out_chunks = []
-    for c, origin in zip(chunk_volume(vol, grid), out_grid.origins):
-        pred = net(c.data)[-1]
-        start = tuple(s.start for s in out_grid.chunk_slices(origin))
-        out_chunks.append(Chunk(pred.data[0], origin, start))
+    out_chunks = [Chunk(net(c.data)[-1].data[0], origin)
+                  for c, origin in zip(chunk_volume(vol, grid), out_grid.origins)]
     data = assemble_chunks(out_chunks, out_grid)
     np.clip(data, 0.0, 1.0, out=data)
     spacing = tuple(s / scale for s in vol.spacing)

@@ -89,7 +89,7 @@ def make_phantom(spec: PhantomSpec):
     if spec.noise_sigma_ct > 0:
         ct = ct + rng.normal(0.0, spec.noise_sigma_ct, shape)
 
-    mr_vol = Volume(mr, spec.spacing, UNIT, provenance=f"phantom(seed={spec.seed})")
-    ct_vol = Volume(ct, spec.spacing, HU, provenance=f"phantom(seed={spec.seed})")
+    mr_vol = Volume(mr, spec.spacing, UNIT)
+    ct_vol = Volume(ct, spec.spacing, HU)
     mask = SegmentationMask(shell.astype(np.uint8), spec.spacing)
     return mr_vol, ct_vol, mask

@@ -41,7 +41,7 @@ def histogram_match(source: Volume, reference: Volume) -> Volume:
     positions = (np.arange(ref.size) + 0.5) / ref.size
     mapped = np.interp(q, positions, ref)
     out = mapped[inverse].reshape(source.data.shape)
-    return Volume(out, source.spacing, HU, source.provenance)
+    return Volume(out, source.spacing, HU)
 
 
 def threshold_hu(v: Volume, t: float) -> SegmentationMask:

@@ -4,6 +4,7 @@ prefix: ``<prefix>_log.csv``, ``<prefix>_epoch%04d.npz``, ``<prefix>_final.npz``
 """
 
 import csv
+import dataclasses
 import glob
 import os
 
@@ -23,6 +24,22 @@ def _truncate_log(path, columns, step):
         kept = [r for r in rows if len(r) == len(columns) and int(r[0]) <= step]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows([columns, *kept])
+
+
+def resumed_specs(path, given, stored):
+    """The `stored` network settings of the checkpoint at `path`, which a
+    resume trains with.  A `given` setting that is not None must equal its
+    stored one: the networks in the file were built from the stored one, so
+    a different value would be ignored.  Raises ValueError naming the field."""
+    for want, have in zip(given, stored):
+        if want is None:
+            continue
+        for f in dataclasses.fields(have):
+            a, b = getattr(want, f.name), getattr(have, f.name)
+            if a != b:
+                raise ValueError(f"cannot resume from {path} with {type(have).__name__}.{f.name}="
+                                 f"{a!r}: the checkpoint's is {b!r}")
+    return stored
 
 
 def fit(cfg, run_dir, prefix, columns, optimizers, epoch_steps, save, resumed):

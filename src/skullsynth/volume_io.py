@@ -46,7 +46,6 @@ class Volume:
     data: np.ndarray
     spacing: tuple = (1.0, 1.0, 1.0)
     domain: str = ARBITRARY
-    provenance: str = ""
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float32)
@@ -64,10 +63,6 @@ class Volume:
             if lo < 0.0 or hi > 1.0:
                 raise DomainError(f"UNIT volume out of range: [{lo}, {hi}]")
 
-    @property
-    def shape(self):
-        return self.data.shape
-
 
 @dataclass
 class SegmentationMask:
@@ -82,10 +77,6 @@ class SegmentationMask:
             raise ValueError("mask entries must be exactly 0 or 1")
         self.data = arr.astype(np.uint8)
         self.spacing = tuple(float(np.float32(s)) for s in self.spacing)
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def to_volume(self):
         return Volume(self.data.astype(np.float32), self.spacing, ARBITRARY)
@@ -144,7 +135,7 @@ def _load_raw(path):
     if len(payload) != expected:
         raise FormatError(f"{path}: payload is {len(payload)} bytes, header implies {expected}")
     data = np.frombuffer(payload, dtype="<f4").reshape(shape)
-    return Volume(data, spacing, domain, provenance=str(path))
+    return Volume(data, spacing, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +226,7 @@ def _load_nifti(path):
         if token.startswith("domain=") and token[7:] in DOMAINS:
             domain = token[7:]
     spacing = [abs(p) if p else 1.0 for p in pixdim[1:4]]
-    return Volume(data, (spacing[2], spacing[1], spacing[0]), domain, provenance=str(path))
+    return Volume(data, (spacing[2], spacing[1], spacing[0]), domain)
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +258,16 @@ def resample(v: Volume, target_shape) -> Volume:
     if len(target_shape) != 3 or any(n < 1 for n in target_shape):
         raise ValueError(f"target shape must be 3 positive ints, got {target_shape}")
     if target_shape == v.data.shape:
-        return Volume(v.data.copy(), v.spacing, v.domain, v.provenance)
+        return Volume(v.data.copy(), v.spacing, v.domain)
     out = kernels.resample3d(v.data, target_shape)
     spacing = tuple(s * o / t for s, o, t in zip(v.spacing, v.data.shape, target_shape))
-    return Volume(out, spacing, v.domain, v.provenance)
+    return Volume(out, spacing, v.domain)
 
 
 def hounsfield_floor(v: Volume, floor_hu: float = -500.0) -> Volume:
     if v.domain != HU:
         raise DomainError(f"hounsfield_floor needs a HU volume, got {v.domain}")
-    return Volume(np.maximum(v.data, np.float32(floor_hu)), v.spacing, HU, v.provenance)
+    return Volume(np.maximum(v.data, np.float32(floor_hu)), v.spacing, HU)
 
 
 def minmax_normalize(v: Volume) -> Volume:
@@ -286,4 +277,4 @@ def minmax_normalize(v: Volume) -> Volume:
         data = np.zeros_like(v.data)
     else:
         data = (v.data.astype(np.float64) - lo) / (hi - lo)
-    return Volume(data, v.spacing, UNIT, v.provenance)
+    return Volume(data, v.spacing, UNIT)

@@ -107,7 +107,7 @@ def test_cut_checkpoint_round_trips_its_settings(tmp_path):
 
 def test_sr_checkpoint_round_trips_its_settings(tmp_path):
     spec = lapsrn.PyramidSpec(levels=1, filters=3, feat_layers=3, recon_layers=2)
-    aug = AugmentationConfig(flip=True, blur=True, blur_sigma_hi=0.8)
+    aug = AugmentationConfig(flip=True, blur=True)
     cfg = lapsrn.SRTrainConfig(lr=1e-3, grad_accum=4, core_size=2, halo=1, seed=7, augment=aug)
     net = lapsrn.build_sr_net(spec, cfg.seed)
     path = tmp_path / "sr.npz"
@@ -117,6 +117,30 @@ def test_sr_checkpoint_round_trips_its_settings(tmp_path):
     )
     state = lapsrn.load_sr_checkpoint(path)
     assert (state["spec"], state["cfg"]) == (spec, cfg)
+
+
+@pytest.mark.parametrize("stored,switches", [
+    (None, AugmentationConfig()),
+    ({"flip": True, "affine": False, "rot_deg": 10.0, "scale_lo": 0.9, "scale_hi": 1.1,
+      "shear": 0.05, "ghost": True, "ghost_amp": 0.1, "blur": False, "blur_sigma_lo": 0.3,
+      "blur_sigma_hi": 1.2, "gamma": True, "gamma_lo": 0.7, "gamma_hi": 1.4},
+     AugmentationConfig(flip=True, ghost=True, gamma=True)),
+], ids=["off as None", "switches and ranges"])
+def test_sr_checkpoint_with_an_earlier_augment_entry_loads(tmp_path, stored, switches):
+    """Format-3 files written before the augmentation ranges became constants
+    store None or all fourteen settings; both load as the switches."""
+    spec = lapsrn.PyramidSpec(levels=1, filters=3, feat_layers=3, recon_layers=2)
+    cfg = lapsrn.SRTrainConfig(core_size=2, halo=1)
+    net = lapsrn.build_sr_net(spec, cfg.seed)
+    path = tmp_path / "sr.npz"
+    lapsrn.save_sr_checkpoint(
+        path, net, SGD(net.parameters(), cfg.lr), cfg, spec, 4, 1,
+        PlateauDecay(cfg.lr, cfg.plateau_patience_epochs, cfg.max_epochs).state(),
+    )
+    meta, arrays = load_checkpoint(path)
+    meta["train_config"]["augment"] = stored
+    save_checkpoint(path, meta, arrays)
+    assert lapsrn.load_sr_checkpoint(path)["cfg"].augment == switches
 
 
 def test_version_1_checkpoint_is_refused(tmp_path):

@@ -78,7 +78,7 @@ class TestRoundTrip:
 
     def test_wrong_payload_shape_rejected(self, rng):
         grid = ChunkGrid.build((8, 8, 8), core_size=8, halo=0)
-        bad = Chunk(rng.normal(size=(3, 3, 3)), (0, 0, 0), (0, 0, 0))
+        bad = Chunk(rng.normal(size=(3, 3, 3)), (0, 0, 0))
         with pytest.raises(ValueError, match="grid implies"):
             assemble_chunks([bad], grid)
 

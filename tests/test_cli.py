@@ -1,10 +1,13 @@
 """CLI exit codes: 0 success, 1 runtime failure, 2 usage or configuration error."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import skullsynth
 from skullsynth import checkpoint as ckpt_io
 from skullsynth import config, cut, lapsrn, metrics, postprocess
 from skullsynth import volume_io as vio
@@ -71,6 +74,16 @@ def _train_cut(d, p, setting):
             "--set", f"run.output_dir={d}/run"]
 
 
+def _resume(d, p, prefix, changed=()):
+    """`train-cut` or `train-sr` resuming the fixture's final checkpoint with
+    TINY_RUN's settings, `changed` applied."""
+    settings = {**TINY_RUN, **dict(changed), "run.output_dir": f"{d}/run"}
+    data = ["--mr-dir", p + "/unit", "--ct-dir", p + "/unit"] if prefix == "cut" else [
+        "--hr-dir", p + "/unit"]
+    return [f"train-{prefix}", *data, *(f"--set={k}={v}" for k, v in settings.items()),
+            "--resume", f"{p}/run/{prefix}_final.npz"]
+
+
 def test_phantom_gen_writes_every_case(phantoms):
     assert sorted(p.name for p in (phantoms / "n2").iterdir()) == [
         f"case00{i}_{kind}.raw{ext}"
@@ -110,6 +123,12 @@ EXIT_CODES = [
     ("temperature=-1", 2, lambda d, p: _train_cut(d, p, "cut.temperature=-1")),
     ("batch_size=0", 2, lambda d, p: _train_cut(d, p, "cut.batch_size=0")),
     ("batch_size=-2", 2, lambda d, p: _train_cut(d, p, "cut.batch_size=-2")),
+    ("tap_layers=-1", 2, lambda d, p: _train_cut(d, p, "cut.tap_layers=-1")),
+    ("train-cut resume", 0, lambda d, p: _resume(d, p, "cut")),
+    ("train-cut resume, other base_filters", 1,
+     lambda d, p: _resume(d, p, "cut", {"cut.base_filters": 3})),
+    ("train-sr resume", 0, lambda d, p: _resume(d, p, "sr")),
+    ("train-sr resume, other filters", 1, lambda d, p: _resume(d, p, "sr", {"lapsrn.filters": 3})),
     ("infer", 0, lambda d, p: _infer(d, p, p + "/run/cut_final.npz", p + "/run/sr_final.npz")),
     ("infer, checkpoints swapped", 1,
      lambda d, p: _infer(d, p, p + "/run/sr_final.npz", p + "/run/cut_final.npz")),
@@ -135,6 +154,23 @@ def test_evaluate_names_the_case_and_both_spacings(phantoms, tmp_path, capsys):
     assert not (tmp_path / "e.csv").exists()
 
 
+def test_resume_names_the_changed_setting_and_both_values(phantoms, tmp_path, capsys):
+    assert main(_resume(str(tmp_path), str(phantoms), "cut", {"cut.base_filters": 3})) == 1
+    err = capsys.readouterr().err
+    assert "GeneratorSpec.base_filters=3" in err and "the checkpoint's is 2" in err
+
+
+def test_cli_import_leaves_scipy_submodules_unloaded():
+    """`scipy.ndimage` and `scipy.spatial` load only when augmentation or
+    surface Dice runs, not with the CLI."""
+    code = ("import sys, skullsynth.cli; "
+            "print(sorted(m for m in ('scipy.ndimage', 'scipy.spatial') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skullsynth.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert run.stdout.strip() == "[]"
+
+
 # the EXIT_CODES cases a spec rejects, with its message; each would run in <d>/run
 SPEC_ERRORS = {
     "levels=0": "levels must be >= 1",
@@ -142,6 +178,7 @@ SPEC_ERRORS = {
     "temperature=-1": "temperature must be > 0",
     "batch_size=0": "batch_size must be >= 1",
     "batch_size=-2": "batch_size must be >= 1",
+    "tap_layers=-1": "tap_layers must be >= 0",
     "halo=6": "lapsrn.halo 6 is below this pyramid's receptive radius 7",
 }
 

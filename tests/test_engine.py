@@ -216,11 +216,21 @@ class TestMorphologyKernels:
 
 
 class TestResampleKernel:
-    @NUMPY_ID
-    def test_matches_map_coordinates(self, rng):
-        vol = rng.normal(size=(5, 7, 6))
-        out_shape = (9, 4, 11)
+    @pytest.mark.parametrize(
+        "in_shape,out_shape,dtype",
+        [
+            ((5, 7, 6), (9, 4, 11), np.float64),  # non-integer factors
+            ((4, 5, 6), (8, 10, 12), np.float64),
+            ((8, 10, 6), (4, 5, 3), np.float64),
+            ((1, 6, 5), (4, 1, 7), np.float64),
+            ((5, 7, 6), (9, 4, 11), np.float32),
+        ],
+        ids=["numpy", "numpy-x2", "numpy-x0.5", "numpy-length1", "numpy-float32"],
+    )
+    def test_matches_map_coordinates(self, rng, in_shape, out_shape, dtype):
+        vol = rng.normal(size=in_shape).astype(dtype)
         got = kernels.resample3d(vol, out_shape)
+        assert got.dtype == np.float64
         grids = np.meshgrid(
             *(
                 np.clip((np.arange(m) + 0.5) * n / m - 0.5, 0, n - 1)
@@ -228,7 +238,7 @@ class TestResampleKernel:
             ),
             indexing="ij",
         )
-        want = ndi.map_coordinates(vol, np.stack(grids), order=1, mode="nearest")
+        want = ndi.map_coordinates(vol.astype(np.float64), np.stack(grids), order=1, mode="nearest")
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @NUMPY_ID
