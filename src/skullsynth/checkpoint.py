@@ -4,27 +4,36 @@
 JSON-serializable metadata dict that always carries a format version.
 Loading a container with a different format version fails loudly rather
 than guessing.  Saves are atomic: readers see either the old file or the
-complete new one.
+complete new one.  `load_checkpoint` can read just the arrays under a key
+prefix; the others are neither read nor checked.
 
-`save_state`/`restore_state` are the only code that knows how networks and
-optimizers are stored; the trainers use them, format version 3.  Networks
-and optimizers are passed as ``{name: object}`` dicts:
+`save_run`/`load_run`, through `save_state`/`restore_state`, are the only
+code that knows the trainers' run record, format version 3:
 
-- ``param/<module>/<parameter name>``: each network parameter;
+- ``meta["kind"]``: ``"cut"`` or ``"lapsrn"``; a loader refuses the other;
+- ``meta["step"]``, ``meta["epoch"]``: optimizer steps and epochs done;
+- ``meta["monitor"]``: the learning-rate schedule's `PlateauDecay` state;
+- the trainer's settings, each dataclass as its field dict: for CUT
+  ``train_config``, ``generator_spec``, ``discriminator_spec``,
+  ``projector_spec``, ``nce_config`` and the derived ``tap_ids``; for
+  LapSRN ``train_config`` (its ``augment`` nested) and ``pyramid_spec``;
+- ``param/<module>/<parameter name>``: each network parameter (CUT modules
+  ``g``, ``d``, ``f``; LapSRN ``net``);
 - ``opt/<optimizer>/<slot>/<i>``: slot `slot` (Adam ``m``/``v``, SGD ``buf``)
-  of the optimizer's i-th parameter;
+  of the optimizer's i-th parameter (CUT ``opt_d``, ``opt_g``; LapSRN ``opt``);
 - ``meta["optimizers"][<optimizer>]``: its ``{"kind", "t", "lr"}``.
 
-`restore_state` checks every array's shape against its parameter and every
-optimizer's kind, refuses missing and unexpected arrays, and casts each array
-to its parameter's dtype, so a format-3 file written in float64 loads into
-float32 networks.  The rest of the metadata (kind, step, epoch, settings,
-schedule state) is the caller's.  Loaders build their networks from it
-inside `restoring(path)`, so a file that does not fit them fails with a
-ValueError naming it.
+Each trainer names the metadata key and type of its settings and one
+function that builds its networks and optimizers from them; `load_run` builds
+them from the file's settings and restores their arrays.  `restore_state`
+checks every array's shape against its parameter and every optimizer's kind,
+refuses missing and unexpected arrays, and casts each array to its
+parameter's dtype, so a format-3 file written in float64 loads into float32
+networks.  A file whose record does not fit fails with a ValueError naming it.
 """
 
 import contextlib
+import dataclasses
 import json
 import os
 import zipfile
@@ -60,13 +69,13 @@ def save_checkpoint(path, meta: dict, arrays: dict) -> None:
         raise
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, prefix=""):
     try:
         with open(path, "rb") as fh, np.load(fh) as npz:
             if _META_KEY not in npz:
                 raise KeyError(_META_KEY)
             meta = json.loads(bytes(npz[_META_KEY].tobytes()).decode("utf-8"))
-            arrays = {k: npz[k] for k in npz.files if k != _META_KEY}
+            arrays = {k: npz[k] for k in npz.files if k != _META_KEY and k.startswith(prefix)}
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"corrupt or unreadable checkpoint {path}: {exc}") from exc
     version = meta.get("format_version")
@@ -122,12 +131,32 @@ def restore_state(meta: dict, arrays: dict, modules: dict, optimizers: dict) -> 
         raise ValueError(f"unexpected arrays {sorted(unread)[:4]}")
 
 
-@contextlib.contextmanager
-def restoring(path):
-    """Report metadata or arrays that do not fit the settings, networks and
-    optimizers built from them as a ValueError naming the file, as a
-    malformed file is."""
+def save_run(path, kind, keys, settings, step, epoch, monitor, modules, optimizers):
+    """Save a trainer's run record: each of `settings` under its metadata key
+    in `keys` (``{name: (key, type)}``), or under its own name if `keys` does
+    not list it."""
+    meta = {"kind": kind, "step": step, "epoch": epoch}
+    for name, value in settings.items():
+        key = keys[name][0] if name in keys else name
+        meta[key] = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+    meta["monitor"] = monitor
+    save_state(path, meta, modules, optimizers)
+
+
+def load_run(path, kind, keys, build, prefix=""):
+    """The run record `save_run` wrote, as one dict: the networks, optimizers
+    and settings that ``build(*settings)`` returns, with `step`, `epoch` and
+    `monitor`.  Each setting is ``type(**meta[key])`` for the (key, type)
+    pairs of `keys`, in order; with `prefix`, only the arrays under it are
+    read, and `build` must build just the networks they hold."""
+    meta, arrays = load_checkpoint(path, prefix)
+    if meta.get("kind") != kind:
+        raise ValueError(f"{path} is not a {kind!r} checkpoint (kind={meta.get('kind')!r})")
     try:
-        yield
+        modules, optimizers, settings = build(*(read(**meta[key]) for key, read in keys.values()))
+        restore_state(meta, arrays, modules, optimizers)
+        return {**modules, **optimizers, **settings, "step": int(meta["step"]),
+                "epoch": int(meta["epoch"]), "monitor": meta["monitor"]}
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"checkpoint {path} cannot be restored: {type(exc).__name__}: {exc}") from exc
+        raise ValueError(
+            f"checkpoint {path} cannot be restored: {type(exc).__name__}: {exc}") from exc

@@ -104,21 +104,6 @@ def cmd_preprocess(args, cfg):
     return 0
 
 
-def _prepare_run_dir(cfg):
-    run_dir = cfg["run"]["output_dir"]
-    os.makedirs(run_dir, exist_ok=True)
-    config_mod.save_config(cfg, os.path.join(run_dir, "config.ini"))
-    return run_dir
-
-
-def _resolve_resume(arg, run_dir, latest_fn):
-    if arg is None:
-        return None
-    if arg == "latest":
-        return latest_fn(run_dir)
-    return _require_file(arg)
-
-
 def cmd_train_cut(args, cfg):
     g_spec, d_spec, p_spec, nce, train_cfg = config_mod.cut_settings(cfg)
     fmt = _format(cfg)
@@ -130,11 +115,9 @@ def cmd_train_cut(args, cfg):
     ct_set = _load_dir(ct_dir, fmt)
     if not mr_set or not ct_set:
         raise ConfigError(f"empty dataset: {mr_dir} has {len(mr_set)}, {ct_dir} has {len(ct_set)}")
-    run_dir = _prepare_run_dir(cfg)
-    resume = _resolve_resume(args.resume, run_dir, cut.latest_checkpoint)
     final, rows = cut.train_cut(
-        mr_set, ct_set, train_cfg, g_spec, d_spec, p_spec, nce,
-        run_dir=run_dir, resume_from=resume,
+        mr_set, ct_set, train_cfg, g_spec, d_spec, p_spec, nce, run_dir=cfg["run"]["output_dir"],
+        resume_from=args.resume, config_ini=config_mod.dump_config(cfg),
     )
     print(f"trained {len(rows)} step(s); final checkpoint {final}")
     return 0
@@ -149,10 +132,9 @@ def cmd_train_sr(args, cfg):
     hr_set = _load_dir(hr_dir, fmt)
     if not hr_set:
         raise ConfigError(f"empty dataset: no volumes in {hr_dir}")
-    run_dir = _prepare_run_dir(cfg)
-    resume = _resolve_resume(args.resume, run_dir, lapsrn.latest_checkpoint)
     final, rows = lapsrn.train_lapsrn(
-        hr_set, train_cfg, spec, run_dir=run_dir, resume_from=resume
+        hr_set, train_cfg, spec, run_dir=cfg["run"]["output_dir"], resume_from=args.resume,
+        config_ini=config_mod.dump_config(cfg),
     )
     print(f"trained {len(rows)} step(s); final checkpoint {final}")
     return 0

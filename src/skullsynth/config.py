@@ -189,11 +189,6 @@ def dump_config(cfg):
     return out.getvalue()
 
 
-def save_config(cfg, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_config(cfg))
-
-
 # ---------------------------------------------------------------------------
 # config -> settings dataclasses
 # ---------------------------------------------------------------------------

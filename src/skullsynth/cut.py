@@ -13,7 +13,7 @@ synthesis and identity roles.  Embeddings are unit-normalized before the dot
 product so similarities stay in [-1, 1].
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -383,62 +383,47 @@ def build_networks(g_spec, d_spec, p_spec, nce_cfg, seed):
     return g, d, f, tuple(tap_ids)
 
 
-def _optimizers(cfg, g, d, f):
+# the metadata key and type of each setting, in `_build`'s argument order
+_SETTINGS = {
+    "cfg": ("train_config", CutTrainConfig),
+    "g_spec": ("generator_spec", GeneratorSpec),
+    "d_spec": ("discriminator_spec", DiscriminatorSpec),
+    "p_spec": ("projector_spec", ProjectorSpec),
+    "nce_cfg": ("nce_config", NCEConfig),
+}
+
+
+def _build(cfg, g_spec, d_spec, p_spec, nce_cfg):
+    g, d, f, tap_ids = build_networks(g_spec, d_spec, p_spec, nce_cfg, cfg.seed)
     betas = (cfg.adam_beta1, cfg.adam_beta2)
-    return {
-        "opt_d": Adam(d.parameters(), cfg.lr, betas=betas),
-        "opt_g": Adam(g.parameters() + f.parameters(), cfg.lr, betas=betas),
-    }
+    opts = {"opt_d": Adam(d.parameters(), cfg.lr, betas=betas),
+            "opt_g": Adam(g.parameters() + f.parameters(), cfg.lr, betas=betas)}
+    settings = {"cfg": cfg, "g_spec": g_spec, "d_spec": d_spec, "p_spec": p_spec,
+                "nce_cfg": nce_cfg, "tap_ids": tap_ids}
+    return {"g": g, "d": d, "f": f}, opts, settings
+
+
+def _build_generator(cfg, g_spec, *_):
+    """The generator alone, as `build_networks` builds it."""
+    return {"g": Generator(g_spec, seeding.stream(cfg.seed, "cut.init.g"))}, {}, {}
 
 
 def save_cut_checkpoint(path, g, d, f, opt_d, opt_g, cfg, g_spec, d_spec, p_spec, nce_cfg,
                         tap_ids, step, epoch, monitor):
-    meta = {
-        "kind": "cut",
-        "step": step,
-        "epoch": epoch,
-        "train_config": asdict(cfg),
-        "generator_spec": asdict(g_spec),
-        "discriminator_spec": asdict(d_spec),
-        "projector_spec": asdict(p_spec),
-        "nce_config": asdict(nce_cfg),
-        "tap_ids": list(tap_ids),
-        "monitor": monitor,
-    }
-    ckpt_io.save_state(path, meta, {"g": g, "d": d, "f": f}, {"opt_d": opt_d, "opt_g": opt_g})
-
-
-def _read_cut_checkpoint(path):
-    meta, arrays = ckpt_io.load_checkpoint(path)
-    if meta.get("kind") != "cut":
-        raise ValueError(f"{path} is not a translation checkpoint (kind={meta.get('kind')!r})")
-    return meta, arrays
+    ckpt_io.save_run(path, "cut", _SETTINGS,
+                     {"cfg": cfg, "g_spec": g_spec, "d_spec": d_spec, "p_spec": p_spec,
+                      "nce_cfg": nce_cfg, "tap_ids": tap_ids},
+                     step, epoch, monitor, {"g": g, "d": d, "f": f},
+                     {"opt_d": opt_d, "opt_g": opt_g})
 
 
 def load_cut_checkpoint(path):
-    meta, arrays = _read_cut_checkpoint(path)
-    with ckpt_io.restoring(path):
-        g_spec = GeneratorSpec(**meta["generator_spec"])
-        d_spec = DiscriminatorSpec(**meta["discriminator_spec"])
-        p_spec = ProjectorSpec(**meta["projector_spec"])
-        nce_cfg = NCEConfig(**meta["nce_config"])
-        cfg = CutTrainConfig(**meta["train_config"])
-        g, d, f, tap_ids = build_networks(g_spec, d_spec, p_spec, nce_cfg, cfg.seed)
-        nets = {"g": g, "d": d, "f": f}
-        opts = _optimizers(cfg, g, d, f)
-        ckpt_io.restore_state(meta, arrays, nets, opts)
-        return {
-            **nets, **opts,
-            "cfg": cfg, "g_spec": g_spec, "d_spec": d_spec, "p_spec": p_spec,
-            "nce_cfg": nce_cfg, "tap_ids": tuple(meta["tap_ids"]),
-            "step": int(meta["step"]), "epoch": int(meta["epoch"]),
-            "monitor": meta["monitor"],
-        }
+    return ckpt_io.load_run(path, "cut", _SETTINGS, _build)
 
 
 def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
               g_spec=None, d_spec=None, p_spec=None, nce_cfg=None,
-              run_dir=".", resume_from=None):
+              run_dir=".", resume_from=None, config_ini=None):
     """Unpaired training loop.
 
     Per optimizer step, `batch_size` independent (MR, CT) draws accumulate
@@ -452,23 +437,10 @@ def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
     for v in list(mr_set) + list(ct_set):
         if v.domain != UNIT:
             raise ValueError(f"training volumes must be UNIT domain, got {v.domain}")
-    state = load_cut_checkpoint(resume_from) if resume_from else None
-    if state:
-        # architecture and optimizer state come from the checkpoint; the
-        # schedule (epochs, lr, weights, seed) stays with the caller's config
-        g, d, f = state["g"], state["d"], state["f"]
-        opt_d, opt_g = state["opt_d"], state["opt_g"]
-        g_spec, d_spec, p_spec, nce_cfg = training.resumed_specs(
-            resume_from, (g_spec, d_spec, p_spec, nce_cfg),
-            (state["g_spec"], state["d_spec"], state["p_spec"], state["nce_cfg"]))
-        tap_ids = state["tap_ids"]
-    else:
-        g_spec = g_spec or GeneratorSpec()
-        d_spec = d_spec or DiscriminatorSpec()
-        p_spec = p_spec or ProjectorSpec()
-        nce_cfg = nce_cfg or NCEConfig()
-        g, d, f, tap_ids = build_networks(g_spec, d_spec, p_spec, nce_cfg, cfg.seed)
-        opt_d, opt_g = _optimizers(cfg, g, d, f).values()
+    state = training.start(run_dir, "cut", _SETTINGS, _build, load_cut_checkpoint, cfg,
+                           (g_spec, d_spec, p_spec, nce_cfg), resume_from, config_ini)
+    g, d, f, opt_d, opt_g, nce_cfg, tap_ids = (
+        state[k] for k in ("g", "d", "f", "opt_d", "opt_g", "nce_cfg", "tap_ids"))
 
     n_mr, n_ct = len(mr_set), len(ct_set)
     steps_per_epoch = max(1, -(-max(n_mr, n_ct) // cfg.batch_size))
@@ -508,35 +480,21 @@ def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
         return (d_mean, g_mean, syn_mean, idt_mean, total), total
 
     def save(path, step, epoch, monitor):
-        save_cut_checkpoint(path, g, d, f, opt_d, opt_g, cfg, g_spec, d_spec, p_spec,
-                            nce_cfg, tap_ids, step, epoch, monitor)
+        save_cut_checkpoint(path, g, d, f, opt_d, opt_g, cfg, state["g_spec"], state["d_spec"],
+                            state["p_spec"], nce_cfg, tap_ids, step, epoch, monitor)
 
     return training.fit(
         cfg, run_dir, "cut", CSV_COLUMNS, (opt_d, opt_g),
-        lambda epoch: [run_step] * steps_per_epoch, save, state,
+        lambda epoch: [run_step] * steps_per_epoch, save, state if resume_from else None,
     )
-
-
-def latest_checkpoint(run_dir):
-    return training.latest_checkpoint(run_dir, "cut")
-
-
-def _load_generator(path):
-    """The generator of a CUT checkpoint alone: the discriminator, projector
-    and optimizers stored next to it are not built."""
-    meta, arrays = _read_cut_checkpoint(path)
-    with ckpt_io.restoring(path):
-        cfg = CutTrainConfig(**meta["train_config"])
-        g = Generator(GeneratorSpec(**meta["generator_spec"]), seeding.stream(cfg.seed, "cut.init.g"))
-        ckpt_io.restore_state(meta, {k: a for k, a in arrays.items() if k.startswith("param/g/")},
-                              {"g": g}, {})
-    return g
 
 
 def translate(checkpoint, mr: Volume) -> Volume:
     """Inference through a trained generator, UNIT volume in and out; accepts
     a checkpoint path or a loaded state (a dict holding the generator "g")."""
-    g = checkpoint["g"] if isinstance(checkpoint, dict) else _load_generator(checkpoint)
+    if not isinstance(checkpoint, dict):  # read the generator's arrays alone
+        checkpoint = ckpt_io.load_run(checkpoint, "cut", _SETTINGS, _build_generator, "param/g/")
+    g = checkpoint["g"]
     if mr.domain != UNIT:
         raise ValueError(f"generator input must be UNIT domain, got {mr.domain}")
     out, _ = g(as_tensor(mr))

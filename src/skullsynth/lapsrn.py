@@ -10,7 +10,7 @@ forward pass wherever the halo covers the receptive field.
 """
 
 import functools
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -108,6 +108,7 @@ class _LevelNet(Module):
         self.feat_convs = convs
         self.feat_up = ConvTranspose3d(f, f, rng=rng, init="trilinear")
         self.feat_head = Conv3d(f, 1, 3, rng=rng)
+        self.feat_head.weight.data[:] = 0.0  # the untrained net is its upsampling branch
         recon = []
         for _ in range(spec.recon_layers - 1):
             conv = Conv3d(1, 1, 3, rng=rng)
@@ -209,44 +210,31 @@ def build_sr_net(spec: PyramidSpec, seed: int) -> SRNet:
     return SRNet(spec, seeding.stream(seed, "sr.init"))
 
 
-def _optimizers(cfg, net):
-    return {"opt": SGD(net.parameters(), cfg.lr, momentum=cfg.momentum,
-                       weight_decay=cfg.weight_decay)}
+def _train_config(augment, **stored):
+    """The stored `SRTrainConfig`.  Files written before the augmentation
+    ranges became constants store None for "all off", or the switches next to
+    the ranges."""
+    switches = {f.name: (augment or {}).get(f.name, False) for f in fields(AugmentationConfig)}
+    return SRTrainConfig(augment=AugmentationConfig(**switches), **stored)
+
+
+# the metadata key and type of each setting, in `_build`'s argument order
+_SETTINGS = {"cfg": ("train_config", _train_config), "spec": ("pyramid_spec", PyramidSpec)}
+
+
+def _build(cfg, spec):
+    net = build_sr_net(spec, cfg.seed)
+    opt = SGD(net.parameters(), cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    return {"net": net}, {"opt": opt}, {"cfg": cfg, "spec": spec}
 
 
 def save_sr_checkpoint(path, net, opt, cfg, spec, step, epoch, monitor):
-    meta = {
-        "kind": "lapsrn",
-        "step": step,
-        "epoch": epoch,
-        "train_config": asdict(cfg),
-        "pyramid_spec": asdict(spec),
-        "monitor": monitor,
-    }
-    ckpt_io.save_state(path, meta, {"net": net}, {"opt": opt})
+    ckpt_io.save_run(path, "lapsrn", _SETTINGS, {"cfg": cfg, "spec": spec}, step, epoch, monitor,
+                     {"net": net}, {"opt": opt})
 
 
 def load_sr_checkpoint(path):
-    meta, arrays = ckpt_io.load_checkpoint(path)
-    if meta.get("kind") != "lapsrn":
-        raise ValueError(f"{path} is not a super-resolution checkpoint (kind={meta.get('kind')!r})")
-    with ckpt_io.restoring(path):
-        spec = PyramidSpec(**meta["pyramid_spec"])
-        cfg_dict = dict(meta["train_config"])
-        # files written before the augmentation ranges became constants store
-        # None for "all off", or the switches next to the ranges
-        stored = cfg_dict["augment"] or {}
-        cfg_dict["augment"] = AugmentationConfig(
-            **{f.name: stored.get(f.name, False) for f in fields(AugmentationConfig)})
-        cfg = SRTrainConfig(**cfg_dict)
-        net = build_sr_net(spec, cfg.seed)
-        opts = _optimizers(cfg, net)
-        ckpt_io.restore_state(meta, arrays, {"net": net}, opts)
-        return {
-            "net": net, **opts, "cfg": cfg, "spec": spec,
-            "step": int(meta["step"]), "epoch": int(meta["epoch"]),
-            "monitor": meta["monitor"],
-        }
+    return ckpt_io.load_run(path, "lapsrn", _SETTINGS, _build)
 
 
 def _epoch_microbatches(hr_set, cfg, spec, epoch):
@@ -275,7 +263,7 @@ def _epoch_microbatches(hr_set, cfg, spec, epoch):
 
 
 def train_lapsrn(hr_set, cfg: SRTrainConfig, spec: PyramidSpec = None,
-                 run_dir=".", resume_from=None):
+                 run_dir=".", resume_from=None, config_ini=None):
     """Chunked SGD training against self-downsampled volumes.
 
     Each optimizer step averages the loss of `grad_accum` consecutive chunks
@@ -288,14 +276,9 @@ def train_lapsrn(hr_set, cfg: SRTrainConfig, spec: PyramidSpec = None,
     for v in hr_set:
         if v.domain != UNIT:
             raise ValueError(f"training volumes must be UNIT domain, got {v.domain}")
-    state = load_sr_checkpoint(resume_from) if resume_from else None
-    if state:
-        net, opt = state["net"], state["opt"]
-        (spec,) = training.resumed_specs(resume_from, (spec,), (state["spec"],))
-    else:
-        spec = spec or PyramidSpec()
-        net = build_sr_net(spec, cfg.seed)
-        opt = _optimizers(cfg, net)["opt"]
+    state = training.start(run_dir, "sr", _SETTINGS, _build, load_sr_checkpoint, cfg, (spec,),
+                           resume_from, config_ini)
+    net, opt, spec = state["net"], state["opt"], state["spec"]
 
     def run_group(group, step, epoch, lr):
         inv = 1.0 / len(group)
@@ -317,11 +300,8 @@ def train_lapsrn(hr_set, cfg: SRTrainConfig, spec: PyramidSpec = None,
     def save(path, step, epoch, monitor):
         save_sr_checkpoint(path, net, opt, cfg, spec, step, epoch, monitor)
 
-    return training.fit(cfg, run_dir, "sr", CSV_COLUMNS, (opt,), epoch_steps, save, state)
-
-
-def latest_checkpoint(run_dir):
-    return training.latest_checkpoint(run_dir, "sr")
+    return training.fit(cfg, run_dir, "sr", CSV_COLUMNS, (opt,), epoch_steps, save,
+                        state if resume_from else None)
 
 
 def super_resolve(checkpoint, vol: Volume, core_size=None, halo=None) -> Volume:

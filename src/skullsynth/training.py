@@ -1,6 +1,9 @@
-"""The epoch loop both trainers share: resume, CSV log, learning-rate schedule,
-step cap, epoch checkpoints and the final save.  Artifacts are named by a
-prefix: ``<prefix>_log.csv``, ``<prefix>_epoch%04d.npz``, ``<prefix>_final.npz``.
+"""Everything a training run does in its run dir, for both trainers: resume
+acceptance, the CSV log, the learning-rate schedule, the step cap, epoch
+checkpoints and the final save.  Run-dir files are named by a prefix:
+``config.ini``, ``<prefix>_log.csv``, ``<prefix>_epoch%04d.npz`` and
+``<prefix>_final.npz``.  `start` writes none of them until a resume is
+accepted, so a refused resume leaves the run dir as it was.
 """
 
 import csv
@@ -26,20 +29,44 @@ def _truncate_log(path, columns, step):
         csv.writer(fh).writerows([columns, *kept])
 
 
-def resumed_specs(path, given, stored):
-    """The `stored` network settings of the checkpoint at `path`, which a
-    resume trains with.  A `given` setting that is not None must equal its
-    stored one: the networks in the file were built from the stored one, so
-    a different value would be ignored.  Raises ValueError naming the field."""
-    for want, have in zip(given, stored):
-        if want is None:
-            continue
-        for f in dataclasses.fields(have):
-            a, b = getattr(want, f.name), getattr(have, f.name)
-            if a != b:
-                raise ValueError(f"cannot resume from {path} with {type(have).__name__}.{f.name}="
-                                 f"{a!r}: the checkpoint's is {b!r}")
-    return stored
+def start(run_dir, prefix, keys, build, load, cfg, given, resume_from=None, config_ini=None):
+    """The networks, optimizers and settings a run trains, as the dict
+    `checkpoint.load_run` returns.
+
+    `keys` and `build` are the trainer's record (see `checkpoint`) and `load`
+    its loader; `cfg` is its first setting and `given` the others, None for
+    their defaults.  A fresh run builds ``build(cfg, *given)``.  `resume_from`
+    is a checkpoint path, or "latest" for the run dir's last epoch checkpoint;
+    a resume trains the networks and optimizers stored there, so each of
+    `given` that is not None must equal the stored setting.  Raises ValueError
+    naming the field otherwise.  Only then is `config_ini`, if given, written
+    as the run dir's ``config.ini``.
+    """
+    names = list(keys)[1:]  # the setting each of `given` is
+    if resume_from is None:
+        specs = (want if want is not None else keys[name][1]() for want, name in zip(given, names))
+        nets, opts, settings = build(cfg, *specs)
+        state = {**nets, **opts, **settings}
+    else:
+        path = latest_checkpoint(run_dir, prefix) if resume_from == "latest" else resume_from
+        if not os.path.isfile(path):
+            raise FileNotFoundError(path)
+        state = load(path)
+        for want, name in zip(given, names):
+            if want is None:
+                continue
+            have = state[name]
+            for f in dataclasses.fields(have):
+                a, b = getattr(want, f.name), getattr(have, f.name)
+                if a != b:
+                    raise ValueError(f"cannot resume from {path} with "
+                                     f"{type(have).__name__}.{f.name}={a!r}: "
+                                     f"the checkpoint's is {b!r}")
+    os.makedirs(run_dir, exist_ok=True)
+    if config_ini is not None:
+        with open(os.path.join(run_dir, "config.ini"), "w", encoding="utf-8") as fh:
+            fh.write(config_ini)
+    return state
 
 
 def fit(cfg, run_dir, prefix, columns, optimizers, epoch_steps, save, resumed):
@@ -49,9 +76,8 @@ def fit(cfg, run_dir, prefix, columns, optimizers, epoch_steps, save, resumed):
     ``(steps taken, epoch, lr)`` and returning (losses, monitored): the log
     columns between ``epoch`` and ``lr``, and the loss whose epoch mean drives
     `PlateauDecay`.  `save(path, step, epoch, monitor_state)` writes a
-    checkpoint; `resumed` is a loaded checkpoint state or None.
+    checkpoint; `resumed` is the state `start` loaded, or None for a fresh run.
     """
-    os.makedirs(run_dir, exist_ok=True)
     monitor = PlateauDecay(cfg.lr, cfg.plateau_patience_epochs, cfg.max_epochs)
     step = epochs_done = 0
     if resumed:

@@ -6,17 +6,20 @@ import gc
 import json
 import os
 import re
+import struct
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
 
-from skullsynth import FORMAT_VERSION, cut, lapsrn
+from skullsynth import FORMAT_VERSION, cut, lapsrn, training
 from skullsynth.augment import AugmentationConfig
 from skullsynth.checkpoint import load_checkpoint, restore_state, save_checkpoint, save_state
 from skullsynth.engine.layers import Module
 from skullsynth.engine.optim import SGD, Adam, PlateauDecay
 from skullsynth.engine.tensor import Tensor
+from skullsynth.volume_io import UNIT, Volume
 
 
 class _Unpicklable:
@@ -41,8 +44,8 @@ def test_failed_write_keeps_previous_file(tmp_path, rng):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cut_epoch0001.npz"]
 
 
-@pytest.mark.parametrize("module,name", [(cut, "cut_epoch0003.npz"), (lapsrn, "sr_epoch0003.npz")])
-def test_save_in_progress_is_invisible_to_resume(tmp_path, monkeypatch, module, name):
+@pytest.mark.parametrize("prefix,name", [("cut", "cut_epoch0003.npz"), ("sr", "sr_epoch0003.npz")])
+def test_save_in_progress_is_invisible_to_resume(tmp_path, monkeypatch, prefix, name):
     real_savez = np.savez
     in_progress = []
 
@@ -50,12 +53,12 @@ def test_save_in_progress_is_invisible_to_resume(tmp_path, monkeypatch, module, 
         real_savez(fh, **payload)
         in_progress.extend(os.listdir(tmp_path))
         with pytest.raises(FileNotFoundError):
-            module.latest_checkpoint(tmp_path)
+            training.latest_checkpoint(tmp_path, prefix)
 
     monkeypatch.setattr(np, "savez", savez)
     save_checkpoint(tmp_path / name, {}, {"w": np.zeros(2)})
     assert in_progress == [name + ".tmp"]
-    assert module.latest_checkpoint(tmp_path) == str(tmp_path / name)
+    assert training.latest_checkpoint(tmp_path, prefix) == str(tmp_path / name)
 
 
 def test_format_version_mismatch_raises(tmp_path):
@@ -199,6 +202,31 @@ def test_other_trainers_checkpoint_is_refused(tmp_path, saved, loaded):
     TRAINERS[saved][0](path)
     with pytest.raises(ValueError, match="is not a"):
         TRAINERS[loaded][1](path)
+
+
+def _corrupt(path, key):
+    """Flip the last byte of the array `key` inside the .npz at `path`, so
+    reading that array, and no other, fails its zip CRC check."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(key + ".npy")
+    with open(path, "r+b") as fh:
+        fh.seek(info.header_offset + 26)  # the local header's name and extra lengths
+        name_len, extra_len = struct.unpack("<HH", fh.read(4))
+        fh.seek(info.header_offset + 30 + name_len + extra_len + info.compress_size - 1)
+        last = fh.read(1)[0]
+        fh.seek(-1, os.SEEK_CUR)
+        fh.write(bytes([last ^ 0xFF]))
+
+
+def test_translate_reads_only_the_generators_arrays(tmp_path, rng):
+    path = tmp_path / "cut.npz"
+    _tiny_cut(path)
+    mr = Volume(rng.random((4, 4, 4)), (1.0,) * 3, UNIT)
+    want = cut.translate(cut.load_cut_checkpoint(path), mr).data
+    _corrupt(path, "param/d/final.weight")
+    np.testing.assert_array_equal(cut.translate(path, mr).data, want)
+    with pytest.raises(ValueError, match=re.escape(f"corrupt or unreadable checkpoint {path}")):
+        cut.load_cut_checkpoint(path)
 
 
 def _first(arrays, prefix):

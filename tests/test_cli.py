@@ -160,6 +160,54 @@ def test_resume_names_the_changed_setting_and_both_values(phantoms, tmp_path, ca
     assert "GeneratorSpec.base_filters=3" in err and "the checkpoint's is 2" in err
 
 
+@pytest.mark.parametrize("prefix,changed", [("cut", {"cut.base_filters": 3}),
+                                             ("sr", {"lapsrn.filters": 3})], ids=["cut", "sr"])
+def test_refused_resume_leaves_the_run_dir_as_it_was(phantoms, tmp_path, prefix, changed):
+    assert main(_resume(str(tmp_path), str(phantoms), prefix)) == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    assert "config.ini" in before
+    assert main(_resume(str(tmp_path), str(phantoms), prefix, changed)) == 1
+    assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
+
+
+# the run record of format 3 for TINY_RUN's networks: metadata keys, then
+# parameter arrays and each optimizer's parameter count
+RECORDS = {
+    "cut": ({"discriminator_spec", "epoch", "format_version", "generator_spec", "kind",
+             "monitor", "nce_config", "optimizers", "projector_spec", "step", "tap_ids",
+             "train_config"},
+            {"d": ("convs.0.bias", "convs.0.weight", "convs.1.bias", "convs.1.weight",
+                   "final.bias", "final.weight", "norms.0.beta", "norms.0.gamma"),
+             "f": ("mlps.0.bias", "mlps.0.weight", "mlps.1.bias", "mlps.1.weight",
+                   "mlps.2.bias", "mlps.2.weight"),
+             "g": ("blocks.0.conv1.bias", "blocks.0.conv1.weight", "blocks.0.conv2.bias",
+                   "blocks.0.conv2.weight", "blocks.0.norm1.beta", "blocks.0.norm1.gamma",
+                   "blocks.0.norm2.beta", "blocks.0.norm2.gamma", "down_norms.0.beta",
+                   "down_norms.0.gamma", "downs.0.bias", "downs.0.weight", "head.bias",
+                   "head.weight", "stem.bias", "stem.weight", "stem_norm.beta",
+                   "stem_norm.gamma", "up_norms.0.beta", "up_norms.0.gamma", "ups.0.bias",
+                   "ups.0.weight")},
+            {"opt_d": (("m", "v"), 8), "opt_g": (("m", "v"), 28)}),
+    "sr": ({"epoch", "format_version", "kind", "monitor", "optimizers", "pyramid_spec", "step",
+            "train_config"},
+           {"net": tuple(f"levels.0.{layer}.{p}" for layer in (
+               "feat_convs.0", "feat_head", "feat_up", "recon_convs.0", "recon_up")
+               for p in ("bias", "weight"))},
+           {"opt": (("buf",), 10)}),
+}
+
+
+@pytest.mark.parametrize("prefix", list(RECORDS))
+def test_checkpoint_record_is_pinned(phantoms, prefix):
+    meta_keys, params, opts = RECORDS[prefix]
+    meta, arrays = ckpt_io.load_checkpoint(phantoms / "run" / f"{prefix}_final.npz")
+    assert set(meta) == meta_keys
+    assert set(arrays) == (
+        {f"param/{net}/{name}" for net, names in params.items() for name in names}
+        | {f"opt/{opt}/{slot}/{i}" for opt, (slots, n) in opts.items()
+           for slot in slots for i in range(n)})
+
+
 def test_cli_import_leaves_scipy_submodules_unloaded():
     """`scipy.ndimage` and `scipy.spatial` load only when augmentation or
     surface Dice runs, not with the CLI."""

@@ -9,7 +9,6 @@ from skullsynth.config import (
     default_config,
     dump_config,
     load_config,
-    save_config,
     segmentation_settings,
     sr_settings,
 )
@@ -146,7 +145,7 @@ def test_dump_then_load_round_trips(tmp_path):
         "data.resample_shape=8,8,16", "run.output_dir=runs/x", "postprocess.structuring_element=ball",
     ])
     path = tmp_path / "config.ini"
-    save_config(cfg, str(path))
+    path.write_text(dump_config(cfg), encoding="utf-8")
     again = load_config(str(path))
     assert again == cfg
     assert dump_config(again) == dump_config(cfg)
@@ -154,7 +153,7 @@ def test_dump_then_load_round_trips(tmp_path):
 
 def test_defaults_round_trip(tmp_path):
     path = tmp_path / "config.ini"
-    save_config(default_config(), str(path))
+    path.write_text(dump_config(default_config()), encoding="utf-8")
     assert load_config(str(path)) == default_config()
 
 

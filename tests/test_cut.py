@@ -9,6 +9,7 @@ import pytest
 import scipy.special
 
 from skullsynth import checkpoint as ckpt_io
+from skullsynth import training
 from skullsynth.cut import (
     CSV_COLUMNS,
     CutTrainConfig,
@@ -23,7 +24,6 @@ from skullsynth.cut import (
     build_networks,
     cut_total_loss,
     gan_losses,
-    latest_checkpoint,
     load_cut_checkpoint,
     nce_from_stacks,
     project_features,
@@ -497,7 +497,7 @@ class TestTrainLoop:
                   p_spec=TINY_P, nce_cfg=TINY_NCE, run_dir=str(part_dir))
         final, _ = train_cut(
             mrs, cts, fast_cfg(max_epochs=4), run_dir=str(part_dir),
-            resume_from=latest_checkpoint(str(part_dir)),
+            resume_from=training.latest_checkpoint(str(part_dir), "cut"),
         )
         a = load_cut_checkpoint(str(full_dir / "cut_final.npz"))
         b = load_cut_checkpoint(final)

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skullsynth import checkpoint as ckpt_io
-from skullsynth import lapsrn
+from skullsynth import lapsrn, training
 from skullsynth.lapsrn import (
     CSV_COLUMNS,
     PyramidSpec,
     SRTrainConfig,
     build_sr_net,
-    latest_checkpoint,
     load_sr_checkpoint,
     super_resolve,
     train_lapsrn,
@@ -64,7 +63,7 @@ class TestTrainLoop:
         assert tuple(header) == CSV_COLUMNS
         assert (tmp_path / "sr_epoch0001.npz").exists()
         assert (tmp_path / "sr_epoch0002.npz").exists()
-        assert latest_checkpoint(str(tmp_path)) == str(tmp_path / "sr_epoch0002.npz")
+        assert training.latest_checkpoint(str(tmp_path), "sr") == str(tmp_path / "sr_epoch0002.npz")
 
     def test_rejects_bad_inputs(self, tmp_path, rng):
         with pytest.raises(ValueError, match="at least one"):
@@ -106,7 +105,7 @@ class TestTrainLoop:
         train(hr_set, part_dir, fast_cfg(max_epochs=2))
         final, rows = train(
             hr_set, resumed_dir, fast_cfg(max_epochs=4),
-            resume_from=latest_checkpoint(str(part_dir)),
+            resume_from=training.latest_checkpoint(str(part_dir), "sr"),
         )
         assert [r[0] for r in rows] == list(range(9, 17))
         a = load_sr_checkpoint(str(full_dir / "sr_final.npz"))
@@ -199,3 +198,12 @@ class TestReceptiveRadius:
             super_resolve(state, vol, core_size=3)
         # an explicit halo is an unchecked override
         assert super_resolve(state, vol, core_size=3, halo=0).data.shape == (12, 12, 12)
+
+
+@pytest.mark.parametrize("filters", [4, 64])
+def test_untrained_net_is_its_trilinear_path(filters):
+    """The residual head starts at zero, so before training the net adds no
+    detail to its upsampling branch, an exact edge-clamped trilinear one."""
+    vol = Volume(np.random.default_rng(3).random((8, 8, 8)), (1.0,) * 3, UNIT)
+    sr = build_sr_net(PyramidSpec(filters=filters), seed=0)(vol.data)[-1].data[0]
+    np.testing.assert_allclose(sr, lapsrn.trilinear_baseline(vol).data, rtol=0, atol=1e-6)

@@ -1,6 +1,6 @@
-"""Every public module-level function and class of the package is used by code
-in the package or the benchmark outside its own definition, so code that only
-tests run does not build up.
+"""Every module-level function and class of the package, public or private, is
+used by code in the package or the benchmark outside its own definition, so
+code that only tests run, or that nothing runs, does not build up.
 
 A name counts as used only where it is bound to its own module: referenced as
 ``<its module>.name`` (import aliases resolved), imported with ``from <its
@@ -81,14 +81,16 @@ def _statements():
             yield path, module, stmt, names, set() if path.is_relative_to(PACKAGE) else strings
 
 
-def test_every_public_name_has_a_caller():
+def _uncalled(private):
+    """The package's module-level functions and classes, public or private
+    ones, that no statement but their own definition uses."""
     statements = list(_statements())
-    uncalled = [
+    return [
         f"{path.relative_to(PACKAGE)}:{stmt.name}"
         for path, module, stmt, _, _ in statements
         if path.is_relative_to(PACKAGE)
         and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not stmt.name.startswith("_")
+        and stmt.name.startswith("_") == private
         and stmt.name not in ALLOWED
         and not any(
             f"{module}.{stmt.name}" in names or stmt.name in strings
@@ -96,4 +98,11 @@ def test_every_public_name_has_a_caller():
             if other is not stmt
         )
     ]
-    assert uncalled == []
+
+
+def test_every_public_name_has_a_caller():
+    assert _uncalled(private=False) == []
+
+
+def test_every_private_helper_has_a_caller():
+    assert _uncalled(private=True) == []
