@@ -25,7 +25,8 @@ code that knows the trainers' run record, format version 3:
 
 Each trainer names the metadata key and type of its settings and one
 function that builds its networks and optimizers from them; `load_run` builds
-them from the file's settings and restores their arrays.  `restore_state`
+them from the file's settings, or from the caller's training config in place
+of the file's, and restores their arrays.  `restore_state`
 checks every array's shape against its parameter and every optimizer's kind,
 refuses missing and unexpected arrays, and casts each array to its
 parameter's dtype, so a format-3 file written in float64 loads into float32
@@ -143,17 +144,21 @@ def save_run(path, kind, keys, settings, step, epoch, monitor, modules, optimize
     save_state(path, meta, modules, optimizers)
 
 
-def load_run(path, kind, keys, build, prefix=""):
+def load_run(path, kind, keys, build, prefix="", cfg=None):
     """The run record `save_run` wrote, as one dict: the networks, optimizers
     and settings that ``build(*settings)`` returns, with `step`, `epoch` and
     `monitor`.  Each setting is ``type(**meta[key])`` for the (key, type)
-    pairs of `keys`, in order; with `prefix`, only the arrays under it are
-    read, and `build` must build just the networks they hold."""
+    pairs of `keys`, in order; `cfg`, if given, takes the place of the first,
+    the training config.  With `prefix`, only the arrays under it are read,
+    and `build` must build just the networks they hold."""
     meta, arrays = load_checkpoint(path, prefix)
     if meta.get("kind") != kind:
         raise ValueError(f"{path} is not a {kind!r} checkpoint (kind={meta.get('kind')!r})")
     try:
-        modules, optimizers, settings = build(*(read(**meta[key]) for key, read in keys.values()))
+        stored = [read(**meta[key]) for key, read in keys.values()]
+        if cfg is not None:
+            stored[0] = cfg
+        modules, optimizers, settings = build(*stored)
         restore_state(meta, arrays, modules, optimizers)
         return {**modules, **optimizers, **settings, "step": int(meta["step"]),
                 "epoch": int(meta["epoch"]), "monitor": meta["monitor"]}

@@ -417,8 +417,8 @@ def save_cut_checkpoint(path, g, d, f, opt_d, opt_g, cfg, g_spec, d_spec, p_spec
                      {"opt_d": opt_d, "opt_g": opt_g})
 
 
-def load_cut_checkpoint(path):
-    return ckpt_io.load_run(path, "cut", _SETTINGS, _build)
+def load_cut_checkpoint(path, cfg=None):
+    return ckpt_io.load_run(path, "cut", _SETTINGS, _build, cfg=cfg)
 
 
 def train_cut(mr_set, ct_set, cfg: CutTrainConfig,

@@ -7,12 +7,13 @@ Convolution results, and every buffer they are built in, follow the
 operands' dtype: float32 operands run in float32 (sgemm), float64 ones in
 float64 (dgemm).
 
-Convolution forward and input-gradient passes are gathers followed by BLAS
-matrix multiplies.  Each output voxel owns one column that stacks the
-inputs under its kernel window; the columns go through ``np.matmul`` in
-blocks of BLOCK voxels, the last block padded, and the contraction is padded
-with zero rows to a multiple of K_ALIGN.  So every GEMM has a shape set by
-the layer alone (rows, contraction, BLOCK), never by the volume:
+Convolution input-gradient passes, and forward passes that do not take the
+kn2row path below, are gathers followed by BLAS matrix multiplies.  Each
+output voxel owns one column that stacks the inputs under its kernel window;
+the columns go through ``np.matmul`` in blocks of BLOCK voxels, the last
+block padded, and the contraction is padded with zero rows to a multiple of
+K_ALIGN.  So every GEMM has a shape set by the layer alone (rows,
+contraction, BLOCK), never by the volume:
 
 * A voxel's value depends only on its own column.  A crop of a volume
   therefore reproduces the whole-volume bits at every voxel whose window
@@ -23,23 +24,68 @@ the layer alone (rows, contraction, BLOCK), never by the volume:
   thread than with several unless the length is a multiple of 32, so the
   padding keeps the bits independent of the BLAS thread count.
 
+A conv forward with fewer output than input channels multiplies first and
+shifts after instead (kn2row; Vasudevan, Anderson and Gregg 2017,
+arXiv:1704.04428).  In the three networks these are exactly the heads: the
+SR level's, the generator's and the discriminator's, each to one channel.
+Their columns would copy k^3 * C_in inputs per output voxel for a GEMM of
+one row.  kn2row instead takes each input voxel's channel vector, through
+one GEMM against the (k^3 * C_out, C_in) matrix of every tap's weights, to
+k^3 partial maps, and adds the k^3 shifted maps into the output.  Its GEMMs
+are (rows, contraction, BLOCK) blocks set by the layer too, with the C_in
+contraction padded to K_ALIGN, and each output voxel adds its k^3 terms in
+(a, b, c) tap order from zero.  So its bits follow neither the crop nor the
+thread count, for the same two reasons as above; they differ from the
+gather's, which sums in another order.
+
 Columns are built a group of planes or rows at a time, so the column buffer
-stays near GROUP_ELEMS entries whatever the volume.  Weight gradients are
-one GEMM per tap that contracts over the output voxels; that contraction is
-zero-padded to a multiple of K_ALIGN too, so their bits do not depend on the
-BLAS thread count either.  Every kernel accumulates in a fixed order, so
-repeated calls are bitwise reproducible.
+stays near GROUP_ELEMS entries whatever the volume.  kn2row builds its
+partial maps, and the copy of the input they come from, a group of input
+planes or rows at a time within the same GROUP_ELEMS entries, and keeps no
+padded copy of the input: beside the output it holds one output-sized
+accumulator, whose rows are as wide as the padded input.
+
+Weight gradients are one GEMM per tap that contracts over the output
+voxels; that contraction is zero-padded to a multiple of K_ALIGN too, so
+their bits do not depend on the BLAS thread count either.  Every kernel
+accumulates in a fixed order, so repeated calls are bitwise reproducible.
 """
 
 import numpy as np
 
 BLOCK = 256  # output voxels per GEMM column block
-GROUP_ELEMS = 1 << 18  # column-matrix entries built per batched GEMM call
+GROUP_ELEMS = 1 << 18  # buffer entries (columns, or maps and input) per batched GEMM call
 K_ALIGN = 32  # contraction lengths are padded to a multiple of this
 
 
 def _out_dim(d, k, stride, pad):
     return (d + 2 * pad - k) // stride + 1
+
+
+def _groups(nz, ny, nx, cap):
+    """An (nz, ny, nx) grid cut into (z0, z1, y0, y1) groups of whole planes,
+    or of rows of one plane when a plane exceeds `cap` voxels, each of at most
+    `cap` voxels when a row fits; and the largest group's size padded to
+    whole BLOCKs."""
+    if ny * nx <= cap:
+        step = cap // (ny * nx)
+        groups = [(z, min(z + step, nz), 0, ny) for z in range(0, nz, step)]
+    else:
+        step = max(1, cap // nx)
+        groups = [(z, z + 1, y, min(y + step, ny)) for z in range(nz) for y in range(0, ny, step)]
+    z0, z1, y0, y1 = groups[0]
+    return groups, -(-(z1 - z0) * (y1 - y0) * nx // BLOCK) * BLOCK
+
+
+def _block_gemm(a, cols, res, n):
+    """``res[:, :n] = a @ cols[:, :n]``, one GEMM per block of BLOCK columns
+    and the last block padded, so every GEMM's shape is set by ``a``."""
+    nb = -(-n // BLOCK)
+    np.matmul(
+        a,
+        cols[:, : nb * BLOCK].reshape(len(cols), nb, BLOCK).transpose(1, 0, 2),
+        out=res[:, : nb * BLOCK].reshape(len(res), nb, BLOCK).transpose(1, 0, 2),
+    )
 
 
 def _gather_gemm(w2, windows, out):
@@ -56,16 +102,7 @@ def _gather_gemm(w2, windows, out):
     lead, (nz, ny, nx) = out.shape[:-3], out.shape[-3:]
     if not out.size:
         return out
-    cap = max(1, GROUP_ELEMS // (kk * BLOCK)) * BLOCK
-    if ny * nx <= cap:
-        step = cap // (ny * nx)
-        pieces = [(slice(z, min(z + step, nz)), slice(0, ny)) for z in range(0, nz, step)]
-    else:
-        step = max(1, cap // nx)
-        pieces = [(slice(z, z + 1), slice(y, min(y + step, ny)))
-                  for z in range(nz) for y in range(0, ny, step)]
-    zs, ys = pieces[0]
-    width = -(-(zs.stop - zs.start) * (ys.stop - ys.start) * nx // BLOCK) * BLOCK
+    groups, width = _groups(nz, ny, nx, max(1, GROUP_ELEMS // (kk * BLOCK)) * BLOCK)
     # Zero rows take the contraction to a multiple of K_ALIGN.  Padding
     # columns hold zeros or an earlier group's entries; their results are
     # dropped.
@@ -76,17 +113,12 @@ def _gather_gemm(w2, windows, out):
     taps = windows.shape[:4]
     cols_taps = cols[:kk].reshape(taps + (width,))
     res = np.empty((m, width), dtype=np.result_type(wp, cols))
-    for zs, ys in pieces:
-        shape = (zs.stop - zs.start, ys.stop - ys.start, nx)
+    for z0, z1, y0, y1 in groups:
+        shape = (z1 - z0, y1 - y0, nx)
         n = shape[0] * shape[1] * nx
-        nb = -(-n // BLOCK)
-        cols_taps[..., :n].reshape(taps + shape)[...] = windows[..., zs, ys, :]
-        np.matmul(
-            wp,
-            cols[:, : nb * BLOCK].reshape(kp, nb, BLOCK).transpose(1, 0, 2),
-            out=res[:, : nb * BLOCK].reshape(m, nb, BLOCK).transpose(1, 0, 2),
-        )
-        out[..., zs, ys, :] = res[:, :n].reshape(*lead, *shape)
+        cols_taps[..., :n].reshape(taps + shape)[...] = windows[..., z0:z1, y0:y1, :]
+        _block_gemm(wp, cols, res, n)
+        out[..., z0:z1, y0:y1, :] = res[:, :n].reshape(*lead, *shape)
     return out
 
 
@@ -104,8 +136,75 @@ def _phases(a, s):
     return a.reshape(c, d // s, s, h // s, s, w // s, s).transpose(2, 4, 6, 0, 1, 3, 5)
 
 
+def _kn2row(x, w, stride, pad):
+    """Conv forward by multiplying first and shifting after (kn2row).
+
+    One GEMM against the (k^3 * C_out, C_in) matrix of every tap's weights
+    takes each input voxel's channel vector to its k^3 partial maps, and each
+    output voxel adds up the k^3 maps at its window's voxels, in (a, b, c)
+    tap order.  Maps are built a group of whole input planes, or of rows of
+    one plane, at a time: with the group's copy of the input, at most
+    GROUP_ELEMS entries when a row fits.  Groups run in input order, so every
+    output voxel sums its terms in tap order whatever the grouping.
+
+    Rows hold their zero padding along x, so along a row the output sits at
+    one flat offset from the maps: each tap's add is then one long strided
+    run per plane, into an output whose rows are as wide as the padded input.
+    Taps that would read padding along y or z are not added, which leaves the
+    same bits as adding their zero maps would: the sums start at +0.0, so
+    they are never -0.0.
+    """
+    co, ci, k = w.shape[:3]
+    s, p, rows = stride, pad, k**3 * co
+    _, d, h, wd = x.shape
+    nz, ny, nx = (_out_dim(n, k, s, p) for n in (d, h, wd))
+    wp = wd + 2 * p
+    out = np.zeros((co, nz, ny * wp), dtype=np.result_type(x, w))
+    if not out.size or not x.size:
+        return np.zeros((co, nz, ny, nx), dtype=out.dtype)
+    kp = -(-ci // K_ALIGN) * K_ALIGN
+    wt = np.zeros((rows, kp), dtype=w.dtype)
+    wt[:, :ci] = w.transpose(2, 3, 4, 0, 1).reshape(rows, ci)
+    groups, width = _groups(d, h, wp, max(1, GROUP_ELEMS // ((rows + kp) * BLOCK)) * BLOCK)
+    # Zero rows take the contraction to a multiple of K_ALIGN.  Each row's x
+    # padding is never written, so it stays zero; columns past a group's
+    # voxels hold zeros or an earlier group's entries, and their maps are unread.
+    cols = np.zeros((kp, width), dtype=x.dtype)
+    maps = np.empty((rows, width), dtype=out.dtype)
+
+    def reach(lo, hi, tap, n):
+        """The outputs o < n whose tap `tap` reads an input in [lo, hi)."""
+        return max(0, -((tap - p - lo) // s)), min(n, -((tap - p - hi) // s))
+
+    for z0, z1, y0, y1 in groups:
+        shape = (z1 - z0, y1 - y0, wp)
+        n = shape[0] * shape[1] * wp
+        cols[:ci, :n].reshape((ci,) + shape)[..., p : p + wd] = x[:, z0:z1, y0:y1]
+        _block_gemm(wt, cols, maps, n)
+        taps = maps[:, :n].reshape(k, k, k, co, shape[0], shape[1] * wp)
+        for a in range(k):
+            oz0, oz1 = reach(z0, z1, a, nz)
+            if oz0 >= oz1:
+                continue
+            plane_a = taps[a, ..., s * oz0 + a - p - z0 : s * (oz1 - 1) + a - p - z0 + 1 : s, :]
+            for b in range(k):
+                oy0, oy1 = reach(y0, y1, b, ny)
+                if oy0 >= oy1:
+                    continue
+                # output (y, x) sits at flat f = y * wp + x, and its tap
+                # (b, c) at flat s * f + (b - p - y0) * wp + c of the maps
+                f0, f1 = oy0 * wp, (oy1 - 1) * wp + nx
+                acc = out[:, oz0:oz1, f0:f1]
+                lo = s * f0 + (b - p - y0) * wp
+                for c, tap in enumerate(plane_a[b]):
+                    np.add(acc, tap[..., lo + c : lo + c + s * (f1 - f0 - 1) + 1 : s], out=acc)
+    return np.ascontiguousarray(out.reshape(co, nz, ny, wp)[..., :nx])
+
+
 def _conv_forward(x, w, stride, pad):
     co, ci, k = w.shape[:3]
+    if co < ci:
+        return _kn2row(x, w, stride, pad)
     out = tuple(_out_dim(n, k, stride, pad) for n in x.shape[1:])
     windows = _windows(np.pad(x, ((0, 0),) + ((pad, pad),) * 3), k, stride)
     y = np.empty((co,) + out, dtype=np.result_type(x, w))

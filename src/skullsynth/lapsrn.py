@@ -233,8 +233,8 @@ def save_sr_checkpoint(path, net, opt, cfg, spec, step, epoch, monitor):
                      {"net": net}, {"opt": opt})
 
 
-def load_sr_checkpoint(path):
-    return ckpt_io.load_run(path, "lapsrn", _SETTINGS, _build)
+def load_sr_checkpoint(path, cfg=None):
+    return ckpt_io.load_run(path, "lapsrn", _SETTINGS, _build, cfg=cfg)
 
 
 def _epoch_microbatches(hr_set, cfg, spec, epoch):

@@ -34,13 +34,15 @@ def start(run_dir, prefix, keys, build, load, cfg, given, resume_from=None, conf
     `checkpoint.load_run` returns.
 
     `keys` and `build` are the trainer's record (see `checkpoint`) and `load`
-    its loader; `cfg` is its first setting and `given` the others, None for
-    their defaults.  A fresh run builds ``build(cfg, *given)``.  `resume_from`
-    is a checkpoint path, or "latest" for the run dir's last epoch checkpoint;
-    a resume trains the networks and optimizers stored there, so each of
-    `given` that is not None must equal the stored setting.  Raises ValueError
-    naming the field otherwise.  Only then is `config_ini`, if given, written
-    as the run dir's ``config.ini``.
+    its loader; `cfg` is its first setting, the training config, and `given`
+    the others, None for their defaults.  A fresh run builds
+    ``build(cfg, *given)``.  `resume_from` is a checkpoint path, or "latest"
+    for the run dir's last epoch checkpoint.  A resume trains the networks
+    and optimizer state stored there, with optimizers built from `cfg`, which
+    the run's checkpoints record, and the stored settings for the rest: each
+    of `given` that is not None must equal its stored setting.  Raises
+    ValueError naming the field otherwise.  Only then is `config_ini`, if
+    given, written as the run dir's ``config.ini``.
     """
     names = list(keys)[1:]  # the setting each of `given` is
     if resume_from is None:
@@ -51,7 +53,7 @@ def start(run_dir, prefix, keys, build, load, cfg, given, resume_from=None, conf
         path = latest_checkpoint(run_dir, prefix) if resume_from == "latest" else resume_from
         if not os.path.isfile(path):
             raise FileNotFoundError(path)
-        state = load(path)
+        state = load(path, cfg)
         for want, name in zip(given, names):
             if want is None:
                 continue

@@ -5,6 +5,7 @@ finite differences, optimizers against textbook reference updates."""
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,15 +46,45 @@ def conv_oracle(x, w, stride, pad):
     return out[:, ::stride, ::stride, ::stride]
 
 
+# Each (stride, pad, k) setting with 3 -> 4 channels, which take the gather
+# path, and with C_out < C_in, which take the kn2row path; the 3 -> 4 cases
+# keep their old ids.
+FORWARD_CASES = [
+    pytest.param(
+        stride, pad, k, c_in, c_out,
+        id=f"{stride}-{pad}-{k}" + ("" if (c_in, c_out) == (3, 4) else f"-{c_in}to{c_out}"),
+    )
+    for c_in, c_out in ((3, 4), (5, 1), (6, 2))
+    for stride, pad, k in ((1, 0, 3), (1, 1, 3), (2, 1, 4), (2, 1, 3))
+]
+
+
 class TestConvKernels:
     @NUMPY_ID
-    @pytest.mark.parametrize("stride,pad,k", [(1, 0, 3), (1, 1, 3), (2, 1, 4), (2, 1, 3)])
-    def test_forward_matches_scipy(self, stride, pad, k, rng):
-        x = rng.normal(size=(3, 7, 6, 8))
-        w = rng.normal(size=(4, 3, k, k, k))
+    @pytest.mark.parametrize("stride,pad,k,c_in,c_out", FORWARD_CASES)
+    def test_forward_matches_scipy(self, stride, pad, k, c_in, c_out, rng):
+        x = rng.normal(size=(c_in, 7, 6, 8))
+        w = rng.normal(size=(c_out, c_in, k, k, k))
         got = kernels.conv3d_forward(x, w, stride, pad)
         want = conv_oracle(x, w, stride, pad)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_one_channel_forward_holds_one_group_of_maps(self, rng):
+        # The kn2row path keeps no padded copy of the input.  Beside the
+        # output it holds an accumulator of the output's size, with rows as
+        # wide as the padded input, and at most GROUP_ELEMS entries of partial
+        # maps and input copy, whatever the volume.
+        x = rng.normal(size=(16, 58, 58, 58)).astype(np.float32)
+        w = rng.normal(size=(1, 16, 3, 3, 3)).astype(np.float32)
+        bound = (58 * 58 * 60 + 58**3 + kernels.GROUP_ELEMS) * x.itemsize
+        tracemalloc.start()
+        try:
+            y = kernels.conv3d_forward(x, w, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (1, 58, 58, 58) and y.dtype == np.float32
+        assert peak <= bound, (peak, bound)
 
     @NUMPY_ID
     @pytest.mark.parametrize("stride,pad,k", [(1, 1, 3), (2, 1, 4)])
@@ -125,7 +156,8 @@ TCONV_INTERIOR = tuple(slice(2 * a + 1, 2 * b - 1) for a, b in BIT_CROP)
 # the dtype named by the first argument.  At 56 channels the GEMMs are large
 # enough to run threaded, and the contractions 56*27 and 56*8, and the
 # weight gradients' 10*9*11 voxels, are longer than one OpenBLAS K chunk
-# without being multiples of 32, in dgemm and in sgemm.
+# without being multiples of 32, in dgemm and in sgemm.  The 56 -> 1 forwards
+# take the kn2row path, whose contraction is the 56 channels.
 THREAD_SCRIPT = """
 import hashlib
 import sys
@@ -145,6 +177,8 @@ outs = [
 outs += [
     kernels.conv3d_backward_weight(x, x, 3, 1, 1),
     kernels.tconv3d_backward_weight(outs[3], x, 4, 2, 1),
+    kernels.conv3d_forward(x, rng.normal(size=(1, 56, 3, 3, 3)).astype(dtype), 1, 1),
+    kernels.conv3d_forward(x, rng.normal(size=(1, 56, 4, 4, 4)).astype(dtype), 1, 1),
 ]
 assert all(o.dtype == dtype for o in outs)
 print(hashlib.sha256(b"".join(o.tobytes() for o in outs)).hexdigest())
@@ -158,7 +192,7 @@ class TestConvBitContract:
     and a rerun on another machine on bits that do not follow the thread count."""
 
     @pytest.mark.parametrize("c_in,c_out", [(1, 16), (16, 16), (16, 1), (48, 48), (64, 64),
-                                            (128, 128)])
+                                            (64, 1), (128, 128)])
     def test_crop_interior_equals_whole_volume(self, c_in, c_out, rng):
         crop = (slice(None),) + tuple(slice(a, b) for a, b in BIT_CROP)
         inner = (slice(None),) + (slice(1, -1),) * 3
@@ -174,6 +208,17 @@ class TestConvBitContract:
             part = kernels.tconv3d_forward(np.ascontiguousarray(x[crop]), wt, 2, 1)
             assert whole.dtype == dtype
             np.testing.assert_array_equal(part[inner], whole[(slice(None),) + TCONV_INTERIOR])
+
+    def test_kn2row_bits_do_not_depend_on_the_grouping(self, rng, monkeypatch):
+        # Planes too large for one group of partial maps are built a few rows
+        # at a time, smaller ones, such as a crop's, whole planes at a time.
+        # Each output voxel must sum its taps in one order either way, or a
+        # crop would not give the whole volume's bits.
+        x = rng.normal(size=(16, 5, 20, 20)).astype(np.float32)
+        w = rng.normal(size=(1, 16, 3, 3, 3)).astype(np.float32)
+        by_planes = kernels.conv3d_forward(x, w, 1, 1)
+        monkeypatch.setattr(kernels, "GROUP_ELEMS", 1)  # 256 voxels: 11 padded rows
+        np.testing.assert_array_equal(kernels.conv3d_forward(x, w, 1, 1), by_planes)
 
     def test_bits_do_not_depend_on_blas_threads(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(skullsynth.__file__)))

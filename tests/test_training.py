@@ -47,6 +47,25 @@ TRAINERS = {"cut": train_cut, "sr": train_sr}
 STEP_CALLEES = {"cut": (cut, "gan_losses"), "sr": (lapsrn, "charbonnier_loss")}
 
 
+# an optimizer setting of each trainer's config: its value for the first
+# epoch, and for a resume
+OPTIMIZER_SETTINGS = {"cut": ("adam_beta1", 0.5, 0.9), "sr": ("momentum", 0.9, 0.5)}
+
+
+@pytest.mark.parametrize("prefix", ["cut", "sr"])
+def test_resume_trains_with_the_callers_optimizer_settings(prefix, tmp_path):
+    train, (name, first, then) = TRAINERS[prefix], OPTIMIZER_SETTINGS[prefix]
+    same, _ = train(tmp_path / "same", max_epochs=2, **{name: first})
+    train(tmp_path / "part", max_epochs=1, **{name: first})
+    resumed, _ = train(tmp_path / "part", max_epochs=2, **{name: then},
+                       resume_from=str(tmp_path / "part" / f"{prefix}_epoch0001.npz"))
+    params = [ckpt_io.load_checkpoint(path, "param/")[1] for path in (same, resumed)]
+    assert params[0].keys() == params[1].keys()
+    assert any(not np.array_equal(params[0][k], params[1][k]) for k in params[0])
+    meta = ckpt_io.load_checkpoint(resumed)[0]
+    assert meta["train_config"][name] == then
+
+
 @pytest.mark.parametrize("prefix", ["cut", "sr"])
 def test_resume_in_same_run_dir_keeps_one_row_per_step(prefix, tmp_path):
     train = TRAINERS[prefix]
