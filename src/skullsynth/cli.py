@@ -19,13 +19,6 @@ from skullsynth import volume_io as vio
 from skullsynth.config import ConfigError
 
 
-def _format(cfg):
-    fmt = cfg["data"]["format"]
-    if fmt not in vio.EXTENSIONS:
-        raise ConfigError(f"unknown volume format {fmt!r}; expected {' or '.join(vio.EXTENSIONS)}")
-    return fmt
-
-
 def _volume_paths(directory, fmt):
     if not os.path.isdir(directory):
         raise FileNotFoundError(directory)
@@ -56,7 +49,7 @@ def _load_dir(directory, fmt):
 
 def cmd_phantom_gen(args, cfg):
     seed = cfg["run"]["seed"]
-    fmt = _format(cfg)
+    fmt = config_mod.data_settings(cfg).format
     ext = vio.EXTENSIONS[fmt][0]
     os.makedirs(args.out, exist_ok=True)
     shape = (args.shape,) * 3
@@ -82,7 +75,8 @@ def cmd_phantom_gen(args, cfg):
 
 
 def cmd_preprocess(args, cfg):
-    fmt = _format(cfg)
+    data = config_mod.data_settings(cfg)
+    fmt = data.format
     paths = _volume_paths(args.in_dir, fmt)
     if not paths:
         raise ConfigError(f"no {fmt} volumes found in {args.in_dir}")
@@ -91,14 +85,13 @@ def cmd_preprocess(args, cfg):
     if all(by_kind.values()):
         paths = by_kind[args.kind]
     os.makedirs(args.out_dir, exist_ok=True)
-    target_shape = cfg["data"]["resample_shape"]
     for path in paths:
         v = vio.load_volume(path, fmt)
         if args.kind == "ct":
-            v = vio.hounsfield_floor(v, cfg["data"]["floor_hu"])
+            v = vio.hounsfield_floor(v, data.floor_hu)
         v = vio.minmax_normalize(v)
-        if target_shape is not None:
-            v = vio.resample(v, target_shape)
+        if data.resample_shape is not None:
+            v = vio.resample(v, data.resample_shape)
         vio.save_volume(v, os.path.join(args.out_dir, os.path.basename(path)), fmt)
     print(f"preprocessed {len(paths)} {args.kind} volume(s) into {args.out_dir}")
     return 0
@@ -106,7 +99,7 @@ def cmd_preprocess(args, cfg):
 
 def cmd_train_cut(args, cfg):
     g_spec, d_spec, p_spec, nce, train_cfg = config_mod.cut_settings(cfg)
-    fmt = _format(cfg)
+    fmt = config_mod.data_settings(cfg).format
     mr_dir = args.mr_dir or cfg["data"]["mr_dir"]
     ct_dir = args.ct_dir or cfg["data"]["ct_dir"]
     if not mr_dir or not ct_dir:
@@ -125,7 +118,7 @@ def cmd_train_cut(args, cfg):
 
 def cmd_train_sr(args, cfg):
     spec, train_cfg = config_mod.sr_settings(cfg)
-    fmt = _format(cfg)
+    fmt = config_mod.data_settings(cfg).format
     hr_dir = args.hr_dir or cfg["data"]["hr_dir"]
     if not hr_dir:
         raise ConfigError("train-sr needs [data] hr_dir (or --hr-dir)")
@@ -142,7 +135,7 @@ def cmd_train_sr(args, cfg):
 
 def cmd_infer(args, cfg):
     params = config_mod.segmentation_settings(cfg)
-    fmt = _format(cfg)
+    fmt = config_mod.data_settings(cfg).format
     ext = vio.EXTENSIONS[fmt][0]
     _require_file(args.mr)
     _require_file(args.cut_ckpt)
@@ -171,7 +164,8 @@ def cmd_infer(args, cfg):
 
 
 def cmd_evaluate(args, cfg):
-    fmt = _format(cfg)
+    tol = config_mod.metrics_settings(cfg).sdsc_tolerance_mm
+    fmt = config_mod.data_settings(cfg).format
     pred_paths = {_case_id(p): p for p in _volume_paths(args.pred_dir, fmt)}
     gt_paths = {_case_id(p): p for p in _volume_paths(args.gt_dir, fmt)}
     if set(pred_paths) != set(gt_paths):
@@ -182,7 +176,6 @@ def cmd_evaluate(args, cfg):
         )
     if not pred_paths:
         raise ConfigError(f"no volumes to evaluate in {args.pred_dir}")
-    tol = cfg["metrics"]["sdsc_tolerance_mm"]
     out_path = args.out or os.path.join(cfg["run"]["output_dir"], "evaluation.csv")
     os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     rows = []

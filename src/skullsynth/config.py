@@ -25,6 +25,7 @@ from skullsynth.cut import (
 )
 from skullsynth.lapsrn import PyramidSpec, SRTrainConfig
 from skullsynth.postprocess import SegmentationParams
+from skullsynth.volume_io import EXTENSIONS
 
 
 class ConfigError(ValueError):
@@ -40,10 +41,22 @@ class DataConfig:
     floor_hu: float = -500.0
     resample_shape: Optional[tuple] = None
 
+    def __post_init__(self):
+        if self.format not in EXTENSIONS:
+            raise ValueError(f"unknown volume format {self.format!r}; "
+                             f"expected {' or '.join(EXTENSIONS)}")
+        shape = self.resample_shape
+        if shape is not None and (len(shape) != 3 or min(shape) < 1):
+            raise ValueError(f"resample_shape must be 3 sizes >= 1, got {shape}")
+
 
 @dataclasses.dataclass
 class MetricsConfig:
     sdsc_tolerance_mm: float = 1.0
+
+    def __post_init__(self):
+        if not self.sdsc_tolerance_mm >= 0:
+            raise ValueError("sdsc_tolerance_mm must be >= 0")
 
 
 @dataclasses.dataclass
@@ -222,3 +235,11 @@ def sr_settings(cfg):
 
 def segmentation_settings(cfg):
     return _build(SegmentationParams, cfg["postprocess"])
+
+
+def data_settings(cfg):
+    return _build(DataConfig, cfg["data"])
+
+
+def metrics_settings(cfg):
+    return _build(MetricsConfig, cfg["metrics"])

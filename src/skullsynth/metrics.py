@@ -1,23 +1,27 @@
 """Evaluation metrics: volumetric Dice, surface Dice at a mm tolerance, PSNR.
 
 Surface Dice (Nikolov et al. 2018, arXiv:1809.04430) is the fraction of the
-two masks' boundary voxels that lie within the tolerance of the other mask's
-boundary.  Only boundary voxels and distances up to the tolerance matter, so
-no distance map of the volume is built.  A voxel on both boundaries is 0 mm
-from the other one.  For each other voxel, a k-d tree over the other
-boundary's voxel positions in mm (Bentley 1975) returns its nearest neighbour
-no farther than just above the tolerance.  That neighbour's distance is
-recomputed from integer index differences as scipy's Euclidean distance
-transform computes it, ``sqrt(sum((d_i * s_i)**2))`` summed in axis order,
-and compared with the tolerance.  Neighbours at the same exact distance can
-compute an ulp apart, so a voxel the recheck refuses is checked against every
-neighbour in reach.  The cost grows with the boundary, not with the volume or
-the tolerance.
+two masks' boundary voxels within the tolerance of the other boundary: those
+of one boundary met by the other dilated (`kernels.dilate`) by every voxel
+step no longer than the tolerance.  Each step's length is computed once, as
+scipy's Euclidean distance transform computes it, ``sqrt(sum((d_i * s_i)**2))``
+summed in axis order, so ties need no recheck.
+
+The cost is one pass over the volume per step and direction: it grows with
+the tolerance, not with the boundary.  Two 128^3 skull masks at 1 mm voxels
+(perfbench ``mask_eval``, seed 0; range of 5 calls, 2-core VM), against the
+bounded k-d tree query this replaced:
+
+    tolerance        steps  k-d tree     dilation
+    1 mm (default)     7    105-113 ms    45-49 ms
+    2 mm              33    105-114 ms    70-73 ms
+    3 mm             123    102-113 ms   161-173 ms
+    5 mm             515    104-118 ms   539-600 ms
 
 Two whole-volume distance transforms are the test oracle
-(tests/test_metrics.py).  They agree except at such ties: the transform can
-keep the neighbour whose computed distance is an ulp larger, and so refuse a
-voxel at a tolerance that falls between the two values.
+(tests/test_metrics.py).  They agree except at ties: the transform can keep
+the neighbour whose computed distance is an ulp larger, and so refuse a voxel
+at a tolerance that falls between the two values.
 """
 
 import numpy as np
@@ -50,47 +54,23 @@ def _surface(mask):
     return mask & ~eroded
 
 
-def _distances(src, dst, spacing):
-    """mm distances from voxels `src` to voxels `dst` (index arrays of the
-    same shape), in the distance transform's arithmetic."""
-    step = (dst - src) * spacing
-    step *= step
-    squared = step[..., 0].copy()
-    for axis in range(1, step.shape[-1]):
-        squared += step[..., axis]
-    return np.sqrt(squared)
+def _lengths(steps, spacing):
+    """mm lengths of voxel steps (..., ndim), in the distance transform's arithmetic."""
+    return np.sqrt(sum((steps[..., axis] * s) ** 2 for axis, s in enumerate(spacing)))
 
 
-def _within(src, dst, tol_mm, spacing) -> int:
-    """How many of the voxels `src` (an (n, ndim) index array) lie within
-    tol_mm of some voxel of `dst`, at voxel size `spacing` (mm per axis)."""
-    if not len(src):
-        return 0
-    # imported here: scipy.spatial adds about 10 MB of RSS and 0.1 s to every
-    # process that imports this module, and most never score a mask
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(dst * spacing, balanced_tree=False, compact_nodes=False)
-    # the tree's distances round differently from `_distances`; the margin
-    # only lets it return a neighbour that the recheck may still refuse
-    reach = tol_mm + 1e-6
-    _, nearest = tree.query(src * spacing, k=1, distance_upper_bound=reach)
-    found = np.flatnonzero(nearest < len(dst))
-    close = _distances(src[found], dst[nearest[found]], spacing) <= tol_mm
-    ok = int(close.sum())
-    # the tree may have returned the larger of two tied neighbours
-    tied = found[~close]
-    if len(tied):
-        balls = tree.query_ball_point(src[tied] * spacing, reach)
-        owner = np.repeat(np.arange(len(tied)), [len(ball) for ball in balls])
-        hits = _distances(src[tied[owner]], dst[np.concatenate(balls)], spacing) <= tol_mm
-        ok += len(np.unique(owner[hits]))
-    return ok
+def _steps(tol_mm, spacing, shape):
+    """The voxel steps no longer than tol_mm, as an (n, ndim) array.  A step
+    of k voxels along an axis can compute below k * s (3 * 0.7 does), so each
+    axis reaches one voxel past tol_mm / s; no step reaches past the volume."""
+    reach = [int(min(tol_mm / s + 1, n - 1)) for s, n in zip(spacing, shape)]
+    steps = np.indices([2 * r + 1 for r in reach]).reshape(len(shape), -1).T - reach
+    return steps[_lengths(steps, spacing) <= tol_mm]
 
 
 def surface_dice(a, b, tol_mm: float, spacing=(1.0, 1.0, 1.0)) -> float:
     """Fraction of boundary voxels lying within tol_mm of the other boundary (inclusive)."""
-    if tol_mm < 0:
+    if not tol_mm >= 0:
         raise ValueError("tolerance must be >= 0")
     a = _mask_data(a)
     b = _mask_data(b)
@@ -104,11 +84,12 @@ def surface_dice(a, b, tol_mm: float, spacing=(1.0, 1.0, 1.0)) -> float:
         return 1.0
     if na == 0 or nb == 0:
         return 0.0
-    spacing = np.asarray(spacing, dtype=np.float64)
-    # a voxel on both boundaries is 0 mm from the other one
-    ok = 2 * int((sa & sb).sum())
-    ok += _within(np.argwhere(sa & ~sb), np.argwhere(sb), tol_mm, spacing)
-    ok += _within(np.argwhere(sb & ~sa), np.argwhere(sa), tol_mm, spacing)
+    spacing = tuple(float(s) for s in spacing)
+    if _lengths(np.subtract(a.shape, 1), spacing) <= tol_mm:
+        return 1.0  # the tolerance spans the volume's diagonal
+    steps = _steps(tol_mm, spacing, a.shape)
+    ok = np.count_nonzero(sa & kernels.dilate(sb, steps))
+    ok += np.count_nonzero(sb & kernels.dilate(sa, steps))
     return ok / (na + nb)
 
 

@@ -93,9 +93,8 @@ def fit(cfg, run_dir, prefix, columns, optimizers, epoch_steps, save, resumed):
     _truncate_log(log_path, columns, step)
     # like the log rows, the epoch checkpoints past the start are an earlier
     # run's; left in place, `latest_checkpoint` would pick one of them
-    for path in glob.glob(os.path.join(run_dir, f"{prefix}_epoch*.npz")):
-        epoch = os.path.basename(path)[len(prefix) + len("_epoch") : -len(".npz")]
-        if epoch.isdigit() and int(epoch) > epochs_done:
+    for epoch, path in _epoch_checkpoints(run_dir, prefix).items():
+        if epoch > epochs_done:
             os.remove(path)
     rows = []
     with open(log_path, "a", newline="") as fh:
@@ -129,8 +128,16 @@ def fit(cfg, run_dir, prefix, columns, optimizers, epoch_steps, save, resumed):
     return final, rows
 
 
+def _epoch_checkpoints(run_dir, prefix):
+    """{epoch: path} of the run dir's epoch checkpoints."""
+    paths = glob.glob(os.path.join(run_dir, f"{prefix}_epoch*.npz"))
+    epochs = [os.path.basename(p)[len(prefix) + len("_epoch") : -len(".npz")] for p in paths]
+    return {int(e): p for e, p in zip(epochs, paths) if e.isdigit()}
+
+
 def latest_checkpoint(run_dir, prefix):
-    paths = sorted(glob.glob(os.path.join(run_dir, f"{prefix}_epoch*.npz")))
-    if not paths:
+    """Path of the run dir's checkpoint of the highest epoch, by number."""
+    found = _epoch_checkpoints(run_dir, prefix)
+    if not found:
         raise FileNotFoundError(f"no epoch checkpoints under {run_dir}")
-    return paths[-1]
+    return found[max(found)]

@@ -254,11 +254,6 @@ def save_volume(v: Volume, path, format=RAW_F32) -> None:
 
 
 def resample(v: Volume, target_shape) -> Volume:
-    target_shape = tuple(int(n) for n in target_shape)
-    if len(target_shape) != 3 or any(n < 1 for n in target_shape):
-        raise ValueError(f"target shape must be 3 positive ints, got {target_shape}")
-    if target_shape == v.data.shape:
-        return Volume(v.data.copy(), v.spacing, v.domain)
     out = kernels.resample3d(v.data, target_shape)
     spacing = tuple(s * o / t for s, o, t in zip(v.spacing, v.data.shape, target_shape))
     return Volume(out, spacing, v.domain)

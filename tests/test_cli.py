@@ -69,6 +69,11 @@ def _evaluate_at_scale(d, p, scale):
     return ["evaluate", "--pred-dir", d + "/pred", "--gt-dir", d + "/gt", "--out", d + "/e.csv"]
 
 
+def _preprocess(d, p, setting):
+    return ["preprocess", "--in-dir", p + "/n1", "--out-dir", d + "/run", "--kind", "mr",
+            "--set", setting]
+
+
 def _train_cut(d, p, setting):
     return ["train-cut", "--mr-dir", p + "/unit", "--ct-dir", p + "/unit", "--set", setting,
             "--set", f"run.output_dir={d}/run"]
@@ -115,6 +120,11 @@ EXIT_CODES = [
                                   "--set", f"run.output_dir={d}/run"]),
     ("halo=6", 2, lambda d, p: ["train-sr", "--hr-dir", p + "/n1", "--set", "lapsrn.halo=6",
                                 "--set", f"run.output_dir={d}/run"]),
+    ("resample_shape=24,40", 2, lambda d, p: _preprocess(d, p, "data.resample_shape=24,40")),
+    ("resample_shape=0,8,8", 2, lambda d, p: _preprocess(d, p, "data.resample_shape=0,8,8")),
+    ("sdsc_tolerance_mm=-1", 2, lambda d, p: ["evaluate", "--pred-dir", p + "/n1", "--gt-dir",
+                                              p + "/n1", "--out", d + "/run/e.csv", "--set",
+                                              "metrics.sdsc_tolerance_mm=-1"]),
     ("evaluate case-id mismatch", 1, lambda d, p: ["evaluate", "--pred-dir", p + "/n1",
                                                    "--gt-dir", p + "/n2", "--out", d + "/e.csv"]),
     ("evaluate", 0, lambda d, p: _evaluate_at_scale(d, p, 1.0)),
@@ -208,18 +218,37 @@ def test_checkpoint_record_is_pinned(phantoms, prefix):
            for slot in slots for i in range(n)})
 
 
-def test_cli_import_leaves_scipy_submodules_unloaded():
-    """`scipy.ndimage` and `scipy.spatial` load only when augmentation or
-    surface Dice runs, not with the CLI."""
-    code = ("import sys, skullsynth.cli; "
-            "print(sorted(m for m in ('scipy.ndimage', 'scipy.spatial') if m in sys.modules))")
+def _python(code):
+    """The stdout lines of `code` run by a fresh interpreter on this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(skullsynth.__file__)))
     run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True, timeout=120)
-    assert run.stdout.strip() == "[]"
+    return run.stdout.splitlines()
 
 
-# the EXIT_CODES cases a spec rejects, with its message; each would run in <d>/run
+def test_cli_import_leaves_scipy_submodules_unloaded():
+    """`scipy.ndimage` loads only when augmentation runs, and no stage loads
+    `scipy.spatial`; neither loads with the CLI."""
+    code = ("import sys, skullsynth.cli; "
+            "print(sorted(m for m in ('scipy.ndimage', 'scipy.spatial') if m in sys.modules))")
+    assert _python(code) == ["[]"]
+
+
+def test_evaluate_leaves_scipy_spatial_unloaded(phantoms, tmp_path):
+    # the prediction is the truth shifted a voxel, so the boundaries differ
+    truth = vio.load_volume(str(phantoms / "n1/case000_mask.raw"))
+    for name, data in (("gt", truth.data), ("pred", np.roll(truth.data, 1, axis=0))):
+        os.makedirs(tmp_path / name)
+        vio.save_volume(vio.Volume(data, truth.spacing, truth.domain),
+                        str(tmp_path / name / "case000.raw"))
+    d = str(tmp_path)
+    argv = ["evaluate", "--pred-dir", d + "/pred", "--gt-dir", d + "/gt", "--out", d + "/e.csv"]
+    code = ("import sys; from skullsynth.cli import main; "
+            f"assert main({argv!r}) == 0; print('scipy.spatial' in sys.modules)")
+    assert _python(code)[-1] == "False"
+
+
+# the EXIT_CODES cases a spec rejects, with its message; each would write to <d>/run
 SPEC_ERRORS = {
     "levels=0": "levels must be >= 1",
     "temperature=0": "temperature must be > 0",
@@ -228,6 +257,9 @@ SPEC_ERRORS = {
     "batch_size=-2": "batch_size must be >= 1",
     "tap_layers=-1": "tap_layers must be >= 0",
     "halo=6": "lapsrn.halo 6 is below this pyramid's receptive radius 7",
+    "resample_shape=24,40": "resample_shape must be 3 sizes >= 1, got (24, 40)",
+    "resample_shape=0,8,8": "resample_shape must be 3 sizes >= 1, got (0, 8, 8)",
+    "sdsc_tolerance_mm=-1": "sdsc_tolerance_mm must be >= 0",
 }
 
 

@@ -156,8 +156,8 @@ def random_pairs(seed, count, max_edge=12):
 
 
 class TestSurfaceDiceEqualsDistanceTransform:
-    """The k-d tree query gives exactly the distance-transform value, but
-    where the transform breaks a tie towards the farther computed distance."""
+    """Exactly the distance-transform value, but where the transform breaks
+    a tie towards the farther computed distance."""
 
     @pytest.mark.parametrize("spacing", SPACINGS)
     def test_random_masks(self, spacing):
@@ -227,8 +227,9 @@ class TestSurfaceDiceEqualsDistanceTransform:
         a = box((5, 6, 7), np.s_[0, 0, 0])
         b = box((5, 6, 7), np.s_[4, 5, 6])
         diagonal = float(np.linalg.norm(np.asarray((5, 6, 7)) * spacing))
-        assert surface_dice(a, b, diagonal, spacing) == 1.0
-        assert agrees(a, b, diagonal, spacing)
+        for tol in (diagonal, float("inf"), 1e9):
+            assert surface_dice(a, b, tol, spacing) == 1.0
+            assert agrees(a, b, tol, spacing)
 
 
 class TestPSNR:

@@ -87,6 +87,12 @@ def test_fresh_run_drops_a_longer_runs_epoch_checkpoints(prefix, tmp_path):
     assert ckpt_io.load_checkpoint(latest)[0]["step"] == len(rows)
 
 
+def test_latest_checkpoint_orders_epochs_by_number(tmp_path):
+    for name in ("cut_epoch9999.npz", "cut_epoch10000.npz"):
+        (tmp_path / name).touch()
+    assert training.latest_checkpoint(str(tmp_path), "cut") == str(tmp_path / "cut_epoch10000.npz")
+
+
 @pytest.mark.parametrize("prefix", ["cut", "sr"])
 def test_failing_step_closes_the_log(prefix, tmp_path, monkeypatch):
     def boom(*args, **kwargs):
