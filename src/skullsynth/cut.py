@@ -44,10 +44,23 @@ class GeneratorSpec:
 class DiscriminatorSpec:
     n_layers: int = 3
     base_filters: int = 64
+    KERNEL, PAD = 4, 1  # of every conv; not fields
 
     def __post_init__(self):
         if self.n_layers < 1 or self.base_filters < 1:
             raise ValueError("need n_layers >= 1 and base_filters >= 1")
+
+    def strides(self):
+        """The stride of each of D's convs, in order."""
+        return (2,) * self.n_layers + (1, 1)
+
+    def min_edge(self):
+        """The smallest input edge that D's convs leave at least one logit along."""
+        edge = 1
+        for s in reversed(self.strides()):
+            # the smallest n with (n + 2 * PAD - KERNEL) // s + 1 >= edge
+            edge = s * (edge - 1) + self.KERNEL - 2 * self.PAD
+        return edge
 
 
 @dataclass
@@ -220,20 +233,14 @@ class Discriminator(Module):
     def __init__(self, spec: DiscriminatorSpec, rng):
         self.spec = spec
         f = spec.base_filters
-        # the first conv is not normalized
-        convs, norms = [Conv3d(1, f, 4, stride=2, pad=1, rng=rng)], []
-        c = f
-        for i in range(1, spec.n_layers):
-            nxt = min(f * 2**i, f * 8)
-            convs.append(Conv3d(c, nxt, 4, stride=2, pad=1, rng=rng))
-            norms.append(InstanceNorm3d(nxt))
-            c = nxt
-        nxt = min(c * 2, f * 8)
-        convs.append(Conv3d(c, nxt, 4, stride=1, pad=1, rng=rng))
-        norms.append(InstanceNorm3d(nxt))
-        self.convs = convs
-        self.norms = norms
-        self.final = Conv3d(nxt, 1, 4, stride=1, pad=1, rng=rng)
+        chans = [1] + [min(f * 2**i, f * 8) for i in range(spec.n_layers)]
+        chans += [min(chans[-1] * 2, f * 8), 1]
+        convs = [Conv3d(c, nxt, spec.KERNEL, stride=s, pad=spec.PAD, rng=rng)
+                 for c, nxt, s in zip(chans, chans[1:], spec.strides())]
+        # the first conv is not normalized, the final one gives the logits
+        self.convs = convs[:-1]
+        self.norms = [InstanceNorm3d(c) for c in chans[2:-1]]
+        self.final = convs[-1]
 
     def __call__(self, x):
         h = ops.leaky_relu(self.convs[0](x), 0.2)
@@ -437,8 +444,16 @@ def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
     for v in list(mr_set) + list(ct_set):
         if v.domain != UNIT:
             raise ValueError(f"training volumes must be UNIT domain, got {v.domain}")
+
+    def check(settings):
+        edge = settings["d_spec"].min_edge()
+        for v in (*mr_set, *ct_set):
+            if min(v.data.shape) < edge:
+                raise ValueError(f"volume shape {v.data.shape} is too small for the "
+                                 f"discriminator: every edge must be at least {edge}")
+
     state = training.start(run_dir, "cut", _SETTINGS, _build, load_cut_checkpoint, cfg,
-                           (g_spec, d_spec, p_spec, nce_cfg), resume_from, config_ini)
+                           (g_spec, d_spec, p_spec, nce_cfg), resume_from, config_ini, check)
     g, d, f, opt_d, opt_g, nce_cfg, tap_ids = (
         state[k] for k in ("g", "d", "f", "opt_d", "opt_g", "nce_cfg", "tap_ids"))
 

@@ -49,6 +49,13 @@ Weight gradients are one GEMM per tap that contracts over the output
 voxels; that contraction is zero-padded to a multiple of K_ALIGN too, so
 their bits do not depend on the BLAS thread count either.  Every kernel
 accumulates in a fixed order, so repeated calls are bitwise reproducible.
+
+Binary dilation and erosion apply one shifted copy of the mask per offset.
+An offset set that fills a box (every default ``cube`` element) is applied as
+the box's z, y and x edges in turn: the box is the Minkowski sum of its edges,
+and a voxel an edge shifts out of the grid along one axis stays out along the
+others, so the bits are the same with a radius-1 cube's 9 shifts in place of
+27.  Other sets (balls, the surface-Dice steps) are applied offset by offset.
 """
 
 import numpy as np
@@ -288,8 +295,39 @@ def tconv3d_backward_weight(gy, x, k, stride=2, pad=1):
     return _conv_backward_weight(x, gy, k, stride, pad)
 
 
+def _axis_passes(offsets):
+    """The offset sets `dilate` and `erode` apply in turn for `offsets`: the
+    z, y and x edges of the box they fill, less edges of the origin alone,
+    or the offsets themselves, deduplicated, when they fill no box."""
+    offs = np.unique(np.asarray(offsets, dtype=np.int64).reshape(-1, 3), axis=0)
+    if not len(offs):
+        return [offs]
+    lo, hi = offs.min(axis=0), offs.max(axis=0)
+    if len(offs) != np.prod(hi - lo + 1):
+        return [offs]
+    passes = []
+    for axis in np.flatnonzero(lo | hi):
+        edge = np.zeros((hi[axis] - lo[axis] + 1, 3), dtype=np.int64)
+        edge[:, axis] = np.arange(lo[axis], hi[axis] + 1)
+        passes.append(edge)
+    return passes or [offs]
+
+
 def dilate(mask, offsets):
     """Binary dilation by an explicit offset set; outside the grid is background."""
+    for offs in _axis_passes(offsets):
+        mask = _dilate(mask, offs)
+    return mask
+
+
+def erode(mask, offsets):
+    """Binary erosion by an explicit offset set; outside the grid is background."""
+    for offs in _axis_passes(offsets):
+        mask = _erode(mask, offs)
+    return mask
+
+
+def _dilate(mask, offsets):
     mask = mask.astype(np.uint8, copy=False)
     d, h, w = mask.shape
     out = np.zeros_like(mask)
@@ -305,8 +343,7 @@ def dilate(mask, offsets):
     return out
 
 
-def erode(mask, offsets):
-    """Binary erosion by an explicit offset set; outside the grid is background."""
+def _erode(mask, offsets):
     mask = mask.astype(np.uint8, copy=False)
     d, h, w = mask.shape
     out = np.ones_like(mask)

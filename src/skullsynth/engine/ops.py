@@ -23,13 +23,17 @@ def relu(t):
 
 
 def leaky_relu(t, alpha=0.2):
-    scalar = t.data.dtype.type
-    slope = np.where(t.data > 0, scalar(1), scalar(alpha))
+    """max(x, alpha * x), for 0 <= alpha <= 1: the same bits as x * slope with
+    slope 1 where x > 0 and alpha elsewhere, -0.0 and NaN included, without
+    keeping a slope array."""
+    a = t.data.dtype.type(alpha)
+    out = t.data * a
+    np.maximum(t.data, out, out=out)
 
     def backward(g):
-        Tensor._accum(t, g * slope)
+        Tensor._accum(t, np.where(t.data > 0, g, g * a))
 
-    return Tensor._make(t.data * slope, (t,), backward)
+    return Tensor._make(out, (t,), backward)
 
 
 def tanh(t):

@@ -29,7 +29,8 @@ def _truncate_log(path, columns, step):
         csv.writer(fh).writerows([columns, *kept])
 
 
-def start(run_dir, prefix, keys, build, load, cfg, given, resume_from=None, config_ini=None):
+def start(run_dir, prefix, keys, build, load, cfg, given, resume_from=None, config_ini=None,
+          check=None):
     """The networks, optimizers and settings a run trains, as the dict
     `checkpoint.load_run` returns.
 
@@ -41,12 +42,16 @@ def start(run_dir, prefix, keys, build, load, cfg, given, resume_from=None, conf
     and optimizer state stored there, with optimizers built from `cfg`, which
     the run's checkpoints record, and the stored settings for the rest: each
     of `given` that is not None must equal its stored setting.  Raises
-    ValueError naming the field otherwise.  Only then is `config_ini`, if
-    given, written as the run dir's ``config.ini``.
+    ValueError naming the field otherwise.  `check`, if given, may refuse
+    the run by raising too; it is called with a dict that holds every
+    setting by name, before a fresh run builds its networks.  Only then is
+    `config_ini`, if given, written as the run dir's ``config.ini``.
     """
     names = list(keys)[1:]  # the setting each of `given` is
     if resume_from is None:
-        specs = (want if want is not None else keys[name][1]() for want, name in zip(given, names))
+        specs = [want if want is not None else keys[name][1]() for want, name in zip(given, names)]
+        if check is not None:
+            check(dict(zip(names, specs)))
         nets, opts, settings = build(cfg, *specs)
         state = {**nets, **opts, **settings}
     else:
@@ -64,6 +69,8 @@ def start(run_dir, prefix, keys, build, load, cfg, given, resume_from=None, conf
                     raise ValueError(f"cannot resume from {path} with "
                                      f"{type(have).__name__}.{f.name}={a!r}: "
                                      f"the checkpoint's is {b!r}")
+        if check is not None:
+            check(state)
     os.makedirs(run_dir, exist_ok=True)
     if config_ini is not None:
         with open(os.path.join(run_dir, "config.ini"), "w", encoding="utf-8") as fh:

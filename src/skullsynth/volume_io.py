@@ -73,7 +73,7 @@ class SegmentationMask:
         arr = np.asarray(self.data)
         if arr.ndim != 3:
             raise ValueError(f"mask must be 3-D, got shape {arr.shape}")
-        if not np.isin(arr, (0, 1)).all():
+        if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("mask entries must be exactly 0 or 1")
         self.data = arr.astype(np.uint8)
         self.spacing = tuple(float(np.float32(s)) for s in self.spacing)

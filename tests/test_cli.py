@@ -79,14 +79,18 @@ def _train_cut(d, p, setting):
             "--set", f"run.output_dir={d}/run"]
 
 
-def _resume(d, p, prefix, changed=()):
-    """`train-cut` or `train-sr` resuming the fixture's final checkpoint with
-    TINY_RUN's settings, `changed` applied."""
+def _tiny(d, p, prefix, changed=()):
+    """`train-cut` or `train-sr` on the fixture's unit volumes with TINY_RUN's
+    settings, `changed` applied."""
     settings = {**TINY_RUN, **dict(changed), "run.output_dir": f"{d}/run"}
     data = ["--mr-dir", p + "/unit", "--ct-dir", p + "/unit"] if prefix == "cut" else [
         "--hr-dir", p + "/unit"]
-    return [f"train-{prefix}", *data, *(f"--set={k}={v}" for k, v in settings.items()),
-            "--resume", f"{p}/run/{prefix}_final.npz"]
+    return [f"train-{prefix}", *data, *(f"--set={k}={v}" for k, v in settings.items())]
+
+
+def _resume(d, p, prefix, changed=()):
+    """`_tiny` resuming the fixture's final checkpoint."""
+    return _tiny(d, p, prefix, changed) + ["--resume", f"{p}/run/{prefix}_final.npz"]
 
 
 def test_phantom_gen_writes_every_case(phantoms):
@@ -134,6 +138,8 @@ EXIT_CODES = [
     ("batch_size=0", 2, lambda d, p: _train_cut(d, p, "cut.batch_size=0")),
     ("batch_size=-2", 2, lambda d, p: _train_cut(d, p, "cut.batch_size=-2")),
     ("tap_layers=-1", 2, lambda d, p: _train_cut(d, p, "cut.tap_layers=-1")),
+    ("train-cut, volumes below D's smallest edge", 1,
+     lambda d, p: _tiny(d, p, "cut", {"cut.d_layers": 3})),
     ("train-cut resume", 0, lambda d, p: _resume(d, p, "cut")),
     ("train-cut resume, other base_filters", 1,
      lambda d, p: _resume(d, p, "cut", {"cut.base_filters": 3})),
@@ -178,6 +184,15 @@ def test_refused_resume_leaves_the_run_dir_as_it_was(phantoms, tmp_path, prefix,
     assert "config.ini" in before
     assert main(_resume(str(tmp_path), str(phantoms), prefix, changed)) == 1
     assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
+
+
+def test_volumes_too_small_for_d_leave_the_run_dir_empty(phantoms, tmp_path, capsys):
+    # three stride-2 convs and two k4 stride-1 convs leave no logit of an 8^3 volume
+    assert main(_tiny(str(tmp_path), str(phantoms), "cut", {"cut.d_layers": 3})) == 1
+    err = capsys.readouterr().err
+    assert "(8, 8, 8) is too small for the discriminator" in err
+    assert "every edge must be at least 24" in err
+    assert not list((tmp_path / "run").glob("*"))
 
 
 # the run record of format 3 for TINY_RUN's networks: metadata keys, then

@@ -187,6 +187,18 @@ class TestDiscriminator:
         assert max(widths) == 16
         assert widths[:3] == [2, 4, 8]
 
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_min_edge_is_the_smallest_edge_with_a_logit(self, n_layers):
+        spec = DiscriminatorSpec(n_layers=n_layers, base_filters=1)
+        d = Discriminator(spec, np.random.default_rng(0))
+        edge = spec.min_edge()
+        assert d(Tensor(np.zeros((1, edge, edge + 1, edge)))).data.shape[1:] == (1, 1, 1)
+        try:  # one voxel less leaves an empty grid, or no room for a window
+            assert d(Tensor(np.zeros((1, edge, edge - 1, edge)))).data.size == 0
+        except ValueError:
+            pass
+        assert DiscriminatorSpec().min_edge() == 24
+
     def test_first_layer_unnormalized(self):
         d = Discriminator(DiscriminatorSpec(n_layers=3, base_filters=2), np.random.default_rng(0))
         assert len(d.norms) == len(d.convs) - 1
@@ -450,6 +462,17 @@ class TestTrainLoop:
         hu = Volume(rng.random((8, 8, 8)) * 100, (1, 1, 1), HU)
         with pytest.raises(ValueError, match="UNIT"):
             train_cut(mrs, [hu], fast_cfg(), run_dir=str(tmp_path))
+
+    def test_resume_refuses_volumes_too_small_for_the_stored_d(self, small_sets, tmp_path, rng):
+        mrs, cts = small_sets
+        train_cut(mrs, cts, fast_cfg(max_steps=1), g_spec=TINY_G, d_spec=TINY_D, p_spec=TINY_P,
+                  nce_cfg=TINY_NCE, run_dir=str(tmp_path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        small = [unit_vol(rng, (4, 4, 4))]
+        with pytest.raises(ValueError, match="every edge must be at least 6"):
+            train_cut(small, small, fast_cfg(max_steps=2), run_dir=str(tmp_path),
+                      resume_from=str(tmp_path / "cut_final.npz"), config_ini="[run]\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_max_steps_caps_run(self, small_sets, tmp_path):
         mrs, cts = small_sets

@@ -248,6 +248,33 @@ class TestMorphologyKernels:
         np.testing.assert_array_equal(kernels.dilate(mask, offs), want_d.astype(np.uint8))
         np.testing.assert_array_equal(kernels.erode(mask, offs), want_e.astype(np.uint8))
 
+    @pytest.mark.parametrize("name", ["cube 2", "box {0,1}^3", "box 1x3x5", "cube 2 shuffled"])
+    def test_dilate_erode_match_shift_oracle(self, name, rng):
+        cube2 = kernels.structuring_offsets("cube", 2)
+        offs = {
+            "cube 2": cube2,
+            "box {0,1}^3": np.indices((2, 2, 2)).reshape(3, -1).T,
+            "box 1x3x5": np.indices((1, 3, 5)).reshape(3, -1).T - (0, 1, 3),
+            "cube 2 shuffled": rng.permutation(np.concatenate([cube2, cube2[::4]])),
+        }[name]
+        r = int(np.abs(offs).max())
+
+        def shifted(mask, sign):
+            # pad by the reach with background; dilation reads voxel p - o,
+            # erosion voxel p + o
+            padded = np.pad(mask, r)
+            return [padded[tuple(slice(r + sign * o, r + sign * o + n)
+                                 for o, n in zip(off, mask.shape))] for off in offs]
+
+        # sparse seeds for dilation and sparse holes for erosion, so that a
+        # large box neither fills nor empties the volume
+        sparse = (rng.random((9, 8, 10)) < 0.04).astype(np.uint8)
+        dense = 1 - (rng.random((9, 8, 10)) < 0.01).astype(np.uint8)
+        np.testing.assert_array_equal(kernels.dilate(sparse, offs),
+                                      np.bitwise_or.reduce(shifted(sparse, -1)))
+        np.testing.assert_array_equal(kernels.erode(dense, offs),
+                                      np.bitwise_and.reduce(shifted(dense, 1)))
+
     def test_structuring_offsets(self):
         cube = kernels.structuring_offsets("cube", 1)
         assert cube.shape == (27, 3)
@@ -348,6 +375,20 @@ class TestAutodiff:
         check_grads(lambda x: ops.relu(x).mean(), [a])
         check_grads(lambda x: ops.leaky_relu(x, 0.2).mean(), [a])
         check_grads(lambda x: ops.tanh(x).mean(), [a])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_bits_equal_the_slope_formula(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.array([0.0, -0.0, -1.5, 2.5, tiny, -tiny, 1e30, -1e30, -3e-39], dtype=dtype)
+        g = np.array([1.0, -0.0, 3.0, -2.0, 0.5, -0.75, 1e30, -1e-30, tiny], dtype=dtype)
+        slope = np.where(x > 0, dtype(1), dtype(0.2))
+        t = Tensor(x, requires_grad=True)
+        y = ops.leaky_relu(t, 0.2)
+        y._backward(g)  # the upstream gradient g, unscaled
+        uint = np.dtype(f"u{x.itemsize}")
+        assert y.data.dtype == t.grad.dtype == dtype
+        np.testing.assert_array_equal(y.data.view(uint), (x * slope).view(uint))
+        np.testing.assert_array_equal(t.grad.view(uint), (g * slope).view(uint))
 
     def test_log_sigmoid_matches_scipy(self):
         for dtype, rtol in ((np.float64, 1e-13), (np.float32, 1e-6)):

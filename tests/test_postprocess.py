@@ -1,11 +1,14 @@
 """Histogram matching, thresholding, morphology, and the full mask chain."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.ndimage as ndi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skullsynth.engine import kernels
 from skullsynth.phantom import PhantomSpec, make_phantom
 from skullsynth.postprocess import (
     SegmentationParams,
@@ -26,7 +29,50 @@ def unit_volume_of(data):
     return Volume(np.asarray(data, dtype=np.float64), (1, 1, 1), UNIT)
 
 
+def unique_match(source, reference):
+    """Histogram matching through np.unique, the mapping histogram_match keeps:
+    the mid-rank CDF interpolated between the reference's order statistics."""
+    src = source.data.ravel()
+    ref = np.sort(reference.data.ravel().astype(np.float64))
+    _, inverse, counts = np.unique(src, return_inverse=True, return_counts=True)
+    cum = np.cumsum(counts)
+    q = (cum - counts + cum) / (2.0 * src.size)
+    positions = (np.arange(ref.size) + 0.5) / ref.size
+    return np.interp(q, positions, ref)[inverse].astype(np.float32).reshape(source.data.shape)
+
+
+MATCH_SOURCES = {
+    "tie-heavy integers": lambda rng: rng.integers(-6, 7, size=(9, 10, 11)),
+    "-0.0 and +0.0": lambda rng: rng.choice([-0.0, 0.0, -1.5, 2.0], size=(8, 8, 8)),
+    "constant": lambda rng: np.full((4, 5, 6), 0.25),
+    "one voxel": lambda rng: np.full((1, 1, 1), -3.0),
+    "normal noise": lambda rng: rng.normal(size=(16, 17, 18)),
+}
+
+
 class TestHistogramMatch:
+    @pytest.mark.parametrize("name", list(MATCH_SOURCES))
+    def test_bitwise_equal_to_unique_formula(self, name, rng):
+        src = Volume(MATCH_SOURCES[name](rng), (1, 1, 1))
+        ref = hu_volume(rng.normal(scale=400.0, size=(7, 6, 9)))
+        got = histogram_match(src, ref).data
+        np.testing.assert_array_equal(got.view(np.uint32),
+                                      unique_match(src, ref).view(np.uint32))
+
+    def test_peak_memory_on_distinct_values(self, rng):
+        # 64^3 distinct values against a 64^3 reference: the keyed sort peaks
+        # at 14.0 times the source's bytes, np.unique with its inverse at 18.25
+        n = 64**3
+        src = Volume((rng.permutation(n) / n).reshape(64, 64, 64), (1, 1, 1), UNIT)
+        ref = hu_volume(rng.normal(scale=400.0, size=(64, 64, 64)))
+        tracemalloc.start()
+        try:
+            histogram_match(src, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * src.data.nbytes, peak / src.data.nbytes
+
     def test_two_level_source_hand_computed(self):
         # mid-rank quantiles 0.25/0.75 against sorted reference [10,20,30,40]
         # at positions [.125,.375,.625,.875] interpolate to 15 and 35
@@ -119,6 +165,18 @@ class TestMorphology:
         data[4, 4, 4] = 0
         out = binary_close(SegmentationMask(data, (1, 1, 1)), SegmentationParams())
         assert out.data[4, 4, 4] == 1
+
+    def test_open_runs_one_erosion_and_one_dilation(self, rng, monkeypatch):
+        calls = []
+        for name in ("erode", "dilate"):
+            def counted(*args, _name=name, _kernel=getattr(kernels, name)):
+                calls.append(_name)
+                return _kernel(*args)
+
+            monkeypatch.setattr(kernels, name, counted)
+        mask = SegmentationMask((rng.random((8, 9, 10)) < 0.5).astype(np.uint8), (1, 1, 1))
+        binary_open(mask, SegmentationParams(opening_radius=2))
+        assert calls == ["erode", "dilate"]
 
     def test_zero_radius_is_identity(self, rng):
         mask = SegmentationMask((rng.random((6, 6, 6)) < 0.5).astype(np.uint8), (1, 1, 1))
