@@ -145,10 +145,10 @@ def cmd_infer(args, cfg):
         _require_file(args.sr_ckpt)
     _require_file(args.reference_ct)
     out_dir = args.out or cfg["run"]["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
 
     mr = vio.load_volume(args.mr, fmt)
     syn = cut.translate(args.cut_ckpt, mr)
+    os.makedirs(out_dir, exist_ok=True)
     vio.save_volume(syn, os.path.join(out_dir, "syn_ct" + ext), fmt)
     src = syn
     if not args.skip_sr:

@@ -447,10 +447,14 @@ def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
 
     def check(settings):
         edge = settings["d_spec"].min_edge()
+        factor = 2 ** settings["g_spec"].n_downsample
         for v in (*mr_set, *ct_set):
             if min(v.data.shape) < edge:
                 raise ValueError(f"volume shape {v.data.shape} is too small for the "
                                  f"discriminator: every edge must be at least {edge}")
+            if any(n % factor for n in v.data.shape):
+                raise ValueError(f"volume shape {v.data.shape} not divisible by the "
+                                 f"generator's downsampling factor {factor}")
 
     state = training.start(run_dir, "cut", _SETTINGS, _build, load_cut_checkpoint, cfg,
                            (g_spec, d_spec, p_spec, nce_cfg), resume_from, config_ini, check)

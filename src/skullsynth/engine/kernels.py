@@ -50,12 +50,15 @@ voxels; that contraction is zero-padded to a multiple of K_ALIGN too, so
 their bits do not depend on the BLAS thread count either.  Every kernel
 accumulates in a fixed order, so repeated calls are bitwise reproducible.
 
-Binary dilation and erosion apply one shifted copy of the mask per offset.
-An offset set that fills a box (every default ``cube`` element) is applied as
-the box's z, y and x edges in turn: the box is the Minkowski sum of its edges,
-and a voxel an edge shifts out of the grid along one axis stays out along the
-others, so the bits are the same with a radius-1 cube's 9 shifts in place of
-27.  Other sets (balls, the surface-Dice steps) are applied offset by offset.
+Binary dilation and erosion OR, or AND, one shifted slice of the mask per
+offset into a single output.  A voxel whose shifted read falls outside the
+grid reads background, so an erosion clears, once after its loop, the border
+strips that some offset reads from outside.  An offset set that fills a box
+(every default ``cube`` element) is applied as the box's z, y and x edges in
+turn: the box is the Minkowski sum of its edges, and a voxel an edge shifts
+out of the grid along one axis stays out along the others, so the bits are
+the same with a radius-1 cube's 9 shifts in place of 27.  Other sets (balls,
+the surface-Dice steps) are applied offset by offset in one pass.
 """
 
 import numpy as np
@@ -316,47 +319,36 @@ def _axis_passes(offsets):
 def dilate(mask, offsets):
     """Binary dilation by an explicit offset set; outside the grid is background."""
     for offs in _axis_passes(offsets):
-        mask = _dilate(mask, offs)
+        mask = _shift_combine(mask, offs, erode=False)
     return mask
 
 
 def erode(mask, offsets):
     """Binary erosion by an explicit offset set; outside the grid is background."""
     for offs in _axis_passes(offsets):
-        mask = _erode(mask, offs)
+        mask = _shift_combine(mask, offs, erode=True)
     return mask
 
 
-def _dilate(mask, offsets):
+def _shift_combine(mask, offsets, erode):
+    """OR (dilation) or AND (erosion) of each offset's shifted slice of `mask`
+    into one output.  Output voxel p reads voxel p - o, and erosion, which
+    reads p + o, negates the offsets."""
     mask = mask.astype(np.uint8, copy=False)
-    d, h, w = mask.shape
-    out = np.zeros_like(mask)
-    for oz, oy, ox in np.asarray(offsets, dtype=np.int64):
-        zlo, zhi = max(0, oz), min(d, d + oz)
-        ylo, yhi = max(0, oy), min(h, h + oy)
-        xlo, xhi = max(0, ox), min(w, w + ox)
-        if zlo >= zhi or ylo >= yhi or xlo >= xhi:
-            continue
-        out[zlo:zhi, ylo:yhi, xlo:xhi] |= mask[
-            zlo - oz : zhi - oz, ylo - oy : yhi - oy, xlo - ox : xhi - ox
-        ]
-    return out
-
-
-def _erode(mask, offsets):
-    mask = mask.astype(np.uint8, copy=False)
-    d, h, w = mask.shape
-    out = np.ones_like(mask)
-    for oz, oy, ox in np.asarray(offsets, dtype=np.int64):
-        shifted = np.zeros_like(mask)
-        zlo, zhi = max(0, -oz), min(d, d - oz)
-        ylo, yhi = max(0, -oy), min(h, h - oy)
-        xlo, xhi = max(0, -ox), min(w, w - ox)
-        if zlo < zhi and ylo < yhi and xlo < xhi:
-            shifted[zlo:zhi, ylo:yhi, xlo:xhi] = mask[
-                zlo + oz : zhi + oz, ylo + oy : yhi + oy, xlo + ox : xhi + ox
-            ]
-        out &= shifted
+    shape = np.array(mask.shape)
+    out = np.full_like(mask, erode)
+    combine = np.bitwise_and if erode else np.bitwise_or
+    inner_lo, inner_hi = np.zeros(3, dtype=np.int64), shape
+    for off in np.asarray(offsets, dtype=np.int64).reshape(-1, 3) * (-1 if erode else 1):
+        lo, hi = np.clip(off, 0, shape), np.clip(shape + off, 0, shape)
+        inner_lo, inner_hi = np.maximum(inner_lo, lo), np.minimum(inner_hi, hi)
+        if (lo < hi).all():
+            view = out[tuple(map(slice, lo, hi))]
+            combine(view, mask[tuple(map(slice, lo - off, hi - off))], out=view)
+    if erode:  # outside some offset's slice, the read is background
+        for axis in range(3):
+            out[(slice(None),) * axis + (slice(0, inner_lo[axis]),)] = 0
+            out[(slice(None),) * axis + (slice(inner_hi[axis], None),)] = 0
     return out
 
 
@@ -385,9 +377,7 @@ def structuring_offsets(kind, radius):
     if radius < 0:
         raise ValueError("structuring element radius must be >= 0")
     r = int(radius)
-    rng = np.arange(-r, r + 1)
-    zz, yy, xx = np.meshgrid(rng, rng, rng, indexing="ij")
-    offs = np.stack([zz.ravel(), yy.ravel(), xx.ravel()], axis=1)
+    offs = np.indices((2 * r + 1,) * 3).reshape(3, -1).T - r
     if kind == "ball":
         keep = (offs**2).sum(axis=1) <= r * r
         offs = offs[keep]

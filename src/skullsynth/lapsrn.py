@@ -276,8 +276,15 @@ def train_lapsrn(hr_set, cfg: SRTrainConfig, spec: PyramidSpec = None,
     for v in hr_set:
         if v.domain != UNIT:
             raise ValueError(f"training volumes must be UNIT domain, got {v.domain}")
+
+    def check(settings):
+        scale = settings["spec"].scale
+        for v in hr_set:
+            if any(n % scale for n in v.data.shape):
+                raise ValueError(f"volume shape {v.data.shape} not divisible by scale {scale}")
+
     state = training.start(run_dir, "sr", _SETTINGS, _build, load_sr_checkpoint, cfg, (spec,),
-                           resume_from, config_ini)
+                           resume_from, config_ini, check)
     net, opt, spec = state["net"], state["opt"], state["spec"]
 
     def run_group(group, step, epoch, lr):

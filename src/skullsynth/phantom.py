@@ -39,49 +39,37 @@ class PhantomSpec:
     seed: int = 0
 
 
-def _ellipsoid(shape, center, semi_axes):
-    zz, yy, xx = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in shape), indexing="ij")
-    q = (
-        ((zz - center[0]) / semi_axes[0]) ** 2
-        + ((yy - center[1]) / semi_axes[1]) ** 2
-        + ((xx - center[2]) / semi_axes[2]) ** 2
-    )
-    return q <= 1.0
+def _ellipsoid(axes, center, semi_axes):
+    return sum(((a - c) / s) ** 2 for a, c, s in zip(axes, center, semi_axes)) <= 1.0
 
 
 def _regions(spec):
+    """The shell and the soft tissue (brain plus defect) as boolean volumes,
+    built from the grid's broadcast z, y and x axes."""
     shape = tuple(int(n) for n in spec.shape)
     center = spec.center or tuple((n - 1) / 2.0 for n in shape)
     semi = spec.semi_axes or tuple(0.38 * n for n in shape)
     if any(c - s < -0.5 or c + s > n - 0.5 for c, s, n in zip(center, semi, shape)):
         raise ValueError(f"shell exceeds bounds: center {center}, semi-axes {semi}, shape {shape}")
+    axes = np.ix_(*(np.arange(n, dtype=np.float64) for n in shape))
     inner_semi = tuple(max(s - spec.thickness, 0.5) for s in semi)
-    outer = _ellipsoid(shape, center, semi)
-    inner = _ellipsoid(shape, center, inner_semi)
-    shell = outer & ~inner
-    removed = np.zeros_like(shell)
+    soft = _ellipsoid(axes, center, inner_semi)
+    shell = _ellipsoid(axes, center, semi) & ~soft
     if spec.defect_radius > 0:
         dc = spec.defect_center or (center[0] - semi[0], center[1], center[2])
-        zz, yy, xx = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in shape), indexing="ij")
-        sphere = (zz - dc[0]) ** 2 + (yy - dc[1]) ** 2 + (xx - dc[2]) ** 2 <= spec.defect_radius**2
-        removed = shell & sphere
-        shell = shell & ~sphere
-    return shell, inner, removed
+        sphere = sum((a - c) ** 2 for a, c in zip(axes, dc)) <= spec.defect_radius**2
+        soft |= shell & sphere
+        shell &= ~sphere
+    return shell, soft
 
 
 def make_phantom(spec: PhantomSpec):
     """Build the (mr_like, ct_like, mask) triplet; deterministic for a fixed seed."""
-    shell, brain, removed = _regions(spec)
+    shell, soft = _regions(spec)
     shape = shell.shape
-
-    mr = np.full(shape, MR_EXTERIOR, dtype=np.float64)
-    mr[brain] = MR_BRAIN
-    mr[shell] = MR_SHELL
-    mr[removed] = MR_BRAIN  # defect exposes soft tissue, not air
-    ct = np.full(shape, CT_EXTERIOR, dtype=np.float64)
-    ct[brain] = CT_BRAIN
-    ct[shell] = CT_SHELL
-    ct[removed] = CT_BRAIN
+    # a defect exposes soft tissue, not air
+    mr = np.select([shell, soft], [MR_SHELL, MR_BRAIN], MR_EXTERIOR)
+    ct = np.select([shell, soft], [CT_SHELL, CT_BRAIN], CT_EXTERIOR)
 
     rng = np.random.default_rng(np.random.SeedSequence((int(spec.seed), 0x70AA)))
     if spec.noise_sigma_mr > 0:

@@ -192,7 +192,9 @@ def _load_nifti(path):
             raise FormatError(f"{path}: sizeof_hdr is {size}, not a NIfTI-1 file")
         end = ">"
     magic = blob[344:348]
-    if magic not in (b"n+1\x00", b"ni1\x00"):
+    if magic == b"ni1\x00":
+        raise FormatError(f"{path}: two-file NIfTI (.hdr/.img) is not supported")
+    if magic != b"n+1\x00":
         raise FormatError(f"{path}: bad magic {magic!r}")
     dim = struct.unpack_from(end + "8h", blob, 40)
     ndim = dim[0]

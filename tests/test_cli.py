@@ -58,6 +58,16 @@ def _infer(d, p, cut_ckpt, sr_ckpt):
             "--sr-ckpt", sr_ckpt, "--reference-ct", p + "/n1/case000_ct.raw", "--out", d]
 
 
+def _infer_odd_mr(d, p):
+    """`infer --skip-sr` into <d>/run of the fixture's MR cropped to 7^3,
+    which the fixture's generator, with one downsampling, cannot take."""
+    mr = vio.load_volume(p + "/unit/case000_mr.raw")
+    os.makedirs(d, exist_ok=True)
+    vio.save_volume(vio.Volume(mr.data[:7, :7, :7], mr.spacing, mr.domain), d + "/mr.raw")
+    return ["infer", "--mr", d + "/mr.raw", "--cut-ckpt", p + "/run/cut_final.npz", "--skip-sr",
+            "--reference-ct", p + "/n1/case000_ct.raw", "--out", d + "/run"]
+
+
 def _evaluate_at_scale(d, p, scale):
     """`evaluate` of the one-case phantom mask against itself saved with its
     spacing times `scale`."""
@@ -140,6 +150,10 @@ EXIT_CODES = [
     ("tap_layers=-1", 2, lambda d, p: _train_cut(d, p, "cut.tap_layers=-1")),
     ("train-cut, volumes below D's smallest edge", 1,
      lambda d, p: _tiny(d, p, "cut", {"cut.d_layers": 3})),
+    ("train-cut, edges not divisible by G's downsampling", 1,
+     lambda d, p: _tiny(d, p, "cut", {"cut.n_downsample": 4})),
+    ("train-sr, edges not divisible by the scale", 1,
+     lambda d, p: _tiny(d, p, "sr", {"lapsrn.levels": 4, "lapsrn.halo": 4})),
     ("train-cut resume", 0, lambda d, p: _resume(d, p, "cut")),
     ("train-cut resume, other base_filters", 1,
      lambda d, p: _resume(d, p, "cut", {"cut.base_filters": 3})),
@@ -152,6 +166,7 @@ EXIT_CODES = [
      lambda d, p: _infer(d, p, p + "/cut_broken.npz", p + "/run/sr_final.npz")),
     ("infer, halo below the receptive radius", 1,
      lambda d, p: _infer(d, p, p + "/run/cut_final.npz", p + "/sr_short_halo.npz")),
+    ("infer, MR edges not divisible by G's downsampling", 1, lambda d, p: _infer_odd_mr(d, p)),
 ]
 
 
@@ -193,6 +208,26 @@ def test_volumes_too_small_for_d_leave_the_run_dir_empty(phantoms, tmp_path, cap
     assert "(8, 8, 8) is too small for the discriminator" in err
     assert "every edge must be at least 24" in err
     assert not list((tmp_path / "run").glob("*"))
+
+
+# the EXIT_CODES cases refused for their volumes' shape, with the message;
+# each would write to <d>/run
+SHAPE_ERRORS = {
+    "train-cut, edges not divisible by G's downsampling":
+        "volume shape (8, 8, 8) not divisible by the generator's downsampling factor 16",
+    "train-sr, edges not divisible by the scale": "volume shape (8, 8, 8) not divisible by scale 16",
+    "infer, MR edges not divisible by G's downsampling":
+        "input shape (7, 7, 7) not divisible by downsampling factor 2",
+}
+
+
+def test_shape_error_leaves_no_run_dir(phantoms, tmp_path, capsys):
+    for name, _, argv in EXIT_CODES:
+        if name in SHAPE_ERRORS:
+            d = tmp_path / name
+            assert main(argv(str(d), str(phantoms))) == 1
+            assert SHAPE_ERRORS[name] in capsys.readouterr().err
+            assert not (d / "run").exists()
 
 
 # the run record of format 3 for TINY_RUN's networks: metadata keys, then

@@ -14,6 +14,7 @@ import scipy.signal
 import scipy.special
 
 import skullsynth
+from skullsynth import metrics
 from skullsynth.checkpoint import load_checkpoint, restore_state, save_state
 from skullsynth.engine import kernels, ops, optim
 from skullsynth.engine.layers import (
@@ -248,7 +249,9 @@ class TestMorphologyKernels:
         np.testing.assert_array_equal(kernels.dilate(mask, offs), want_d.astype(np.uint8))
         np.testing.assert_array_equal(kernels.erode(mask, offs), want_e.astype(np.uint8))
 
-    @pytest.mark.parametrize("name", ["cube 2", "box {0,1}^3", "box 1x3x5", "cube 2 shuffled"])
+    @pytest.mark.parametrize("name", ["cube 2", "box {0,1}^3", "box 1x3x5", "cube 2 shuffled",
+                                      "ball 2", "surface steps 1 mm", "steps past the edge",
+                                      "empty"])
     def test_dilate_erode_match_shift_oracle(self, name, rng):
         cube2 = kernels.structuring_offsets("cube", 2)
         offs = {
@@ -256,8 +259,15 @@ class TestMorphologyKernels:
             "box {0,1}^3": np.indices((2, 2, 2)).reshape(3, -1).T,
             "box 1x3x5": np.indices((1, 3, 5)).reshape(3, -1).T - (0, 1, 3),
             "cube 2 shuffled": rng.permutation(np.concatenate([cube2, cube2[::4]])),
+            "ball 2": kernels.structuring_offsets("ball", 2),
+            "surface steps 1 mm": metrics._steps(1.0, (1.0, 1.0, 1.0), (9, 8, 10)),
+            # a step at least as long as an edge reads only background: an
+            # erosion clears everything and a dilation skips that step
+            "steps past the edge": np.concatenate([kernels.structuring_offsets("ball", 1),
+                                                   [(0, 8, 0), (-10, 1, 0)]]),
+            "empty": np.zeros((0, 3), dtype=np.int64),
         }[name]
-        r = int(np.abs(offs).max())
+        r = int(np.abs(offs).max(initial=0))
 
         def shifted(mask, sign):
             # pad by the reach with background; dilation reads voxel p - o,
@@ -270,10 +280,31 @@ class TestMorphologyKernels:
         # large box neither fills nor empties the volume
         sparse = (rng.random((9, 8, 10)) < 0.04).astype(np.uint8)
         dense = 1 - (rng.random((9, 8, 10)) < 0.01).astype(np.uint8)
-        np.testing.assert_array_equal(kernels.dilate(sparse, offs),
-                                      np.bitwise_or.reduce(shifted(sparse, -1)))
-        np.testing.assert_array_equal(kernels.erode(dense, offs),
-                                      np.bitwise_and.reduce(shifted(dense, 1)))
+        # each reduction starts from its identity, the result of the empty set
+        np.testing.assert_array_equal(
+            kernels.dilate(sparse, offs),
+            np.bitwise_or.reduce([np.zeros_like(sparse)] + shifted(sparse, -1)))
+        np.testing.assert_array_equal(
+            kernels.erode(dense, offs),
+            np.bitwise_and.reduce([np.ones_like(dense)] + shifted(dense, 1)))
+
+    @pytest.mark.parametrize("kind,radius", [("cube", 1), ("ball", 2)])
+    def test_erode_peak_memory_matches_dilate(self, kind, radius, rng):
+        # both write every offset's slice into one output: erosion keeps no
+        # whole-volume array per offset
+        mask = (rng.random((64, 64, 64)) < 0.5).astype(np.uint8)
+        offs = kernels.structuring_offsets(kind, radius)
+        peaks = {}
+        for op in (kernels.dilate, kernels.erode):
+            op(mask, offs)  # warm-up
+            tracemalloc.start()
+            try:
+                op(mask, offs)
+                peaks[op.__name__] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks["erode"] - peaks["dilate"]) <= 0.1 * mask.nbytes, (
+            {k: v / mask.nbytes for k, v in peaks.items()})
 
     def test_structuring_offsets(self):
         cube = kernels.structuring_offsets("cube", 1)

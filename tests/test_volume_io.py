@@ -156,6 +156,22 @@ class TestNifti:
         with pytest.raises(FormatError):
             vio.load_volume(path, vio.NIFTI)
 
+    def test_two_file_header_rejected(self, tmp_path):
+        # a .hdr holds no voxels (they live in its .img): read from offset
+        # 352, this header's 32-byte extension would load as [32, 0, ..., 0]
+        path = tmp_path / "vol.nii"
+        vio.save_volume(Volume(np.zeros((2, 2, 2)), (1, 1, 1), HU), path, vio.NIFTI)
+        hdr = bytearray(path.read_bytes()[:348])
+        struct.pack_into("<h", hdr, 70, 2)  # datatype uint8
+        struct.pack_into("<h", hdr, 72, 8)  # bitpix
+        struct.pack_into("<f", hdr, 108, 0.0)  # vox_offset: the .img starts at 0
+        hdr[344:348] = b"ni1\x00"
+        extension = struct.pack("<4B2i", 1, 0, 0, 0, 32, 0) + bytes(24)
+        path = tmp_path / "vol.hdr"
+        path.write_bytes(bytes(hdr) + extension)
+        with pytest.raises(FormatError, match="two-file NIfTI"):
+            vio.load_volume(path, vio.NIFTI)
+
 
 class TestResample:
     def test_identity(self, rng):
