@@ -48,7 +48,7 @@ def _load_dir(directory, fmt):
 
 
 def cmd_phantom_gen(args, cfg):
-    seed = cfg["run"]["seed"]
+    seed = config_mod.run_settings(cfg).seed
     fmt = config_mod.data_settings(cfg).format
     ext = vio.EXTENSIONS[fmt][0]
     os.makedirs(args.out, exist_ok=True)
@@ -109,8 +109,9 @@ def cmd_train_cut(args, cfg):
     if not mr_set or not ct_set:
         raise ConfigError(f"empty dataset: {mr_dir} has {len(mr_set)}, {ct_dir} has {len(ct_set)}")
     final, rows = cut.train_cut(
-        mr_set, ct_set, train_cfg, g_spec, d_spec, p_spec, nce, run_dir=cfg["run"]["output_dir"],
-        resume_from=args.resume, config_ini=config_mod.dump_config(cfg),
+        mr_set, ct_set, train_cfg, g_spec, d_spec, p_spec, nce,
+        run_dir=config_mod.run_settings(cfg).output_dir, resume_from=args.resume,
+        config_ini=config_mod.dump_config(cfg),
     )
     print(f"trained {len(rows)} step(s); final checkpoint {final}")
     return 0
@@ -126,8 +127,8 @@ def cmd_train_sr(args, cfg):
     if not hr_set:
         raise ConfigError(f"empty dataset: no volumes in {hr_dir}")
     final, rows = lapsrn.train_lapsrn(
-        hr_set, train_cfg, spec, run_dir=cfg["run"]["output_dir"], resume_from=args.resume,
-        config_ini=config_mod.dump_config(cfg),
+        hr_set, train_cfg, spec, run_dir=config_mod.run_settings(cfg).output_dir,
+        resume_from=args.resume, config_ini=config_mod.dump_config(cfg),
     )
     print(f"trained {len(rows)} step(s); final checkpoint {final}")
     return 0
@@ -144,7 +145,7 @@ def cmd_infer(args, cfg):
             raise ConfigError("infer needs --sr-ckpt unless --skip-sr is given")
         _require_file(args.sr_ckpt)
     _require_file(args.reference_ct)
-    out_dir = args.out or cfg["run"]["output_dir"]
+    out_dir = args.out or config_mod.run_settings(cfg).output_dir
 
     mr = vio.load_volume(args.mr, fmt)
     syn = cut.translate(args.cut_ckpt, mr)
@@ -176,8 +177,7 @@ def cmd_evaluate(args, cfg):
         )
     if not pred_paths:
         raise ConfigError(f"no volumes to evaluate in {args.pred_dir}")
-    out_path = args.out or os.path.join(cfg["run"]["output_dir"], "evaluation.csv")
-    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+    out_path = args.out or os.path.join(config_mod.run_settings(cfg).output_dir, "evaluation.csv")
     rows = []
     for case in sorted(pred_paths):
         pred_vol = vio.load_volume(pred_paths[case], fmt)
@@ -194,6 +194,7 @@ def cmd_evaluate(args, cfg):
         rows.append((case, d, s))
     mean_d = float(np.mean([r[1] for r in rows]))
     mean_s = float(np.mean([r[2] for r in rows]))
+    os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("case", "dice", "surface_dice"))

@@ -64,6 +64,10 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "runs/default"
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
 
 def _bool(text):
     t = text.strip().lower()
@@ -218,13 +222,13 @@ def _build(cls, values, **extra):
 def cut_settings(cfg):
     c = cfg["cut"]
     nets = (_build(cls, c) for cls in (GeneratorSpec, DiscriminatorSpec, ProjectorSpec, NCEConfig))
-    return (*nets, _build(CutTrainConfig, c, seed=cfg["run"]["seed"]))
+    return (*nets, _build(CutTrainConfig, c, seed=run_settings(cfg).seed))
 
 
 def sr_settings(cfg):
     s = cfg["lapsrn"]
     spec = _build(PyramidSpec, s)
-    train = _build(SRTrainConfig, s, seed=cfg["run"]["seed"],
+    train = _build(SRTrainConfig, s, seed=run_settings(cfg).seed,
                    augment=_build(AugmentationConfig, s))
     try:
         spec.check_halo(train.halo)
@@ -243,3 +247,7 @@ def data_settings(cfg):
 
 def metrics_settings(cfg):
     return _build(MetricsConfig, cfg["metrics"])
+
+
+def run_settings(cfg):
+    return _build(RunConfig, cfg["run"])

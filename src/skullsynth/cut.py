@@ -107,10 +107,11 @@ class CutTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.lambda_gan, self.lambda_syn, self.lambda_idt) < 0:
+        if not all(w >= 0 for w in (self.lambda_gan, self.lambda_syn, self.lambda_idt)):
             raise ValueError("loss weights must be >= 0")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise ValueError("adam_beta1 and adam_beta2 must be in [0, 1)")
+        training.check_config(self)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.gan_mode not in ("log", "lsgan"):

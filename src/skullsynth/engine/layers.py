@@ -2,7 +2,10 @@
 
 A Module discovers its parameters and freezes or unfreezes them; saving and
 restoring them is `checkpoint.save_state`/`restore_state`'s job.  Layers
-create their parameters in the engine dtype, ``tensor.DTYPE``."""
+create their parameters in the engine dtype, ``tensor.DTYPE``, and draw
+random weights from the caller's seeded RNG; every conv and Linear has a
+bias.  The one transposed-conv geometry is the 2x upsampler: kernel 4,
+stride 2, pad 1."""
 
 import numpy as np
 
@@ -49,66 +52,56 @@ def he_normal(rng, shape, fan_in):
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(DTYPE)
 
 
-def trilinear_filter(k=4, stride=2):
-    """Separable interpolation filter whose transposed conv reproduces trilinear upsampling."""
-    centers = np.arange(k, dtype=np.float64)
-    f1 = 1.0 - np.abs(centers - (k - 1) / 2.0) / stride
+def trilinear_filter():
+    """The 4^3 filter whose stride-2 transposed conv is trilinear 2x upsampling."""
+    f1 = np.array([0.25, 0.75, 0.75, 0.25])
     return f1[:, None, None] * f1[None, :, None] * f1[None, None, :]
 
 
 class Conv3d(Module):
-    def __init__(self, c_in, c_out, k=3, stride=1, pad=None, bias=True, rng=None):
+    def __init__(self, c_in, c_out, k=3, stride=1, pad=None, *, rng):
         self.stride = stride
         self.pad = k // 2 if pad is None else pad
-        fan_in = c_in * k**3
-        rng = rng or np.random.default_rng()
-        self.weight = Tensor(he_normal(rng, (c_out, c_in, k, k, k), fan_in), requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out, DTYPE), requires_grad=True) if bias else None
+        w = he_normal(rng, (c_out, c_in, k, k, k), c_in * k**3)
+        self.weight = Tensor(w, requires_grad=True)
+        self.bias = Tensor(np.zeros(c_out, DTYPE), requires_grad=True)
 
     def __call__(self, x):
         return ops.conv3d(x, self.weight, self.bias, self.stride, self.pad)
 
 
 class ConvTranspose3d(Module):
-    """k=4, stride=2, pad=1 doubles every spatial axis."""
+    """Kernel 4, stride 2, pad 1: doubles every spatial axis."""
 
-    def __init__(self, c_in, c_out, k=4, stride=2, pad=1, bias=True, rng=None, init="he"):
-        self.stride = stride
-        self.pad = pad
-        rng = rng or np.random.default_rng()
+    def __init__(self, c_in, c_out, *, rng, init="he"):
         if init == "trilinear":
-            w = np.zeros((c_in, c_out, k, k, k), DTYPE)
-            filt = trilinear_filter(k, stride)
+            w = np.zeros((c_in, c_out, 4, 4, 4), DTYPE)
             for c in range(min(c_in, c_out)):
-                w[c, c] = filt
+                w[c, c] = trilinear_filter()
         elif init == "he":
-            w = he_normal(rng, (c_in, c_out, k, k, k), c_in * k**3)
+            w = he_normal(rng, (c_in, c_out, 4, 4, 4), c_in * 4**3)
         else:
             raise ValueError(f"unknown init {init!r}")
         self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out, DTYPE), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(c_out, DTYPE), requires_grad=True)
 
     def __call__(self, x):
-        return ops.conv_transpose3d(x, self.weight, self.bias, self.stride, self.pad)
+        return ops.conv_transpose3d(x, self.weight, self.bias)
 
 
 class InstanceNorm3d(Module):
-    def __init__(self, c, eps=1e-5):
-        self.eps = eps
+    def __init__(self, c):
         self.gamma = Tensor(np.ones(c, DTYPE), requires_grad=True)
         self.beta = Tensor(np.zeros(c, DTYPE), requires_grad=True)
 
     def __call__(self, x):
-        c = x.data.shape[0]
-        normed = ops.instance_norm(x, self.eps)
-        return normed * self.gamma.reshape(c, 1, 1, 1) + self.beta.reshape(c, 1, 1, 1)
+        return ops.instance_norm(x, self.gamma, self.beta, 1e-5)
 
 
 class Linear(Module):
-    def __init__(self, c_in, c_out, bias=True, rng=None):
-        rng = rng or np.random.default_rng()
+    def __init__(self, c_in, c_out, *, rng):
         self.weight = Tensor(he_normal(rng, (c_in, c_out), c_in), requires_grad=True)
-        self.bias = Tensor(np.zeros(c_out, DTYPE), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(c_out, DTYPE), requires_grad=True)
 
-    def __call__(self, x):
-        return ops.linear(x, self.weight, self.bias)
+    def __call__(self, x):  # (S, C_in) rows -> (S, C_out)
+        return x @ self.weight + self.bias

@@ -1,10 +1,11 @@
 """Differentiable operations built on the Tensor graph.
 
 Convolutions delegate to ``kernels``; everything else is plain numpy
-inside forward/backward closures.  Weight gradients honor the flag captured at
-forward time, so freezing a parameter before the forward pass really skips its
-gradient work (the adversarial generator term uses this to block discriminator
-updates without a second forward).
+inside forward/backward closures.  The gradients of conv weights and biases
+and of the instance norm's affine honor the flag captured at forward time, so
+freezing a parameter before the forward pass really skips its gradient work
+(the adversarial generator term uses this to block discriminator updates
+without a second forward).
 """
 
 import numpy as np
@@ -60,14 +61,9 @@ def _conv(x, w, b, stride, pad, forward, backward_input, backward_weight):
     come from the other two kernels.  Callers look the kernels up on `kernels`
     at each call, so a tracer that replaces those attributes sees every call."""
     k = w.data.shape[2]
-    y = forward(x.data, w.data, stride, pad)
-    if b is not None:
-        y = y + b.data[:, None, None, None]
+    y = forward(x.data, w.data, stride, pad) + b.data[:, None, None, None]
     in_shape = x.data.shape
-    x_req = x.requires_grad
-    w_req = w.requires_grad
-    b_req = b is not None and b.requires_grad
-    parents = (x, w) if b is None else (x, w, b)
+    x_req, w_req, b_req = x.requires_grad, w.requires_grad, b.requires_grad
 
     def backward(g):
         g = np.ascontiguousarray(g)
@@ -78,41 +74,49 @@ def _conv(x, w, b, stride, pad, forward, backward_input, backward_weight):
         if b_req:
             Tensor._accum(b, g.sum(axis=(1, 2, 3)))
 
-    return Tensor._make(y, parents, backward)
+    return Tensor._make(y, (x, w, b), backward)
 
 
-def conv3d(x, w, b=None, stride=1, pad=0):
+def conv3d(x, w, b, stride, pad):
     """3-D convolution; x (C_in,D,H,W), w (C_out,C_in,k,k,k), b (C_out,)."""
     return _conv(x, w, b, stride, pad, kernels.conv3d_forward,
                  kernels.conv3d_backward_input, kernels.conv3d_backward_weight)
 
 
-def conv_transpose3d(x, w, b=None, stride=2, pad=1):
-    """Transposed 3-D convolution; w (C_in,C_out,k,k,k).  k=4,s=2,p=1 doubles each axis."""
-    return _conv(x, w, b, stride, pad, kernels.tconv3d_forward,
+def conv_transpose3d(x, w, b):
+    """Transposed 3-D convolution with k=4, stride 2 and pad 1, which doubles
+    each axis; x (C_in,D,H,W), w (C_in,C_out,4,4,4), b (C_out,)."""
+    return _conv(x, w, b, 2, 1, kernels.tconv3d_forward,
                  kernels.tconv3d_backward_input, kernels.tconv3d_backward_weight)
 
 
-def instance_norm(t, eps=1e-8):
-    """Normalize each channel of (C,D,H,W) to zero mean, unit variance (no affine)."""
+def instance_norm(t, gamma, beta, eps):
+    """Normalize each channel of (C,D,H,W) to zero mean and unit variance,
+    then scale it by gamma (C,) and shift it by beta (C,)."""
     x = t.data
     c = x.shape[0]
     flat = x.reshape(c, -1)
     mu = flat.mean(axis=1)
     var = flat.var(axis=1)
     invstd = 1.0 / np.sqrt(var + eps)
-    xm = x - mu[:, None, None, None]
-    out_data = xm * invstd[:, None, None, None]
-    n = flat.shape[1]
+    normed = (x - mu[:, None, None, None]) * invstd[:, None, None, None]
+    scale = gamma.data[:, None, None, None]
+    out_data = normed * scale + beta.data[:, None, None, None]
+    x_req, gamma_req, beta_req = t.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def backward(g):
-        gf = g.reshape(c, -1)
-        g_mean = gf.mean(axis=1)[:, None, None, None]
-        gy_mean = (gf * out_data.reshape(c, -1)).mean(axis=1)[:, None, None, None]
-        gx = invstd[:, None, None, None] * (g - g_mean - out_data * gy_mean)
-        Tensor._accum(t, gx)
+        if gamma_req:
+            Tensor._accum(gamma, (g * normed).sum(axis=(1, 2, 3)))
+        if beta_req:
+            Tensor._accum(beta, g.sum(axis=(1, 2, 3)))
+        if x_req:
+            g = g * scale
+            gf = g.reshape(c, -1)
+            g_mean = gf.mean(axis=1)[:, None, None, None]
+            gy_mean = (gf * normed.reshape(c, -1)).mean(axis=1)[:, None, None, None]
+            Tensor._accum(t, invstd[:, None, None, None] * (g - g_mean - normed * gy_mean))
 
-    return Tensor._make(out_data, (t,), backward)
+    return Tensor._make(out_data, (t, gamma, beta), backward)
 
 
 def gather_sites(t, flat_index):
@@ -166,11 +170,3 @@ def cross_entropy_rows(logits, targets):
         Tensor._accum(logits, (float(g) / s) * soft)
 
     return Tensor._make(loss, (logits,), backward)
-
-
-def linear(x, w, b=None):
-    """Affine map for row-stacked vectors: (S,C_in) @ (C_in,C_out) + b."""
-    out = x @ w
-    if b is not None:
-        out = out + b
-    return out

@@ -12,6 +12,10 @@ Tensors built from float64 data, as the finite-difference tests build them,
 compute in float64.  A Python number in arithmetic takes the Tensor's dtype,
 as it does in numpy.
 
+Arithmetic broadcasts over leading axes only, as Linear's bias and scalar
+constants do; the gradient of any other broadcast fails in `_unbroadcast`'s
+reshape.
+
 The graph is built eagerly; ``backward`` walks it once in reverse
 topological order (iteratively, so deep residual stacks cannot hit the
 recursion limit).
@@ -23,15 +27,9 @@ DTYPE = np.float32  # the networks' compute dtype
 
 
 def _unbroadcast(grad, shape):
-    """Reduce a broadcast gradient back to the original operand shape."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+    """Sum a gradient broadcast over leading axes back to its operand's shape."""
+    if grad.ndim > len(shape):
+        grad = grad.sum(axis=tuple(range(grad.ndim - len(shape))))
     return grad.reshape(shape)
 
 
@@ -158,7 +156,7 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), backward)
 
-    # -- reductions / shaping ---------------------------------------------
+    # -- reductions ---------------------------------------------------------
 
     def mean(self):
         n = self.data.size
@@ -167,16 +165,6 @@ class Tensor:
             Tensor._accum(self, np.full(self.data.shape, float(g) / n, dtype=self.data.dtype))
 
         return Tensor._make(self.data.mean(), (self,), backward)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-
-        def backward(g):
-            Tensor._accum(self, g.reshape(self.data.shape))
-
-        return Tensor._make(out_data, (self,), backward)
 
 
 def as_tensor(x):

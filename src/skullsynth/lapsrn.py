@@ -89,8 +89,9 @@ class SRTrainConfig:
     augment: AugmentationConfig = field(default_factory=AugmentationConfig)
 
     def __post_init__(self):
-        if self.lr <= 0 or self.eps_charbonnier <= 0:
-            raise ValueError("lr and eps_charbonnier must be positive")
+        if not self.eps_charbonnier > 0:
+            raise ValueError("eps_charbonnier must be positive")
+        training.check_config(self)
         if self.grad_accum < 1:
             raise ValueError("grad_accum must be >= 1")
         if self.core_size < 1 or self.halo < 0:

@@ -29,6 +29,16 @@ def _truncate_log(path, columns, step):
         csv.writer(fh).writerows([columns, *kept])
 
 
+def check_config(cfg):
+    """Refuse a learning rate that is not > 0 (NaN included) and a negative
+    step or epoch count; a count of 0 keeps its meaning (no cap, say)."""
+    if not cfg.lr > 0:
+        raise ValueError("lr must be positive")
+    for name in ("max_epochs", "max_steps", "checkpoint_every", "plateau_patience_epochs"):
+        if getattr(cfg, name) < 0:
+            raise ValueError(f"{name} must be >= 0")
+
+
 def start(run_dir, prefix, keys, build, load, cfg, given, resume_from=None, config_ini=None,
           check=None):
     """The networks, optimizers and settings a run trains, as the dict

@@ -68,15 +68,27 @@ def _infer_odd_mr(d, p):
             "--reference-ct", p + "/n1/case000_ct.raw", "--out", d + "/run"]
 
 
+def _evaluate(d, pred, truth):
+    """`evaluate` of the one case `pred` against `truth`, reporting to <d>/run."""
+    for name, v in (("gt", truth), ("pred", pred)):
+        os.makedirs(f"{d}/{name}")
+        vio.save_volume(v, f"{d}/{name}/case000.raw")
+    return ["evaluate", "--pred-dir", d + "/pred", "--gt-dir", d + "/gt", "--out", d + "/run/e.csv"]
+
+
 def _evaluate_at_scale(d, p, scale):
-    """`evaluate` of the one-case phantom mask against itself saved with its
+    """`_evaluate` of the one-case phantom mask against itself saved with its
     spacing times `scale`."""
     truth = vio.load_volume(p + "/n1/case000_mask.raw")
     scaled = tuple(s * scale for s in truth.spacing)
-    for name, spacing in (("gt", truth.spacing), ("pred", scaled)):
-        os.makedirs(f"{d}/{name}")
-        vio.save_volume(vio.Volume(truth.data, spacing, truth.domain), f"{d}/{name}/case000.raw")
-    return ["evaluate", "--pred-dir", d + "/pred", "--gt-dir", d + "/gt", "--out", d + "/e.csv"]
+    return _evaluate(d, vio.Volume(truth.data, scaled, truth.domain), truth)
+
+
+def _evaluate_cropped(d, p):
+    """`_evaluate` of the phantom mask cropped to 4^3 against it cropped to 4x4x5."""
+    truth = vio.load_volume(p + "/n1/case000_mask.raw")
+    return _evaluate(d, *(vio.Volume(truth.data[:4, :4, :n], truth.spacing, truth.domain)
+                          for n in (4, 5)))
 
 
 def _preprocess(d, p, setting):
@@ -143,11 +155,25 @@ EXIT_CODES = [
                                                    "--gt-dir", p + "/n2", "--out", d + "/e.csv"]),
     ("evaluate", 0, lambda d, p: _evaluate_at_scale(d, p, 1.0)),
     ("evaluate, spacings differ", 1, lambda d, p: _evaluate_at_scale(d, p, 0.5)),
+    ("evaluate, shapes differ", 1, _evaluate_cropped),
     ("temperature=0", 2, lambda d, p: _train_cut(d, p, "cut.temperature=0")),
     ("temperature=-1", 2, lambda d, p: _train_cut(d, p, "cut.temperature=-1")),
     ("batch_size=0", 2, lambda d, p: _train_cut(d, p, "cut.batch_size=0")),
     ("batch_size=-2", 2, lambda d, p: _train_cut(d, p, "cut.batch_size=-2")),
     ("tap_layers=-1", 2, lambda d, p: _train_cut(d, p, "cut.tap_layers=-1")),
+    ("adam_beta2=1.0", 2, lambda d, p: _tiny(d, p, "cut", {"cut.adam_beta2": 1.0})),
+    ("adam_beta1=-0.5", 2, lambda d, p: _tiny(d, p, "cut", {"cut.adam_beta1": -0.5})),
+    ("cut.learning_rate=nan", 2, lambda d, p: _tiny(d, p, "cut", {"cut.learning_rate": "nan"})),
+    ("lambda_gan=nan", 2, lambda d, p: _tiny(d, p, "cut", {"cut.lambda_gan": "nan"})),
+    ("lapsrn.learning_rate=nan", 2,
+     lambda d, p: _tiny(d, p, "sr", {"lapsrn.learning_rate": "nan"})),
+    ("eps_charbonnier=nan", 2, lambda d, p: _tiny(d, p, "sr", {"lapsrn.eps_charbonnier": "nan"})),
+    ("cut.max_steps=-1", 2, lambda d, p: _tiny(d, p, "cut", {"cut.max_steps": -1})),
+    ("cut.checkpoint_every=-1", 2, lambda d, p: _tiny(d, p, "cut", {"cut.checkpoint_every": -1})),
+    ("lapsrn.max_epochs=-2", 2, lambda d, p: _tiny(d, p, "sr", {"lapsrn.max_epochs": -2})),
+    ("lapsrn.plateau_patience_epochs=-1", 2,
+     lambda d, p: _tiny(d, p, "sr", {"lapsrn.plateau_patience_epochs": -1})),
+    ("run.seed=-1", 2, lambda d, p: ["phantom-gen", "--out", d + "/run", "--set", "run.seed=-1"]),
     ("train-cut, volumes below D's smallest edge", 1,
      lambda d, p: _tiny(d, p, "cut", {"cut.d_layers": 3})),
     ("train-cut, edges not divisible by G's downsampling", 1,
@@ -182,7 +208,7 @@ def test_evaluate_names_the_case_and_both_spacings(phantoms, tmp_path, capsys):
     assert main(_evaluate_at_scale(str(tmp_path), str(phantoms), 0.5)) == 1
     err = capsys.readouterr().err
     assert "case000" in err and "(0.5, 0.5, 0.5)" in err and "(1.0, 1.0, 1.0)" in err
-    assert not (tmp_path / "e.csv").exists()
+    assert not (tmp_path / "run").exists()
 
 
 def test_resume_names_the_changed_setting_and_both_values(phantoms, tmp_path, capsys):
@@ -210,9 +236,12 @@ def test_volumes_too_small_for_d_leave_the_run_dir_empty(phantoms, tmp_path, cap
     assert not list((tmp_path / "run").glob("*"))
 
 
-# the EXIT_CODES cases refused for their volumes' shape, with the message;
-# each would write to <d>/run
+# the EXIT_CODES cases refused for their volumes' shape or spacing, with the
+# message; each would write to <d>/run
 SHAPE_ERRORS = {
+    "evaluate, spacings differ":
+        "prediction spacing (0.5, 0.5, 0.5) differs from truth spacing (1.0, 1.0, 1.0)",
+    "evaluate, shapes differ": "shape mismatch: (4, 4, 4) vs (4, 4, 5)",
     "train-cut, edges not divisible by G's downsampling":
         "volume shape (8, 8, 8) not divisible by the generator's downsampling factor 16",
     "train-sr, edges not divisible by the scale": "volume shape (8, 8, 8) not divisible by scale 16",
@@ -310,6 +339,17 @@ SPEC_ERRORS = {
     "resample_shape=24,40": "resample_shape must be 3 sizes >= 1, got (24, 40)",
     "resample_shape=0,8,8": "resample_shape must be 3 sizes >= 1, got (0, 8, 8)",
     "sdsc_tolerance_mm=-1": "sdsc_tolerance_mm must be >= 0",
+    "adam_beta2=1.0": "adam_beta1 and adam_beta2 must be in [0, 1)",
+    "adam_beta1=-0.5": "adam_beta1 and adam_beta2 must be in [0, 1)",
+    "cut.learning_rate=nan": "lr must be positive",
+    "lambda_gan=nan": "loss weights must be >= 0",
+    "lapsrn.learning_rate=nan": "lr must be positive",
+    "eps_charbonnier=nan": "eps_charbonnier must be positive",
+    "cut.max_steps=-1": "max_steps must be >= 0",
+    "cut.checkpoint_every=-1": "checkpoint_every must be >= 0",
+    "lapsrn.max_epochs=-2": "max_epochs must be >= 0",
+    "lapsrn.plateau_patience_epochs=-1": "plateau_patience_epochs must be >= 0",
+    "run.seed=-1": "seed must be >= 0",
 }
 
 

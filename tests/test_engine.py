@@ -378,6 +378,43 @@ def check_grads(build_loss, arrays, rtol=2e-4, atol=1e-7):
         np.testing.assert_allclose(t.grad, w, rtol=rtol, atol=atol)
 
 
+def _node(data, parents, *grad_fns):
+    """A graph node that hands ``parents[i]`` the gradient ``grad_fns[i](g)``."""
+
+    def backward(g):
+        for p, f in zip(parents, grad_fns):
+            Tensor._accum(p, f(g))
+
+    return Tensor._make(data, parents, backward)
+
+
+def five_node_instance_norm(x, gamma, beta, eps):
+    """Instance norm as the engine once composed it, the oracle of
+    `ops.instance_norm`'s bits: a normalize-only node, reshapes of gamma and
+    beta to (C,1,1,1), then a broadcast multiply and a broadcast add whose
+    gradients are summed over the broadcast axes."""
+    c = x.data.shape[0]
+    flat = x.data.reshape(c, -1)
+    invstd = (1.0 / np.sqrt(flat.var(axis=1) + eps))[:, None, None, None]
+    out = (x.data - flat.mean(axis=1)[:, None, None, None]) * invstd
+
+    def normalize_grad(g):
+        gf = g.reshape(c, -1)
+        g_mean = gf.mean(axis=1)[:, None, None, None]
+        gy_mean = (gf * out.reshape(c, -1)).mean(axis=1)[:, None, None, None]
+        return invstd * (g - g_mean - out * gy_mean)
+
+    def channel_sum(g):
+        return g.sum(axis=(1, 2, 3), keepdims=True)
+
+    normed = _node(out, (x,), normalize_grad)
+    g4 = _node(gamma.data.reshape(c, 1, 1, 1), (gamma,), lambda g: g.reshape(c))
+    b4 = _node(beta.data.reshape(c, 1, 1, 1), (beta,), lambda g: g.reshape(c))
+    scaled = _node(normed.data * g4.data, (normed, g4),
+                   lambda g: g * g4.data, lambda g: channel_sum(g * normed.data))
+    return _node(scaled.data + b4.data, (scaled, b4), lambda g: g, channel_sum)
+
+
 class TestAutodiff:
     def test_arithmetic_chain(self, rng):
         a = rng.normal(size=(3, 4))
@@ -394,10 +431,10 @@ class TestAutodiff:
         b = rng.normal(size=(4, 2))
         check_grads(lambda x, y: ((x @ y) ** 3).mean(), [a, b])
 
-    def test_reshape_detach(self, rng):
+    def test_detach_contributes_no_gradient(self, rng):
         a = rng.normal(size=(2, 6))
         t = Tensor(a.copy(), requires_grad=True)
-        loss = (t.reshape(3, 4) * t.reshape(3, 4)).mean() + t.detach().mean()
+        loss = (t * t).mean() + t.detach().mean()
         loss.backward()
         np.testing.assert_allclose(t.grad, 2 * a / a.size)  # detach contributes nothing
 
@@ -456,20 +493,39 @@ class TestAutodiff:
         w = rng.normal(size=(2, 3, 4, 4, 4)) * 0.5
         b = rng.normal(size=(3,))
         check_grads(
-            lambda xx, ww, bb: (ops.conv_transpose3d(xx, ww, bb, stride=2, pad=1) ** 2).mean(),
+            lambda xx, ww, bb: (ops.conv_transpose3d(xx, ww, bb) ** 2).mean(),
             [x, w, b],
             rtol=5e-4,
         )
 
     def test_instance_norm(self, rng):
+        # float64 throughout, with respect to the input and both affine terms
         x = rng.normal(size=(2, 3, 4, 3)) * 2.0
-        check_grads(lambda t: (ops.instance_norm(t) ** 3).mean(), [x], rtol=5e-4)
+        gamma, beta = rng.normal(size=2) + 1.0, rng.normal(size=2)
+        check_grads(lambda t, gm, bt: (ops.instance_norm(t, gm, bt, 1e-5) ** 3).mean(),
+                    [x, gamma, beta], rtol=5e-4)
 
     def test_instance_norm_statistics(self, rng):
         x = Tensor(rng.normal(loc=5.0, scale=3.0, size=(4, 6, 5, 7)))
-        y = ops.instance_norm(x).data.reshape(4, -1)
-        np.testing.assert_allclose(y.mean(axis=1), 0.0, atol=1e-12)
-        np.testing.assert_allclose(y.var(axis=1), 1.0, atol=1e-6)
+        gamma, beta = np.array([1.0, 2.0, -0.5, 3.0]), np.array([0.0, -1.0, 4.0, 0.5])
+        y = ops.instance_norm(x, Tensor(gamma), Tensor(beta), 1e-8).data.reshape(4, -1)
+        np.testing.assert_allclose(y.mean(axis=1), beta, atol=1e-12)
+        np.testing.assert_allclose(y.var(axis=1), gamma**2, rtol=1e-6)
+
+    def test_instance_norm_bits_equal_the_five_node_composition(self, rng):
+        x = rng.normal(loc=0.5, scale=2.0, size=(3, 4, 5, 6)).astype(np.float32)
+        gamma = np.array([0.5, 1.5, -2.0], np.float32)
+        beta = np.array([0.25, -1.0, 3.0], np.float32)
+        weights = Tensor(rng.normal(size=x.shape).astype(np.float32))
+        results = []
+        for norm in (ops.instance_norm, five_node_instance_norm):
+            ts = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+            y = norm(*ts, 1e-5)
+            (y * weights).mean().backward()
+            results.append([y.data] + [t.grad for t in ts])
+        for got, want in zip(*results):
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_gather_sites(self, rng):
         x = rng.normal(size=(3, 2, 3, 2))
@@ -517,7 +573,8 @@ class TestFloat32Numerics:
     def test_layers_and_inputs_use_the_engine_dtype(self, rng):
         assert DTYPE == np.float32
         layers = [Conv3d(2, 3, rng=rng), ConvTranspose3d(2, 3, rng=rng),
-                  ConvTranspose3d(2, 2, init="trilinear"), InstanceNorm3d(3), Linear(3, 4, rng=rng)]
+                  ConvTranspose3d(2, 2, rng=rng, init="trilinear"), InstanceNorm3d(3),
+                  Linear(3, 4, rng=rng)]
         assert {p.data.dtype for layer in layers for p in layer.parameters()} == {np.dtype(DTYPE)}
         vol = Volume(rng.random((4, 4, 4)), (1.0, 1.0, 1.0), UNIT)
         for x in (vol, rng.random((4, 4, 4)), rng.random((2, 4, 4, 4))):
@@ -536,7 +593,7 @@ class TestFloat32Numerics:
         monkeypatch.setattr(Tensor, "_accum", staticmethod(record))
         x = Tensor(rng.normal(size=(2, 4, 4, 4)).astype(np.float32), requires_grad=True)
         conv, tconv = Conv3d(2, 3, rng=rng), ConvTranspose3d(3, 2, rng=rng)
-        norm, lin = InstanceNorm3d(3), Linear(3, 4, rng=rng)
+        norm, up_norm, lin = InstanceNorm3d(3), InstanceNorm3d(2), Linear(3, 4, rng=rng)
         h = ops.leaky_relu(norm(conv(x)), 0.2)
         up = ops.relu(tconv(h)) * 0.5 + 1.0
         emb = ops.l2_normalize_rows(lin(ops.gather_sites(h, np.array([0, 5, 9]))))
@@ -546,13 +603,13 @@ class TestFloat32Numerics:
             ops.log_sigmoid(-h).mean(),
             ops.tanh(up).mean(),
             (2.0 * up**-2).mean(),
-            (-ops.instance_norm(up) + 1.0).reshape(-1).mean(),
+            (-up_norm(up) + 1.0).mean(),
         ]
         loss = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
         for t in (h, up, emb, logits, *terms, loss):
             assert t.data.dtype == np.float32
         loss.backward()
-        params = [p for m in (conv, tconv, norm, lin) for p in m.parameters()]
+        params = [p for m in (conv, tconv, norm, up_norm, lin) for p in m.parameters()]
         assert {t.grad.dtype for t in [x, *params]} == {np.dtype(np.float32)}
         assert handed == {np.dtype(np.float32)}
 
@@ -569,10 +626,11 @@ class TestFloat32Numerics:
         assert float(loss.data) == pytest.approx(want, rel=1e-6)
         assert np.isfinite(t.grad).all()
 
-    @pytest.mark.parametrize("eps", [1e-8, 1e-5])  # the op's default and InstanceNorm3d's
+    @pytest.mark.parametrize("eps", [1e-8, 1e-5])  # a tiny eps and InstanceNorm3d's
     def test_instance_norm_of_a_constant_volume(self, eps):
         t = Tensor(np.full((2, 5, 6, 7), 0.3, np.float32), requires_grad=True)
-        out = ops.instance_norm(t, eps)
+        out = ops.instance_norm(t, Tensor(np.ones(2, np.float32)), Tensor(np.zeros(2, np.float32)),
+                                eps)
         (out * out).mean().backward()
         assert out.data.dtype == np.float32 and t.grad.dtype == np.float32
         assert np.isfinite(out.data).all() and np.isfinite(t.grad).all()
@@ -588,7 +646,7 @@ class TestLayers:
         assert names == ["weight", "bias"]
 
     def test_trilinear_filter_partition_of_unity(self):
-        f = trilinear_filter(k=4, stride=2)
+        f = trilinear_filter()
         assert f.shape == (4, 4, 4)
         # each stride-parity class of the separable profile sums to 1, so
         # stride-2 translates tile space: deconv of ones has unit interior
@@ -601,7 +659,7 @@ class TestLayers:
 
     def test_tconv_trilinear_init_resamples(self, rng):
         # deconv with the trilinear filter == edge-clamped trilinear x2 in the interior
-        tc = ConvTranspose3d(1, 1, k=4, stride=2, pad=1, bias=False, init="trilinear")
+        tc = ConvTranspose3d(1, 1, rng=rng, init="trilinear")
         x = rng.normal(size=(1, 6, 6, 6))
         up = tc(Tensor(x)).data[0]
         want = kernels.resample3d(x[0], (12, 12, 12))
@@ -611,6 +669,23 @@ class TestLayers:
         layer = InstanceNorm3d(3)
         y = layer(Tensor(rng.normal(size=(3, 4, 4, 4))))
         assert y.data.shape == (3, 4, 4, 4)
+
+    def test_instance_norm_layer_is_one_node(self, rng):
+        layer = InstanceNorm3d(3)
+        x = Tensor(rng.normal(size=(3, 4, 4, 4)), requires_grad=True)
+        assert layer(x)._parents == (x, layer.gamma, layer.beta)
+
+    def test_frozen_instance_norm_gets_no_affine_gradient(self, rng):
+        # frozen for the forward pass only, as `cut.gan_losses` freezes D: the
+        # flag read at forward time decides, not the one at backward time
+        layer = InstanceNorm3d(3)
+        x = Tensor(rng.normal(size=(3, 4, 4, 4)), requires_grad=True)
+        layer.freeze()
+        y = layer(x)
+        layer.unfreeze()
+        (y * y).mean().backward()
+        assert layer.gamma.grad is None and layer.beta.grad is None
+        assert x.grad is not None
 
     def test_linear_layer(self, rng):
         lin = Linear(4, 2, rng=rng)
