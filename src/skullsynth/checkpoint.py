@@ -42,6 +42,8 @@ import zipfile
 import numpy as np
 
 from skullsynth import FORMAT_VERSION
+from skullsynth.engine.layers import Module
+from skullsynth.engine.optim import Optimizer
 
 _META_KEY = "__meta__"
 
@@ -132,15 +134,18 @@ def restore_state(meta: dict, arrays: dict, modules: dict, optimizers: dict) -> 
         raise ValueError(f"unexpected arrays {sorted(unread)[:4]}")
 
 
-def save_run(path, kind, keys, settings, step, epoch, monitor, modules, optimizers):
-    """Save a trainer's run record: each of `settings` under its metadata key
-    in `keys` (``{name: (key, type)}``), or under its own name if `keys` does
-    not list it."""
-    meta = {"kind": kind, "step": step, "epoch": epoch}
-    for name, value in settings.items():
-        key = keys[name][0] if name in keys else name
-        meta[key] = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
-    meta["monitor"] = monitor
+def save_run(path, kind, keys, state):
+    """Save a run record `state`, as `load_run` returns it: its networks and
+    optimizers; `step`, `epoch` and `monitor`; and settings, each under its
+    metadata key in `keys` (``{name: (key, type)}``), or else its own name."""
+    modules = {k: v for k, v in state.items() if isinstance(v, Module)}
+    optimizers = {k: v for k, v in state.items() if isinstance(v, Optimizer)}
+    meta = {"kind": kind, "step": state["step"], "epoch": state["epoch"]}
+    for name, value in state.items():
+        if name not in {*modules, *optimizers, "step", "epoch", "monitor"}:
+            key = keys[name][0] if name in keys else name
+            meta[key] = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+    meta["monitor"] = state["monitor"]
     save_state(path, meta, modules, optimizers)
 
 

@@ -189,8 +189,11 @@ def cmd_evaluate(args, cfg):
             )
         pred = vio.mask_from_volume(pred_vol)
         gt = vio.mask_from_volume(gt_vol)
-        d = metrics.dice(pred, gt)
-        s = metrics.surface_dice(pred, gt, tol, spacing=gt_vol.spacing)
+        try:
+            d = metrics.dice(pred, gt)
+            s = metrics.surface_dice(pred, gt, tol, spacing=gt_vol.spacing)
+        except ValueError as exc:
+            raise ValueError(f"case {case}: {exc}") from exc
         rows.append((case, d, s))
     mean_d = float(np.mean([r[1] for r in rows]))
     mean_s = float(np.mean([r[2] for r in rows]))

@@ -13,6 +13,7 @@ synthesis and identity roles.  Embeddings are unit-normalized before the dot
 product so similarities stay in [-1, 1].
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,7 +83,7 @@ class NCEConfig:
     def __post_init__(self):
         if self.num_patches < 2:
             raise ValueError("num_patches must be >= 2 (at least one negative)")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError("temperature must be > 0")
         if self.tap_layers is not None:
             self.tap_layers = tuple(int(t) for t in self.tap_layers)
@@ -418,15 +419,28 @@ def _build_generator(cfg, g_spec, *_):
 
 def save_cut_checkpoint(path, g, d, f, opt_d, opt_g, cfg, g_spec, d_spec, p_spec, nce_cfg,
                         tap_ids, step, epoch, monitor):
-    ckpt_io.save_run(path, "cut", _SETTINGS,
-                     {"cfg": cfg, "g_spec": g_spec, "d_spec": d_spec, "p_spec": p_spec,
-                      "nce_cfg": nce_cfg, "tap_ids": tap_ids},
-                     step, epoch, monitor, {"g": g, "d": d, "f": f},
-                     {"opt_d": opt_d, "opt_g": opt_g})
+    ckpt_io.save_run(path, "cut", _SETTINGS, dict(
+        g=g, d=d, f=f, opt_d=opt_d, opt_g=opt_g, cfg=cfg, g_spec=g_spec, d_spec=d_spec,
+        p_spec=p_spec, nce_cfg=nce_cfg, tap_ids=tap_ids, step=step, epoch=epoch, monitor=monitor))
 
 
 def load_cut_checkpoint(path, cfg=None):
     return ckpt_io.load_run(path, "cut", _SETTINGS, _build, cfg=cfg)
+
+
+def _check_volume(settings, v):
+    edge = settings["d_spec"].min_edge()
+    factor = 2 ** settings["g_spec"].n_downsample
+    if min(v.data.shape) < edge:
+        raise ValueError(f"volume shape {v.data.shape} is too small for the "
+                         f"discriminator: every edge must be at least {edge}")
+    if any(n % factor for n in v.data.shape):
+        raise ValueError(f"volume shape {v.data.shape} not divisible by the "
+                         f"generator's downsampling factor {factor}")
+
+
+_TRAINER = training.Trainer("cut", "cut", _SETTINGS, _build, load_cut_checkpoint, CSV_COLUMNS,
+                            _check_volume)
 
 
 def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
@@ -440,73 +454,40 @@ def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
     Returns (final checkpoint path, rows) where each row holds the
     `CSV_COLUMNS` values of one step.
     """
-    if not mr_set or not ct_set:
-        raise ValueError("both datasets must be nonempty")
-    for v in list(mr_set) + list(ct_set):
-        if v.domain != UNIT:
-            raise ValueError(f"training volumes must be UNIT domain, got {v.domain}")
-
-    def check(settings):
-        edge = settings["d_spec"].min_edge()
-        factor = 2 ** settings["g_spec"].n_downsample
-        for v in (*mr_set, *ct_set):
-            if min(v.data.shape) < edge:
-                raise ValueError(f"volume shape {v.data.shape} is too small for the "
-                                 f"discriminator: every edge must be at least {edge}")
-            if any(n % factor for n in v.data.shape):
-                raise ValueError(f"volume shape {v.data.shape} not divisible by the "
-                                 f"generator's downsampling factor {factor}")
-
-    state = training.start(run_dir, "cut", _SETTINGS, _build, load_cut_checkpoint, cfg,
-                           (g_spec, d_spec, p_spec, nce_cfg), resume_from, config_ini, check)
-    g, d, f, opt_d, opt_g, nce_cfg, tap_ids = (
-        state[k] for k in ("g", "d", "f", "opt_d", "opt_g", "nce_cfg", "tap_ids"))
+    state = training.start(_TRAINER, run_dir, cfg, (g_spec, d_spec, p_spec, nce_cfg),
+                           (mr_set, ct_set), resume_from, config_ini)
+    g, d, f, nce_cfg, tap_ids = (state[k] for k in ("g", "d", "f", "nce_cfg", "tap_ids"))
 
     n_mr, n_ct = len(mr_set), len(ct_set)
     steps_per_epoch = max(1, -(-max(n_mr, n_ct) // cfg.batch_size))
-    inv_b = 1.0 / cfg.batch_size
 
-    def run_step(step, epoch, lr):
-        acc = np.zeros(4)  # d, g_adv, nce_syn, nce_idt
-        for k in range(cfg.batch_size):
-            draw = seeding.stream(cfg.seed, "cut.draw", step, k)
-            x = as_tensor(mr_set[int(draw.integers(n_mr))])
-            y = as_tensor(ct_set[int(draw.integers(n_ct))])
-            syn, feats_mr = g(x, tap_ids)
-            idt, feats_ct = g(y, tap_ids)
-            d_loss, g_adv = gan_losses(d, y, syn, cfg.gan_mode)
+    def draw(step, k):
+        """Draw `k` of a step: (D loss, G loss), and the four logged losses."""
+        rng = seeding.stream(cfg.seed, "cut.draw", step, k)
+        x = as_tensor(mr_set[int(rng.integers(n_mr))])
+        y = as_tensor(ct_set[int(rng.integers(n_ct))])
+        syn, feats_mr = g(x, tap_ids)
+        idt, feats_ct = g(y, tap_ids)
+        d_loss, g_adv = gan_losses(d, y, syn, cfg.gan_mode)
 
-            # synthesis then identity PatchNCE; both sample from one patch stream
-            patch_rng = seeding.stream(cfg.seed, "cut.patch", step, k)
-            nce = []
-            for feats, out in ((feats_mr, syn), (feats_ct, idt)):
-                src = project_features(f, feats, tap_ids, nce_cfg, rng=patch_rng)
-                tr = project_features(
-                    f, g.encode(out, tap_ids), tap_ids, nce_cfg, locations=src.locations
-                )
-                nce.append(nce_from_stacks(tr, src, nce_cfg.temperature)[0])
-            nce_syn, nce_idt = nce
+        # synthesis then identity PatchNCE; both sample from one patch stream
+        patch_rng = seeding.stream(cfg.seed, "cut.patch", step, k)
+        nce = []
+        for feats, out in ((feats_mr, syn), (feats_ct, idt)):
+            src = project_features(f, feats, tap_ids, nce_cfg, rng=patch_rng)
+            tr = project_features(f, g.encode(out, tap_ids), tap_ids, nce_cfg,
+                                  locations=src.locations)
+            nce.append(nce_from_stacks(tr, src, nce_cfg.temperature)[0])
+        nce_syn, nce_idt = nce
+        g_loss = cut_total_loss(g_adv, nce_syn, nce_idt, cfg)
+        return (d_loss, g_loss), (d_loss, g_adv, nce_syn, nce_idt)
 
-            g_loss = cut_total_loss(g_adv, nce_syn, nce_idt, cfg)
-            (d_loss * inv_b).backward()
-            (g_loss * inv_b).backward()
-            acc += (d_loss.item(), g_adv.item(), nce_syn.item(), nce_idt.item())
-        opt_d.step()
-        opt_d.zero_grad()
-        opt_g.step()
-        opt_g.zero_grad()
-        d_mean, g_mean, syn_mean, idt_mean = (float(v) for v in acc * inv_b)
-        total = cut_total_loss(g_mean, syn_mean, idt_mean, cfg)
-        return (d_mean, g_mean, syn_mean, idt_mean, total), total
+    def run_step(step):
+        means = training.optimizer_step(
+            state, [functools.partial(draw, step, k) for k in range(cfg.batch_size)])
+        return (*means, cut_total_loss(*means[1:], cfg))
 
-    def save(path, step, epoch, monitor):
-        save_cut_checkpoint(path, g, d, f, opt_d, opt_g, cfg, state["g_spec"], state["d_spec"],
-                            state["p_spec"], nce_cfg, tap_ids, step, epoch, monitor)
-
-    return training.fit(
-        cfg, run_dir, "cut", CSV_COLUMNS, (opt_d, opt_g),
-        lambda epoch: [run_step] * steps_per_epoch, save, state if resume_from else None,
-    )
+    return training.fit(_TRAINER, cfg, run_dir, state, lambda epoch: [run_step] * steps_per_epoch)
 
 
 def translate(checkpoint, mr: Volume) -> Volume:

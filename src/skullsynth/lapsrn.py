@@ -91,6 +91,8 @@ class SRTrainConfig:
     def __post_init__(self):
         if not self.eps_charbonnier > 0:
             raise ValueError("eps_charbonnier must be positive")
+        if not (self.momentum >= 0 and self.weight_decay >= 0):
+            raise ValueError("momentum and weight_decay must be >= 0")
         training.check_config(self)
         if self.grad_accum < 1:
             raise ValueError("grad_accum must be >= 1")
@@ -230,8 +232,8 @@ def _build(cfg, spec):
 
 
 def save_sr_checkpoint(path, net, opt, cfg, spec, step, epoch, monitor):
-    ckpt_io.save_run(path, "lapsrn", _SETTINGS, {"cfg": cfg, "spec": spec}, step, epoch, monitor,
-                     {"net": net}, {"opt": opt})
+    ckpt_io.save_run(path, "lapsrn", _SETTINGS, dict(
+        net=net, opt=opt, cfg=cfg, spec=spec, step=step, epoch=epoch, monitor=monitor))
 
 
 def load_sr_checkpoint(path, cfg=None):
@@ -263,6 +265,16 @@ def _epoch_microbatches(hr_set, cfg, spec, epoch):
     return [micros[i] for i in order]
 
 
+def _check_volume(settings, v):
+    scale = settings["spec"].scale
+    if any(n % scale for n in v.data.shape):
+        raise ValueError(f"volume shape {v.data.shape} not divisible by scale {scale}")
+
+
+_TRAINER = training.Trainer("sr", "lapsrn", _SETTINGS, _build, load_sr_checkpoint, CSV_COLUMNS,
+                            _check_volume)
+
+
 def train_lapsrn(hr_set, cfg: SRTrainConfig, spec: PyramidSpec = None,
                  run_dir=".", resume_from=None, config_ini=None):
     """Chunked SGD training against self-downsampled volumes.
@@ -272,44 +284,20 @@ def train_lapsrn(hr_set, cfg: SRTrainConfig, spec: PyramidSpec = None,
     epoch-stamped checkpoint.  Returns (final checkpoint path, rows) where
     each row is (step, epoch, charbonnier, lr).
     """
-    if not hr_set:
-        raise ValueError("need at least one training volume")
-    for v in hr_set:
-        if v.domain != UNIT:
-            raise ValueError(f"training volumes must be UNIT domain, got {v.domain}")
+    state = training.start(_TRAINER, run_dir, cfg, (spec,), (hr_set,), resume_from, config_ini)
+    net, spec = state["net"], state["spec"]
 
-    def check(settings):
-        scale = settings["spec"].scale
-        for v in hr_set:
-            if any(n % scale for n in v.data.shape):
-                raise ValueError(f"volume shape {v.data.shape} not divisible by scale {scale}")
-
-    state = training.start(run_dir, "sr", _SETTINGS, _build, load_sr_checkpoint, cfg, (spec,),
-                           resume_from, config_ini, check)
-    net, opt, spec = state["net"], state["opt"], state["spec"]
-
-    def run_group(group, step, epoch, lr):
-        inv = 1.0 / len(group)
-        acc = 0.0
-        for lr_chunk, target_chunks in group:
-            loss = charbonnier_loss(net(lr_chunk), target_chunks, cfg.eps_charbonnier)
-            (loss * inv).backward()
-            acc += loss.item()
-        opt.step()
-        opt.zero_grad()
-        mean_loss = float(acc * inv)
-        return (mean_loss,), mean_loss
+    def draw(lr_chunk, target_chunks):
+        loss = charbonnier_loss(net(lr_chunk), target_chunks, cfg.eps_charbonnier)
+        return (loss,), (loss,)
 
     def epoch_steps(epoch):
         micros = _epoch_microbatches(hr_set, cfg, spec, epoch)
         for start in range(0, len(micros), cfg.grad_accum):
-            yield functools.partial(run_group, micros[start : start + cfg.grad_accum])
+            draws = [functools.partial(draw, *m) for m in micros[start : start + cfg.grad_accum]]
+            yield lambda step, draws=draws: training.optimizer_step(state, draws)
 
-    def save(path, step, epoch, monitor):
-        save_sr_checkpoint(path, net, opt, cfg, spec, step, epoch, monitor)
-
-    return training.fit(cfg, run_dir, "sr", CSV_COLUMNS, (opt,), epoch_steps, save,
-                        state if resume_from else None)
+    return training.fit(_TRAINER, cfg, run_dir, state, epoch_steps)
 
 
 def super_resolve(checkpoint, vol: Volume, core_size=None, halo=None) -> Volume:

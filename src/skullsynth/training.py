@@ -1,11 +1,12 @@
-"""Everything a training run does in its run dir, for both trainers: resume
-acceptance, the CSV log, the learning-rate schedule, the step cap, epoch
-checkpoints and the final save.  Run-dir files are named by a prefix:
-``config.ini``, ``<prefix>_log.csv``, ``<prefix>_epoch%04d.npz`` and
+"""Everything a training run does, for both trainers: dataset checks, resume
+acceptance, the optimizer step, the CSV log, the learning-rate schedule, the
+step cap, epoch checkpoints and the final save.  Run-dir files are named by a
+prefix: ``config.ini``, ``<prefix>_log.csv``, ``<prefix>_epoch%04d.npz`` and
 ``<prefix>_final.npz``.  `start` writes none of them until a resume is
 accepted, so a refused resume leaves the run dir as it was.
 """
 
+import collections
 import csv
 import dataclasses
 import glob
@@ -13,7 +14,9 @@ import os
 
 import numpy as np
 
-from skullsynth.engine.optim import PlateauDecay
+from skullsynth import checkpoint as ckpt_io
+from skullsynth.engine.optim import Optimizer, PlateauDecay
+from skullsynth.volume_io import UNIT
 
 
 def _truncate_log(path, columns, step):
@@ -39,31 +42,39 @@ def check_config(cfg):
             raise ValueError(f"{name} must be >= 0")
 
 
-def start(run_dir, prefix, keys, build, load, cfg, given, resume_from=None, config_ini=None,
-          check=None):
-    """The networks, optimizers and settings a run trains, as the dict
-    `checkpoint.load_run` returns.
+# a trainer's run-dir file prefix, record and loader (see `checkpoint`), log columns and check
+Trainer = collections.namedtuple("Trainer", "prefix kind keys build load columns check")
 
-    `keys` and `build` are the trainer's record (see `checkpoint`) and `load`
-    its loader; `cfg` is its first setting, the training config, and `given`
+
+def start(trainer, run_dir, cfg, given, datasets, resume_from=None, config_ini=None):
+    """The run `fit` trains, as the dict `checkpoint.load_run` returns.
+
+    `cfg` is the trainer's first setting, the training config, and `given`
     the others, None for their defaults.  A fresh run builds
-    ``build(cfg, *given)``.  `resume_from` is a checkpoint path, or "latest"
-    for the run dir's last epoch checkpoint.  A resume trains the networks
-    and optimizer state stored there, with optimizers built from `cfg`, which
-    the run's checkpoints record, and the stored settings for the rest: each
-    of `given` that is not None must equal its stored setting.  Raises
-    ValueError naming the field otherwise.  `check`, if given, may refuse
-    the run by raising too; it is called with a dict that holds every
-    setting by name, before a fresh run builds its networks.  Only then is
-    `config_ini`, if given, written as the run dir's ``config.ini``.
+    ``build(cfg, *given)`` at step 0.  `resume_from` is a checkpoint path, or
+    "latest" for the run dir's last epoch checkpoint.  A resume trains the
+    state stored there, with optimizers built from `cfg`, which the run's
+    checkpoints record; each of `given` that is not None must equal its
+    stored setting.  A ValueError refuses a resume that differs, an empty
+    dataset, and a volume of `datasets` not in UNIT or that
+    ``check(settings, volume)`` refuses, before a fresh run builds anything.
+    Only then is `config_ini`, if given, written as ``config.ini``.
     """
+    prefix, _, keys, build, load, _, check = trainer
+    if not all(datasets):
+        raise ValueError("every training dataset must be nonempty: need at least one volume")
+    volumes = [v for vs in datasets for v in vs]
+    for v in volumes:
+        if v.domain != UNIT:
+            raise ValueError(f"training volumes must be UNIT domain, got {v.domain}")
     names = list(keys)[1:]  # the setting each of `given` is
     if resume_from is None:
         specs = [want if want is not None else keys[name][1]() for want, name in zip(given, names)]
-        if check is not None:
-            check(dict(zip(names, specs)))
+        for v in volumes:
+            check(dict(zip(names, specs)), v)
         nets, opts, settings = build(cfg, *specs)
-        state = {**nets, **opts, **settings}
+        monitor = PlateauDecay(cfg.lr, cfg.plateau_patience_epochs, cfg.max_epochs)
+        state = {**nets, **opts, **settings, "step": 0, "epoch": 0, "monitor": monitor.state()}
     else:
         path = latest_checkpoint(run_dir, prefix) if resume_from == "latest" else resume_from
         if not os.path.isfile(path):
@@ -79,8 +90,8 @@ def start(run_dir, prefix, keys, build, load, cfg, given, resume_from=None, conf
                     raise ValueError(f"cannot resume from {path} with "
                                      f"{type(have).__name__}.{f.name}={a!r}: "
                                      f"the checkpoint's is {b!r}")
-        if check is not None:
-            check(state)
+        for v in volumes:
+            check(state, v)
     os.makedirs(run_dir, exist_ok=True)
     if config_ini is not None:
         with open(os.path.join(run_dir, "config.ini"), "w", encoding="utf-8") as fh:
@@ -88,29 +99,48 @@ def start(run_dir, prefix, keys, build, load, cfg, given, resume_from=None, conf
     return state
 
 
-def fit(cfg, run_dir, prefix, columns, optimizers, epoch_steps, save, resumed):
-    """Train to `cfg.max_epochs` or `cfg.max_steps`; return (final checkpoint, log rows).
+def optimizer_step(state, draws):
+    """Backpropagate the losses of `draws`, each scaled by 1/len(draws), then
+    step and zero each optimizer of the run `state` in order.  Each draw is
+    a callable returning (loss Tensors, Tensors to log); return the float64
+    means of the logged values."""
+    inv = 1.0 / len(draws)
+    acc = 0.0
+    for losses, logged in (draw() for draw in draws):
+        for loss in losses:
+            (loss * inv).backward()
+        acc = acc + np.array([v.item() for v in logged])
+    for opt in (v for v in state.values() if isinstance(v, Optimizer)):  # in the run's order
+        opt.step()
+        opt.zero_grad()
+    return tuple(float(v) for v in acc * inv)
 
-    `epoch_steps(epoch)` yields one callable per optimizer step, called as
-    ``(steps taken, epoch, lr)`` and returning (losses, monitored): the log
-    columns between ``epoch`` and ``lr``, and the loss whose epoch mean drives
-    `PlateauDecay`.  `save(path, step, epoch, monitor_state)` writes a
-    checkpoint; `resumed` is the state `start` loaded, or None for a fresh run.
+
+def fit(trainer, cfg, run_dir, state, epoch_steps):
+    """Train the run `state` from `start` to `cfg.max_epochs` or `cfg.max_steps`,
+    saving its checkpoints; return (final checkpoint, log rows).
+
+    `epoch_steps(epoch)` yields one callable per optimizer step, called with
+    the steps taken and returning the log columns between ``epoch`` and
+    ``lr``; the epoch mean of the last drives `PlateauDecay`.
     """
     monitor = PlateauDecay(cfg.lr, cfg.plateau_patience_epochs, cfg.max_epochs)
-    step = epochs_done = 0
-    if resumed:
-        step, epochs_done = resumed["step"], resumed["epoch"]
-        monitor.load(resumed["monitor"])
+    monitor.load(state["monitor"])
+    step, epochs_done = state["step"], state["epoch"]
 
     def capped():
         return bool(cfg.max_steps) and step >= cfg.max_steps
 
-    log_path = os.path.join(run_dir, f"{prefix}_log.csv")
-    _truncate_log(log_path, columns, step)
+    def save(path):
+        state.update(step=step, epoch=epochs_done, monitor=monitor.state())
+        ckpt_io.save_run(path, trainer.kind, trainer.keys, state)
+        return path
+
+    log_path = os.path.join(run_dir, f"{trainer.prefix}_log.csv")
+    _truncate_log(log_path, trainer.columns, step)
     # like the log rows, the epoch checkpoints past the start are an earlier
     # run's; left in place, `latest_checkpoint` would pick one of them
-    for epoch, path in _epoch_checkpoints(run_dir, prefix).items():
+    for epoch, path in _epoch_checkpoints(run_dir, trainer.prefix).items():
         if epoch > epochs_done:
             os.remove(path)
     rows = []
@@ -120,16 +150,16 @@ def fit(cfg, run_dir, prefix, columns, optimizers, epoch_steps, save, resumed):
             if capped():
                 break
             lr = monitor.lr_for_epoch(epoch)
-            for opt in optimizers:
+            for opt in (v for v in state.values() if isinstance(v, Optimizer)):
                 opt.lr = lr
             monitored = []
             for run_step in epoch_steps(epoch):
                 if capped():
                     break
-                losses, loss = run_step(step, epoch, lr)
+                values = run_step(step)
                 step += 1
-                rows.append((step, epoch, *losses, lr))
-                monitored.append(loss)
+                rows.append((step, epoch, *values, lr))
+                monitored.append(values[-1])
                 writer.writerow([repr(v) for v in rows[-1]])
                 fh.flush()
             else:  # the epoch ran to its end; a capped one stops at the next check
@@ -137,12 +167,9 @@ def fit(cfg, run_dir, prefix, columns, optimizers, epoch_steps, save, resumed):
                 if monitored:
                     monitor.observe(float(np.mean(monitored)), epochs_done)
                 if cfg.checkpoint_every and epochs_done % cfg.checkpoint_every == 0:
-                    save(os.path.join(run_dir, f"{prefix}_epoch{epochs_done:04d}.npz"),
-                         step, epochs_done, monitor.state())
+                    save(os.path.join(run_dir, f"{trainer.prefix}_epoch{epochs_done:04d}.npz"))
 
-    final = os.path.join(run_dir, f"{prefix}_final.npz")
-    save(final, step, epochs_done, monitor.state())
-    return final, rows
+    return save(os.path.join(run_dir, f"{trainer.prefix}_final.npz")), rows
 
 
 def _epoch_checkpoints(run_dir, prefix):

@@ -168,6 +168,9 @@ EXIT_CODES = [
     ("lapsrn.learning_rate=nan", 2,
      lambda d, p: _tiny(d, p, "sr", {"lapsrn.learning_rate": "nan"})),
     ("eps_charbonnier=nan", 2, lambda d, p: _tiny(d, p, "sr", {"lapsrn.eps_charbonnier": "nan"})),
+    ("cut.temperature=nan", 2, lambda d, p: _tiny(d, p, "cut", {"cut.temperature": "nan"})),
+    ("lapsrn.momentum=nan", 2, lambda d, p: _tiny(d, p, "sr", {"lapsrn.momentum": "nan"})),
+    ("lapsrn.weight_decay=nan", 2, lambda d, p: _tiny(d, p, "sr", {"lapsrn.weight_decay": "nan"})),
     ("cut.max_steps=-1", 2, lambda d, p: _tiny(d, p, "cut", {"cut.max_steps": -1})),
     ("cut.checkpoint_every=-1", 2, lambda d, p: _tiny(d, p, "cut", {"cut.checkpoint_every": -1})),
     ("lapsrn.max_epochs=-2", 2, lambda d, p: _tiny(d, p, "sr", {"lapsrn.max_epochs": -2})),
@@ -209,6 +212,11 @@ def test_evaluate_names_the_case_and_both_spacings(phantoms, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "case000" in err and "(0.5, 0.5, 0.5)" in err and "(1.0, 1.0, 1.0)" in err
     assert not (tmp_path / "run").exists()
+
+
+def test_evaluate_shape_error_names_the_case(phantoms, tmp_path, capsys):
+    assert main(_evaluate_cropped(str(tmp_path), str(phantoms))) == 1
+    assert "case case000: shape mismatch: (4, 4, 4) vs (4, 4, 5)" in capsys.readouterr().err
 
 
 def test_resume_names_the_changed_setting_and_both_values(phantoms, tmp_path, capsys):
@@ -345,6 +353,9 @@ SPEC_ERRORS = {
     "lambda_gan=nan": "loss weights must be >= 0",
     "lapsrn.learning_rate=nan": "lr must be positive",
     "eps_charbonnier=nan": "eps_charbonnier must be positive",
+    "cut.temperature=nan": "temperature must be > 0",
+    "lapsrn.momentum=nan": "momentum and weight_decay must be >= 0",
+    "lapsrn.weight_decay=nan": "momentum and weight_decay must be >= 0",
     "cut.max_steps=-1": "max_steps must be >= 0",
     "cut.checkpoint_every=-1": "checkpoint_every must be >= 0",
     "lapsrn.max_epochs=-2": "max_epochs must be >= 0",

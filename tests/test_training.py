@@ -1,6 +1,7 @@
 """The shared training loop, through both trainers: the log after a resume,
 the epoch checkpoints an earlier run left, the log handle after a failing
-step, and the work done for capped epochs."""
+step, and the work done for capped epochs; and the shared optimizer step,
+directly."""
 
 import gc
 import warnings
@@ -10,6 +11,8 @@ import pytest
 
 from skullsynth import checkpoint as ckpt_io
 from skullsynth import cut, lapsrn, training
+from skullsynth.engine.optim import SGD
+from skullsynth.engine.tensor import Tensor
 from skullsynth.volume_io import UNIT, Volume
 
 CUT_NETS = dict(
@@ -123,3 +126,78 @@ def test_step_cap_at_epoch_boundary_prepares_only_trained_epochs(epochs, tmp_pat
     _, rows = train_sr(tmp_path, max_epochs=5, max_steps=4 * epochs)
     assert len(rows) == 4 * epochs
     assert prepared == list(range(epochs))
+
+
+def _sgd(param):
+    """Plain SGD at rate 1: a step subtracts the gradient."""
+    return SGD([param], 1.0, momentum=0.0, weight_decay=0.0)
+
+
+def test_optimizer_step_applies_the_mean_of_the_draws_gradients():
+    # each draw has one loss per optimizer: the mean of c * p, gradient c / 3
+    p, q = Tensor(np.zeros(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+    cs = [np.array([1.0, 2.0, 4.0]), np.array([8.0, -2.0, 0.5])]
+
+    def draw(c):
+        losses = ((p * c).mean(), (q * (2 * c)).mean())
+        return losses, losses
+
+    training.optimizer_step({"opt_p": _sgd(p), "opt_q": _sgd(q)},
+                            [lambda c=c: draw(c) for c in cs])
+    mean_grad = (cs[0] + cs[1]) / 2 / 3
+    np.testing.assert_allclose(p.data, -mean_grad, rtol=1e-14)
+    np.testing.assert_allclose(q.data, 1.0 - 2 * mean_grad, rtol=1e-14)
+
+
+def test_optimizer_step_returns_float64_means_of_the_logged_values():
+    p = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+    logged = [np.float32(0.1), np.float32(0.7)], [np.float32(0.2), np.float32(1e-8)]
+
+    def draw(values):
+        loss = (p * 0.0).mean()
+        return (loss,), [Tensor(np.asarray(v)) for v in values]
+
+    means = training.optimizer_step({"opt": _sgd(p)}, [lambda v=v: draw(v) for v in logged])
+    want = tuple((np.float64(a) + np.float64(b)) * 0.5 for a, b in zip(*logged))
+    assert means == want
+    assert all(type(m) is float for m in means)
+    # a float32 sum would lose the 1e-8
+    assert means[1] != float((logged[0][1] + logged[1][1]) * np.float32(0.5))
+
+
+def test_optimizer_step_steps_the_runs_optimizers_in_order_and_clears_their_gradients():
+    p, q = Tensor(np.zeros(2), requires_grad=True), Tensor(np.zeros(2), requires_grad=True)
+    calls = []
+    # the state's order, not the names' order, is the run's order
+    state = {"net": object(), "opt_b": _sgd(q), "opt_a": _sgd(p), "cfg": None}
+    for name in ("opt_b", "opt_a"):
+        opt = state[name]
+        for method in ("step", "zero_grad"):
+            def record(_name=name, _method=method, _real=getattr(opt, method)):
+                calls.append((_name, _method))
+                _real()
+
+            setattr(opt, method, record)
+
+    def draw():
+        losses = (p.mean(), q.mean())
+        return losses, losses
+
+    training.optimizer_step(state, [draw, draw])
+    assert calls == [("opt_b", "step"), ("opt_b", "zero_grad"),
+                     ("opt_a", "step"), ("opt_a", "zero_grad")]
+    assert p.grad is None and q.grad is None
+    assert not np.array_equal(p.data, np.zeros(2)) and not np.array_equal(q.data, np.zeros(2))
+
+
+def test_cut_total_is_the_total_loss_of_the_logged_means(tmp_path):
+    weights = dict(lambda_gan=0.3, lambda_syn=1.7, lambda_idt=0.9)
+    _, rows = train_cut(tmp_path, max_epochs=3, **weights)
+    cfg = cut.CutTrainConfig(**weights)
+    with open(tmp_path / "cut_log.csv") as fh:
+        logged = [[float(v) for v in line.split(",")] for line in fh.read().splitlines()[1:]]
+    assert len(logged) == len(rows) == 3
+    for row, line in zip(rows, logged):
+        assert line == list(row)
+        _, g_adv, nce_syn, nce_idt, total = line[2:7]
+        assert total == cut.cut_total_loss(g_adv, nce_syn, nce_idt, cfg)

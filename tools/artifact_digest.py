@@ -1,0 +1,101 @@
+"""Digest the training artifacts of a fixed small CLI scenario.
+
+Usage: python tools/artifact_digest.py CHECKOUT
+
+Runs the CLI of the checkout at CHECKOUT (its ``src`` on PYTHONPATH) in a
+fresh temp dir, with relative paths throughout:
+
+- ``phantom-gen``, then ``preprocess`` of the MR and of the CT volumes;
+- ``train-cut`` in ``log`` and in ``lsgan`` mode, each followed by a
+  ``--resume latest`` that trains one more epoch;
+- ``train-sr`` with all five ``aug_*`` switches on, then a ``--resume latest``.
+
+Prints one ``<sha256>  <path>`` line per checkpoint, log and ``config.ini``,
+by path.  A checkpoint's digest covers its metadata and every array's name,
+dtype, shape and bytes; a log's or ``config.ini``'s covers the file's bytes.
+Two checkouts train bit for bit alike on this scenario when their outputs are
+equal.
+"""
+
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+CUT = {
+    "cut.base_filters": 2, "cut.n_downsample": 1, "cut.n_residual_blocks": 1,
+    "cut.d_layers": 1, "cut.d_base_filters": 2, "cut.proj_layers": 1, "cut.embed_dim": 4,
+    "cut.num_patches": 4, "cut.batch_size": 2,
+}
+SR = {
+    "lapsrn.filters": 2, "lapsrn.feat_layers": 3, "lapsrn.core_size": 4, "lapsrn.halo": 2,
+    "lapsrn.grad_accum": 4,
+    **{f"lapsrn.aug_{name}": "true" for name in ("flip", "affine", "ghost", "blur", "gamma")},
+}
+
+
+def _scenario():
+    """The CLI argument lists, in order."""
+    runs = [
+        ["phantom-gen", "--out", "raw", "--count", "3", "--shape", "16",
+         "--noise-mr", "0.02", "--noise-ct", "20"],
+        ["preprocess", "--in-dir", "raw", "--out-dir", "mr", "--kind", "mr"],
+        ["preprocess", "--in-dir", "raw", "--out-dir", "ct", "--kind", "ct"],
+    ]
+    for mode in ("log", "lsgan"):
+        train = ["train-cut", "--mr-dir", "mr", "--ct-dir", "ct",
+                 *_settings({**CUT, "cut.gan_mode": mode, "run.output_dir": f"cut_{mode}"})]
+        runs += [train + ["--set", "cut.max_epochs=2"],
+                 train + ["--set", "cut.max_epochs=3", "--resume", "latest"]]
+    train = ["train-sr", "--hr-dir", "ct", *_settings({**SR, "run.output_dir": "sr"})]
+    runs += [train + ["--set", "lapsrn.max_epochs=1"],
+             train + ["--set", "lapsrn.max_epochs=2", "--resume", "latest"]]
+    return runs
+
+
+def _settings(values):
+    return [f"--set={k}={v}" for k, v in values.items()]
+
+
+def _checkpoint_digest(path):
+    h = hashlib.sha256()
+    with np.load(path) as npz:
+        for name in sorted(npz.files):
+            arr = npz[name]
+            h.update(f"{name}|{arr.dtype.str}|{arr.shape}|".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def digests(work):
+    """{relative path: sha256} of the run dirs' artifacts under `work`."""
+    out = {}
+    for path in sorted(pathlib.Path(work).glob("*/*")):
+        if path.suffix == ".npz":
+            out[str(path.relative_to(work))] = _checkpoint_digest(path)
+        elif path.suffix == ".csv" or path.name == "config.ini":
+            out[str(path.relative_to(work))] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def main(argv):
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    src = os.path.join(os.path.abspath(argv[0]), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    with tempfile.TemporaryDirectory() as work:
+        for args in _scenario():
+            subprocess.run([sys.executable, "-m", "skullsynth.cli", *args], cwd=work, env=env,
+                           check=True, stdout=subprocess.DEVNULL)
+        for name, digest in digests(work).items():
+            print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
