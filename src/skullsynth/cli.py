@@ -51,20 +51,25 @@ def cmd_phantom_gen(args, cfg):
     seed = config_mod.run_settings(cfg).seed
     fmt = config_mod.data_settings(cfg).format
     ext = vio.EXTENSIONS[fmt][0]
-    os.makedirs(args.out, exist_ok=True)
     shape = (args.shape,) * 3
+    specs = []
     for i in range(args.count):
         jitter = seeding.stream(seed, "phantom.case", i)
         semi = tuple(float(f * n) for f, n in zip(jitter.uniform(0.32, 0.42, 3), shape))
-        spec = phantom.PhantomSpec(
-            shape=shape,
-            semi_axes=semi,
-            thickness=float(jitter.uniform(4.0, 5.0)),
-            noise_sigma_mr=args.noise_mr,
-            noise_sigma_ct=args.noise_ct,
-            defect_radius=args.defect_radius,
-            seed=seed + i,
-        )
+        try:
+            specs.append(phantom.PhantomSpec(
+                shape=shape,
+                semi_axes=semi,
+                thickness=float(jitter.uniform(4.0, 5.0)),
+                noise_sigma_mr=args.noise_mr,
+                noise_sigma_ct=args.noise_ct,
+                defect_radius=args.defect_radius,
+                seed=seed + i,
+            ))
+        except ValueError as exc:  # a flag out of range: write nothing
+            raise ConfigError(str(exc)) from exc
+    os.makedirs(args.out, exist_ok=True)
+    for i, spec in enumerate(specs):
         mr, ct, mask = phantom.make_phantom(spec)
         stem = os.path.join(args.out, f"case{i:03d}")
         vio.save_volume(mr, stem + "_mr" + ext, fmt)

@@ -169,64 +169,53 @@ class Generator(Module):
         self.up_norms = up_norms
         self.head = Conv3d(c, 1, 3, rng=rng)
 
+    def _stages(self):
+        """The encoder in tap order, as (output channels, stage): the stem and
+        each downsampling conv, each with its norm and ReLU, then each residual block."""
+        convs = [(self.stem, self.stem_norm), *zip(self.downs, self.down_norms)]
+        stages = [(conv.weight.data.shape[0], lambda h, c=conv, n=norm: ops.relu(n(c(h))))
+                  for conv, norm in convs]
+        return stages + [(block.conv2.weight.data.shape[0], block) for block in self.blocks]
+
     def eligible_taps(self):
         """Channel count per encoder tap: stem, each downsample, each residual block."""
-        f = self.spec.base_filters
-        chans = [f]
-        c = f
-        for _ in range(self.spec.n_downsample):
-            c *= 2
-            chans.append(c)
-        chans.extend([c] * self.spec.n_residual_blocks)
-        return chans
+        return [c for c, _ in self._stages()]
 
     def default_tap_ids(self):
         return tuple(range(min(9, len(self.eligible_taps()))))
 
-    def _check_shape(self, x):
+    def _encode(self, x, tap_ids, stop=None):
+        """Run the encoder's first `stop` stages (all for None); return the
+        last one's output and the features at `tap_ids`."""
         factor = 2**self.spec.n_downsample
         if any(n % factor for n in x.data.shape[1:]):
             raise ValueError(
                 f"input shape {x.data.shape[1:]} not divisible by downsampling factor {factor}"
             )
-
-    def _encode(self, x, want):
-        feats = {}
-        h = ops.relu(self.stem_norm(self.stem(x)))
-        tap = 0
-        if tap in want:
-            feats[tap] = h
-        for conv, norm in zip(self.downs, self.down_norms):
-            h = ops.relu(norm(conv(h)))
-            tap += 1
-            if tap in want:
-                feats[tap] = h
-        for block in self.blocks:
-            h = block(h)
-            tap += 1
-            if tap in want:
-                feats[tap] = h
-        return h, feats
-
-    def encode(self, x, tap_ids):
-        """Encoder-only pass returning the requested tap features."""
-        self._check_shape(x)
-        want = set(tap_ids)
-        bad = want - set(range(len(self.eligible_taps())))
+        stages = self._stages()
+        bad = set(tap_ids) - set(range(len(stages)))
         if bad:
             raise ValueError(f"invalid tap ids {sorted(bad)}")
-        _, feats = self._encode(x, want)
-        return [feats[i] for i in tap_ids]
+        feats = {}
+        h = x
+        for tap, (_, stage) in enumerate(stages[:stop]):
+            h = stage(h)
+            if tap in tap_ids:
+                feats[tap] = h
+        return h, [feats[i] for i in tap_ids]
+
+    def encode(self, x, tap_ids):
+        """Encoder-only pass returning the requested tap features; runs no
+        stage past the last of them."""
+        return self._encode(x, tap_ids, max(tap_ids, default=-1) + 1)[1]
 
     def __call__(self, x, tap_ids=()):
         """Full pass; returns (output in [0,1], list of tap features)."""
-        self._check_shape(x)
-        want = set(tap_ids)
-        h, feats = self._encode(x, want)
+        h, feats = self._encode(x, tap_ids)
         for tconv, norm in zip(self.ups, self.up_norms):
             h = ops.relu(norm(tconv(h)))
         out = (ops.tanh(self.head(h)) + 1.0) * 0.5
-        return out, [feats[i] for i in tap_ids]
+        return out, feats
 
 
 class Discriminator(Module):
@@ -452,8 +441,14 @@ def train_cut(mr_set, ct_set, cfg: CutTrainConfig,
     gradients; the discriminator steps first, then generator and projector
     jointly.  Emits a CSV row per step and an epoch-stamped checkpoint.
     Returns (final checkpoint path, rows) where each row holds the
-    `CSV_COLUMNS` values of one step.
+    `CSV_COLUMNS` values of one step.  MR and CT volumes of more than one
+    shape, which `gan_losses` cannot compare, are refused before anything
+    is written.
     """
+    mr_shapes, ct_shapes = ({v.data.shape for v in vs} for vs in (mr_set, ct_set))
+    if len(mr_shapes | ct_shapes) > 1:
+        raise ValueError(f"MR shapes {sorted(mr_shapes)} and CT shapes {sorted(ct_shapes)} "
+                         "differ: every MR and CT volume must have one shape")
     state = training.start(_TRAINER, run_dir, cfg, (g_spec, d_spec, p_spec, nce_cfg),
                            (mr_set, ct_set), resume_from, config_ini)
     g, d, f, nce_cfg, tap_ids = (state[k] for k in ("g", "d", "f", "nce_cfg", "tap_ids"))
@@ -498,5 +493,6 @@ def translate(checkpoint, mr: Volume) -> Volume:
     g = checkpoint["g"]
     if mr.domain != UNIT:
         raise ValueError(f"generator input must be UNIT domain, got {mr.domain}")
-    out, _ = g(as_tensor(mr))
+    with g.frozen():
+        out, _ = g(as_tensor(mr))
     return Volume(out.data[0], mr.spacing, UNIT)

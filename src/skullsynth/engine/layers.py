@@ -7,6 +7,8 @@ random weights from the caller's seeded RNG; every conv and Linear has a
 bias.  The one transposed-conv geometry is the 2x upsampler: kernel 4,
 stride 2, pad 1."""
 
+import contextlib
+
 import numpy as np
 
 from skullsynth.engine import ops
@@ -46,6 +48,19 @@ class Module:
     def unfreeze(self):
         for p in self.parameters():
             p.requires_grad = True
+
+    @contextlib.contextmanager
+    def frozen(self):
+        """Freeze every parameter for the body of a ``with``, so the module
+        builds no autograd graph there; then give each its flag back."""
+        params = self.parameters()
+        flags = [p.requires_grad for p in params]
+        self.freeze()
+        try:
+            yield self
+        finally:
+            for p, flag in zip(params, flags):
+                p.requires_grad = flag
 
 
 def he_normal(rng, shape, fan_in):

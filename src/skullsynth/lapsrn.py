@@ -18,8 +18,8 @@ from skullsynth import checkpoint as ckpt_io
 from skullsynth import seeding, training
 from skullsynth.augment import AugmentationConfig, augment
 from skullsynth.chunks import Chunk, ChunkGrid, assemble_chunks, chunk_volume
-from skullsynth.engine import kernels, ops
-from skullsynth.engine.layers import Conv3d, ConvTranspose3d, Module, trilinear_filter
+from skullsynth.engine import ops
+from skullsynth.engine.layers import Conv3d, ConvTranspose3d, Module
 from skullsynth.engine.optim import SGD
 from skullsynth.engine.tensor import DTYPE, Tensor, as_tensor
 from skullsynth.volume_io import UNIT, Volume, resample
@@ -128,11 +128,28 @@ class _LevelNet(Module):
         h = ops.leaky_relu(self.feat_up(h), 0.2)
         return self.feat_head(h)
 
-    def upsample(self, x, inv_norm):
+    def upsample(self, x):
         h = x
         for conv in self.recon_convs:
             h = ops.leaky_relu(conv(h), 0.2)
-        return self.recon_up(h) * inv_norm
+        return self.recon_up(h) * _inv_border_weights(x.data.shape[1:])
+
+
+def _inv_border_weights(shape):
+    """1 / the trilinear upsampler's response to all-ones input of `shape`.
+
+    Its 1-D taps are (1/4, 3/4, 3/4, 1/4), so each output voxel of the
+    stride-2 transposed conv sums two taps to 1, except an axis's two end
+    voxels, which get one, 3/4.  The response is the product of the axes'
+    weights, exact in float32; dividing by it restores the edge-clamped
+    interpolation at the border.  Interior entries are exactly 1.0, so
+    chunked inference still matches the whole-volume pass.
+    """
+    axes = [np.ones(2 * n, DTYPE) for n in shape]
+    for w in axes:
+        w[[0, -1]] = 0.75
+    wz, wy, wx = np.ix_(*axes)
+    return Tensor(1.0 / (wz * wy * wx)[None])
 
 
 class SRNet(Module):
@@ -141,27 +158,12 @@ class SRNet(Module):
     def __init__(self, spec: PyramidSpec, rng):
         self.spec = spec
         self.levels = [_LevelNet(spec, rng) for _ in range(spec.levels)]
-        self._inv_norm_cache = {}
-
-    def _inv_norm(self, shape):
-        # A transposed conv under-weights border voxels where the kernel
-        # hangs off the grid; dividing by its response to all-ones restores
-        # the edge-clamped interpolation there.  Interior entries are
-        # exactly 1.0 (the filter taps sum to one), so interior voxels keep
-        # their bits and chunked inference still matches the global pass.
-        if shape not in self._inv_norm_cache:
-            ones = np.ones((1,) + tuple(shape), dtype=DTYPE)
-            w = trilinear_filter()[None, None].astype(DTYPE)
-            norm = kernels.tconv3d_forward(ones, w, 2, 1)
-            self._inv_norm_cache[shape] = Tensor(1.0 / norm)
-        return self._inv_norm_cache[shape]
 
     def __call__(self, x):
         outs = []
         img = as_tensor(x)
         for level in self.levels:
-            up = level.upsample(img, self._inv_norm(img.data.shape[1:]))
-            img = up + level.residual(img)
+            img = level.upsample(img) + level.residual(img)
             outs.append(img)
         return outs
 
@@ -317,8 +319,9 @@ def super_resolve(checkpoint, vol: Volume, core_size=None, halo=None) -> Volume:
     scale = spec.scale
     grid = ChunkGrid.build(vol.data.shape, core_size, halo)
     out_grid = grid.scaled(scale)
-    out_chunks = [Chunk(net(c.data)[-1].data[0], origin)
-                  for c, origin in zip(chunk_volume(vol, grid), out_grid.origins)]
+    with net.frozen():
+        out_chunks = [Chunk(net(c.data)[-1].data[0], origin)
+                      for c, origin in zip(chunk_volume(vol, grid), out_grid.origins)]
     data = assemble_chunks(out_chunks, out_grid)
     np.clip(data, 0.0, 1.0, out=data)
     spacing = tuple(s / scale for s in vol.spacing)

@@ -38,6 +38,13 @@ class PhantomSpec:
     defect_radius: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        if len(self.shape) != 3 or any(n < 1 for n in self.shape):
+            raise ValueError(f"shape must be 3 sizes >= 1, got {tuple(self.shape)}")
+        if not all(v >= 0 for v in (self.noise_sigma_mr, self.noise_sigma_ct,
+                                    self.defect_radius)):
+            raise ValueError("noise_sigma_mr, noise_sigma_ct and defect_radius must be >= 0")
+
 
 def _ellipsoid(axes, center, semi_axes):
     return sum(((a - c) / s) ** 2 for a, c, s in zip(axes, center, semi_axes)) <= 1.0

@@ -13,6 +13,7 @@ Spacing is quantized to float32 on construction so both formats round-trip
 """
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -41,6 +42,14 @@ class DomainError(ValueError):
     """Operation applied to a volume with the wrong intensity-domain tag."""
 
 
+def _spacing(values):
+    """`values` quantized to float32; refused unless 3 finite positive values."""
+    spacing = tuple(float(np.float32(s)) for s in values)
+    if len(spacing) != 3 or not all(math.isfinite(s) and s > 0 for s in spacing):
+        raise ValueError(f"spacing must be 3 finite positive values, got {spacing}")
+    return spacing
+
+
 @dataclass
 class Volume:
     data: np.ndarray
@@ -53,9 +62,7 @@ class Volume:
             raise ValueError(f"volume data must be 3-D, got shape {self.data.shape}")
         if not np.isfinite(self.data).all():
             raise ValueError("volume contains non-finite entries")
-        self.spacing = tuple(float(np.float32(s)) for s in self.spacing)
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be 3 positive values, got {self.spacing}")
+        self.spacing = _spacing(self.spacing)
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
         if self.domain == UNIT and self.data.size:
@@ -76,7 +83,7 @@ class SegmentationMask:
         if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("mask entries must be exactly 0 or 1")
         self.data = arr.astype(np.uint8)
-        self.spacing = tuple(float(np.float32(s)) for s in self.spacing)
+        self.spacing = _spacing(self.spacing)
 
     def to_volume(self):
         return Volume(self.data.astype(np.float32), self.spacing, ARBITRARY)

@@ -1,5 +1,5 @@
-"""Shared fixtures: a seeded generator, a unit volume, and a switch for the
-networks' compute dtype."""
+"""Shared fixtures: a seeded generator, a unit volume, a switch for the
+networks' compute dtype, and a count of the autograd nodes built."""
 
 import sys
 
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import skullsynth.cli  # noqa: F401  (loads every module that binds DTYPE)
+from skullsynth.engine.tensor import Tensor
 from skullsynth.volume_io import UNIT, Volume
 
 
@@ -31,3 +32,20 @@ def engine_dtype(monkeypatch):
                 monkeypatch.setattr(module, "DTYPE", dtype)
 
     return use
+
+
+@pytest.fixture
+def graph_nodes(monkeypatch):
+    """A list that gets the shape of every autograd node built afterwards:
+    each `Tensor._make` result that keeps its parents for a backward pass."""
+    shapes = []
+    make = Tensor._make
+
+    def counting(data, parents, backward):
+        out = make(data, parents, backward)
+        if out._parents:
+            shapes.append(out.data.shape)
+        return out
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(counting))
+    return shapes

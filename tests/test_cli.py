@@ -115,6 +115,21 @@ def _resume(d, p, prefix, changed=()):
     return _tiny(d, p, prefix, changed) + ["--resume", f"{p}/run/{prefix}_final.npz"]
 
 
+def _train_cut_other_ct_shape(d, p, resume=False):
+    """`_tiny` train-cut, or its resume of the fixture's checkpoint, with the
+    CT volume cropped to 6^3 in <d>/ct, a shape the fixture's D and G take."""
+    v = vio.load_volume(p + "/unit/case000_mr.raw")
+    os.makedirs(d + "/ct")
+    vio.save_volume(vio.Volume(v.data[:6, :6, :6], v.spacing, v.domain), d + "/ct/case000.raw")
+    argv = _resume(d, p, "cut") if resume else _tiny(d, p, "cut")
+    argv[argv.index("--ct-dir") + 1] = d + "/ct"
+    return argv
+
+
+def _phantom_gen(d, *flags):
+    return ["phantom-gen", "--out", d + "/run", "--count", "1", *flags]
+
+
 def test_phantom_gen_writes_every_case(phantoms):
     assert sorted(p.name for p in (phantoms / "n2").iterdir()) == [
         f"case00{i}_{kind}.raw{ext}"
@@ -177,12 +192,21 @@ EXIT_CODES = [
     ("lapsrn.plateau_patience_epochs=-1", 2,
      lambda d, p: _tiny(d, p, "sr", {"lapsrn.plateau_patience_epochs": -1})),
     ("run.seed=-1", 2, lambda d, p: ["phantom-gen", "--out", d + "/run", "--set", "run.seed=-1"]),
+    ("phantom-gen --shape 0", 2, lambda d, p: _phantom_gen(d, "--shape", "0")),
+    ("phantom-gen --shape -4", 2, lambda d, p: _phantom_gen(d, "--shape", "-4")),
+    ("phantom-gen --noise-mr -0.5", 2, lambda d, p: _phantom_gen(d, "--noise-mr", "-0.5")),
+    ("phantom-gen --noise-ct -1", 2, lambda d, p: _phantom_gen(d, "--noise-ct", "-1")),
+    ("phantom-gen --defect-radius -2", 2,
+     lambda d, p: _phantom_gen(d, "--shape", "8", "--defect-radius", "-2")),
     ("train-cut, volumes below D's smallest edge", 1,
      lambda d, p: _tiny(d, p, "cut", {"cut.d_layers": 3})),
     ("train-cut, edges not divisible by G's downsampling", 1,
      lambda d, p: _tiny(d, p, "cut", {"cut.n_downsample": 4})),
     ("train-sr, edges not divisible by the scale", 1,
      lambda d, p: _tiny(d, p, "sr", {"lapsrn.levels": 4, "lapsrn.halo": 4})),
+    ("train-cut, MR and CT shapes differ", 1, _train_cut_other_ct_shape),
+    ("train-cut resume, MR and CT shapes differ", 1,
+     lambda d, p: _train_cut_other_ct_shape(d, p, resume=True)),
     ("train-cut resume", 0, lambda d, p: _resume(d, p, "cut")),
     ("train-cut resume, other base_filters", 1,
      lambda d, p: _resume(d, p, "cut", {"cut.base_filters": 3})),
@@ -255,6 +279,9 @@ SHAPE_ERRORS = {
     "train-sr, edges not divisible by the scale": "volume shape (8, 8, 8) not divisible by scale 16",
     "infer, MR edges not divisible by G's downsampling":
         "input shape (7, 7, 7) not divisible by downsampling factor 2",
+    "train-cut, MR and CT shapes differ": "MR shapes [(8, 8, 8)] and CT shapes [(6, 6, 6)] differ",
+    "train-cut resume, MR and CT shapes differ":
+        "MR shapes [(8, 8, 8)] and CT shapes [(6, 6, 6)] differ",
 }
 
 
@@ -361,6 +388,12 @@ SPEC_ERRORS = {
     "lapsrn.max_epochs=-2": "max_epochs must be >= 0",
     "lapsrn.plateau_patience_epochs=-1": "plateau_patience_epochs must be >= 0",
     "run.seed=-1": "seed must be >= 0",
+    "phantom-gen --shape 0": "shape must be 3 sizes >= 1, got (0, 0, 0)",
+    "phantom-gen --shape -4": "shape must be 3 sizes >= 1, got (-4, -4, -4)",
+    "phantom-gen --noise-mr -0.5": "noise_sigma_mr, noise_sigma_ct and defect_radius must be >= 0",
+    "phantom-gen --noise-ct -1": "noise_sigma_mr, noise_sigma_ct and defect_radius must be >= 0",
+    "phantom-gen --defect-radius -2":
+        "noise_sigma_mr, noise_sigma_ct and defect_radius must be >= 0",
 }
 
 

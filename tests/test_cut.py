@@ -21,6 +21,7 @@ from skullsynth.cut import (
     GeneratorSpec,
     NCEConfig,
     ProjectorSpec,
+    ResBlock,
     build_networks,
     cut_total_loss,
     gan_losses,
@@ -144,6 +145,27 @@ class TestGenerator:
         with pytest.raises(ValueError, match="invalid tap ids"):
             g.encode(Tensor(rng.random((1, 8, 8, 8))), (0, 7))
 
+    def test_full_pass_rejects_invalid_tap_ids_as_encode_does(self, rng):
+        g = Generator(TINY_G, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"invalid tap ids \[7\]"):
+            g(Tensor(rng.random((1, 8, 8, 8))), (0, 7))
+
+    def test_encode_runs_no_block_past_the_last_tap(self, rng, monkeypatch):
+        g = Generator(GeneratorSpec(base_filters=2, n_downsample=1, n_residual_blocks=4),
+                      np.random.default_rng(0))
+        calls = []
+        call = ResBlock.__call__
+        monkeypatch.setattr(ResBlock, "__call__",
+                            lambda block, x: calls.append(block) or call(block, x))
+        x = Tensor(rng.random((1, 8, 8, 8)))
+        for taps, ran in (((0, 1), 0), ((0, 1, 2), 1), ((3, 0), 2), ((5,), 4)):
+            calls.clear()
+            g.encode(x, taps)
+            assert calls == g.blocks[:ran], taps
+        calls.clear()
+        g(x, (0,))  # the full pass runs every block
+        assert calls == g.blocks
+
     def test_forward_taps_match_encoder_pass(self, rng):
         g = Generator(TINY_G, np.random.default_rng(0))
         x = Tensor(rng.random((1, 8, 8, 8)))
@@ -159,6 +181,18 @@ class TestGenerator:
         assert out.domain == UNIT and out.data.shape == v.data.shape
         with pytest.raises(ValueError, match="UNIT"):
             translate({"g": g}, Volume(rng.random((8, 8, 8)) * 100, (1, 1, 1), HU))
+
+    def test_translate_builds_no_graph_and_keeps_the_callers_flags(self, rng, graph_nodes):
+        g = Generator(TINY_G, np.random.default_rng(0))
+        g.stem.bias.requires_grad = False  # a caller's own freeze stays as it was
+        flags = [p.requires_grad for p in g.parameters()]
+        v = unit_vol(rng)
+        out = translate({"g": g}, v)
+        assert graph_nodes == []
+        assert [p.requires_grad for p in g.parameters()] == flags
+        want, _ = g(as_tensor(v))  # unfrozen, the same pass builds a graph
+        assert graph_nodes
+        np.testing.assert_array_equal(out.data, want.data[0])
 
     def test_build_networks_seed_deterministic(self):
         g1, d1, f1, t1 = tiny_nets(seed=5)

@@ -2,6 +2,7 @@
 determinism and resume, and chunked inference against the whole-volume pass."""
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from skullsynth.lapsrn import (
     super_resolve,
     train_lapsrn,
 )
+from skullsynth.engine import kernels
+from skullsynth.engine.layers import trilinear_filter
 from skullsynth.engine.optim import SGD
+from skullsynth.engine.tensor import DTYPE
 from skullsynth.volume_io import HU, UNIT, Volume
 
 TINY_SPEC = PyramidSpec(levels=1, filters=3, feat_layers=3, recon_layers=2)
@@ -146,6 +150,21 @@ class TestSuperResolve:
         assert out.spacing == whole.spacing
         np.testing.assert_array_equal(out.data, whole.data)
 
+    def test_builds_no_graph_and_keeps_the_callers_flags(self, sr_state, graph_nodes):
+        net = sr_state["net"]
+        net.levels[0].feat_head.bias.requires_grad = False  # a caller's own freeze stays
+        flags = [p.requires_grad for p in net.parameters()]
+        vol = Volume(np.random.default_rng(0).random((5, 4, 6)), (1.0,) * 3, UNIT)
+        try:
+            out = super_resolve(sr_state, vol, core_size=3)
+            assert graph_nodes == []
+            assert [p.requires_grad for p in net.parameters()] == flags
+            whole = net(vol.data)[-1]  # unfrozen, the same pass builds a graph
+            assert graph_nodes
+            np.testing.assert_array_equal(out.data, np.clip(whole.data[0], 0.0, 1.0))
+        finally:
+            net.unfreeze()
+
     def test_chunked_equals_whole_volume_at_paper_width(self):
         # From 48 input channels a GEMM conv may round differently on a crop
         # than on the whole volume; the paper's 64 filters must still match.
@@ -207,3 +226,22 @@ def test_untrained_net_is_its_trilinear_path(filters):
     vol = Volume(np.random.default_rng(3).random((8, 8, 8)), (1.0,) * 3, UNIT)
     sr = build_sr_net(PyramidSpec(filters=filters), seed=0)(vol.data)[-1].data[0]
     np.testing.assert_allclose(sr, lapsrn.trilinear_baseline(vol).data, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 2), (4, 1, 9), (5, 7, 3), (29, 29, 29)])
+def test_border_weights_are_the_inverse_response_to_ones(shape):
+    """The closed-form border weights equal, bit for bit, 1 over the trilinear
+    upsampler's transposed conv run on all-ones input."""
+    w = trilinear_filter()[None, None].astype(DTYPE)
+    oracle = 1.0 / kernels.tconv3d_forward(np.ones((1, *shape), DTYPE), w, 2, 1)
+    got = lapsrn._inv_border_weights(shape).data
+    assert got.dtype == oracle.dtype and got.shape == oracle.shape
+    assert got.tobytes() == oracle.tobytes()
+
+
+def test_sr_net_keeps_no_state_across_calls():
+    net = build_sr_net(PyramidSpec(levels=2, filters=2, feat_layers=3), seed=0)
+    before = pickle.dumps(net)
+    for shape in ((3, 4, 5), (6, 6, 6), (3, 4, 5)):
+        net(np.random.default_rng(0).random(shape).astype(np.float32))
+    assert pickle.dumps(net) == before

@@ -15,6 +15,18 @@ def sphere_spec(**kw):
     return PhantomSpec(**base)
 
 
+@pytest.mark.parametrize("bad,message", [
+    ({"shape": (0, 0, 0)}, "shape must be 3 sizes >= 1"),
+    ({"shape": (32, -4, 32)}, "shape must be 3 sizes >= 1"),
+    ({"noise_sigma_mr": -0.5}, "must be >= 0"),
+    ({"noise_sigma_ct": float("nan")}, "must be >= 0"),
+    ({"defect_radius": -1.0}, "must be >= 0"),
+], ids=["shape 0", "shape -4", "noise_sigma_mr", "noise_sigma_ct nan", "defect_radius"])
+def test_spec_refuses_empty_shapes_and_negative_amounts(bad, message):
+    with pytest.raises(ValueError, match=message):
+        sphere_spec(**bad)
+
+
 class TestGeometryAndIntensity:
     def test_domains_and_pairing(self):
         mr, ct, mask = make_phantom(sphere_spec())

@@ -43,6 +43,14 @@ class TestVolume:
         with pytest.raises(ValueError):
             Volume(np.zeros((2, 2, 2)), (1.0, 0.0, 1.0), HU)
 
+    @pytest.mark.parametrize("spacing", [(float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0),
+                                         (1.0, 1.0, -float("inf")), (1.0, 0.0, 1.0), (1.0, 1.0)])
+    def test_rejects_spacing_that_is_not_3_finite_positive_values(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be 3 finite positive values"):
+            Volume(np.zeros((2, 2, 2)), spacing, HU)
+        with pytest.raises(ValueError, match="spacing must be 3 finite positive values"):
+            SegmentationMask(np.zeros((2, 2, 2), np.uint8), spacing)
+
     def test_unit_domain_range_checked(self):
         with pytest.raises(DomainError):
             Volume(np.full((2, 2, 2), 1.5), (1.0, 1.0, 1.0), UNIT)
@@ -79,6 +87,13 @@ class TestRawRoundTrip:
         vio.save_volume(Volume(rng.random((2, 2, 2)), (1, 1, 1), HU), path)
         (tmp_path / "vol.raw.meta").unlink()
         with pytest.raises(FormatError):
+            vio.load_volume(path)
+
+    def test_nan_spacing_in_the_sidecar_is_refused(self, tmp_path):
+        path = tmp_path / "vol.raw"
+        vio.save_volume(Volume(np.zeros((2, 2, 2)), (1.0, 1.0, 1.0), HU), path)
+        (tmp_path / "vol.raw.meta").write_text("shape=2,2,2\nspacing=nan,1,1\ndomain=HU\n")
+        with pytest.raises(ValueError, match="spacing must be 3 finite positive values"):
             vio.load_volume(path)
 
     def test_truncated_payload(self, tmp_path, rng):

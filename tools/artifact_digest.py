@@ -8,18 +8,23 @@ fresh temp dir, with relative paths throughout:
 - ``phantom-gen``, then ``preprocess`` of the MR and of the CT volumes;
 - ``train-cut`` in ``log`` and in ``lsgan`` mode, each followed by a
   ``--resume latest`` that trains one more epoch;
-- ``train-sr`` with all five ``aug_*`` switches on, then a ``--resume latest``.
+- ``train-sr`` with all five ``aug_*`` switches on, then a ``--resume latest``;
+- ``infer`` of one preprocessed MR case from the ``log`` run's and the SR
+  run's final checkpoints, once with ``--skip-sr`` and once without, matched
+  against another case's raw CT;
+- ``evaluate`` of the ``--skip-sr`` mask against that case's phantom mask.
 
-Prints one ``<sha256>  <path>`` line per checkpoint, log and ``config.ini``,
-by path.  A checkpoint's digest covers its metadata and every array's name,
-dtype, shape and bytes; a log's or ``config.ini``'s covers the file's bytes.
-Two checkouts train bit for bit alike on this scenario when their outputs are
-equal.
+Prints one ``<sha256>  <path>`` line per checkpoint, log, ``config.ini``,
+``infer`` output file and evaluation report, by path.  A checkpoint's digest
+covers its metadata and every array's name, dtype, shape and bytes; any other
+file's covers its bytes.  Two checkouts train and infer bit for bit alike on
+this scenario when their outputs are equal.
 """
 
 import hashlib
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -54,7 +59,22 @@ def _scenario():
     train = ["train-sr", "--hr-dir", "ct", *_settings({**SR, "run.output_dir": "sr"})]
     runs += [train + ["--set", "lapsrn.max_epochs=1"],
              train + ["--set", "lapsrn.max_epochs=2", "--resume", "latest"]]
+    infer = ["infer", "--mr", "mr/case000_mr.raw", "--cut-ckpt", "cut_log/cut_final.npz",
+             "--reference-ct", "raw/case001_ct.raw"]
+    runs += [infer + ["--skip-sr", "--out", "infer_skip_sr"],
+             infer + ["--sr-ckpt", "sr/sr_final.npz", "--out", "infer_sr"],
+             ["evaluate", "--pred-dir", "pred", "--gt-dir", "truth",
+              "--out", "eval/evaluation.csv"]]
     return runs
+
+
+def _pair_masks(work):
+    """Copy the ``--skip-sr`` mask to ``pred/`` and case000's phantom mask to
+    ``truth/``, each as ``mask.raw``, so ``evaluate`` scores the one pair."""
+    for name, src in (("pred", "infer_skip_sr/mask"), ("truth", "raw/case000_mask")):
+        os.makedirs(os.path.join(work, name))
+        for ext in (".raw", ".raw.meta"):
+            shutil.copyfile(os.path.join(work, src + ext), os.path.join(work, name, "mask" + ext))
 
 
 def _settings(values):
@@ -72,12 +92,14 @@ def _checkpoint_digest(path):
 
 
 def digests(work):
-    """{relative path: sha256} of the run dirs' artifacts under `work`."""
+    """{relative path: sha256} of the run dirs' artifacts and the ``infer``
+    outputs under `work`."""
     out = {}
     for path in sorted(pathlib.Path(work).glob("*/*")):
         if path.suffix == ".npz":
             out[str(path.relative_to(work))] = _checkpoint_digest(path)
-        elif path.suffix == ".csv" or path.name == "config.ini":
+        elif (path.suffix == ".csv" or path.name == "config.ini"
+              or path.parent.name.startswith("infer_")):
             out[str(path.relative_to(work))] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out
 
@@ -90,6 +112,8 @@ def main(argv):
     env = dict(os.environ, PYTHONPATH=src)
     with tempfile.TemporaryDirectory() as work:
         for args in _scenario():
+            if args[0] == "evaluate":
+                _pair_masks(work)
             subprocess.run([sys.executable, "-m", "skullsynth.cli", *args], cwd=work, env=env,
                            check=True, stdout=subprocess.DEVNULL)
         for name, digest in digests(work).items():
