@@ -8,6 +8,7 @@ flags override file values.  Exit codes: 0 success, 1 runtime failure,
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 
@@ -51,26 +52,19 @@ def cmd_phantom_gen(args, cfg):
     seed = config_mod.run_settings(cfg).seed
     fmt = config_mod.data_settings(cfg).format
     ext = vio.EXTENSIONS[fmt][0]
-    shape = (args.shape,) * 3
-    specs = []
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
+    try:  # the flags are every case's: check them once, before writing anything
+        flags = phantom.PhantomSpec(shape=(args.shape,) * 3, noise_sigma_mr=args.noise_mr,
+                                    noise_sigma_ct=args.noise_ct, defect_radius=args.defect_radius)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         jitter = seeding.stream(seed, "phantom.case", i)
-        semi = tuple(float(f * n) for f, n in zip(jitter.uniform(0.32, 0.42, 3), shape))
-        try:
-            specs.append(phantom.PhantomSpec(
-                shape=shape,
-                semi_axes=semi,
-                thickness=float(jitter.uniform(4.0, 5.0)),
-                noise_sigma_mr=args.noise_mr,
-                noise_sigma_ct=args.noise_ct,
-                defect_radius=args.defect_radius,
-                seed=seed + i,
-            ))
-        except ValueError as exc:  # a flag out of range: write nothing
-            raise ConfigError(str(exc)) from exc
-    os.makedirs(args.out, exist_ok=True)
-    for i, spec in enumerate(specs):
-        mr, ct, mask = phantom.make_phantom(spec)
+        semi = tuple(float(f * n) for f, n in zip(jitter.uniform(0.32, 0.42, 3), flags.shape))
+        mr, ct, mask = phantom.make_phantom(dataclasses.replace(
+            flags, semi_axes=semi, thickness=float(jitter.uniform(4.0, 5.0)), seed=seed + i))
         stem = os.path.join(args.out, f"case{i:03d}")
         vio.save_volume(mr, stem + "_mr" + ext, fmt)
         vio.save_volume(ct, stem + "_ct" + ext, fmt)

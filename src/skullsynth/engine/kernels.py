@@ -52,13 +52,14 @@ accumulates in a fixed order, so repeated calls are bitwise reproducible.
 
 Binary dilation and erosion OR, or AND, one shifted slice of the mask per
 offset into a single output.  A voxel whose shifted read falls outside the
-grid reads background, so an erosion clears, once after its loop, the border
-strips that some offset reads from outside.  An offset set that fills a box
-(every default ``cube`` element) is applied as the box's z, y and x edges in
-turn: the box is the Minkowski sum of its edges, and a voxel an edge shifts
-out of the grid along one axis stays out along the others, so the bits are
-the same with a radius-1 cube's 9 shifts in place of 27.  Other sets (balls,
-the surface-Dice steps) are applied offset by offset in one pass.
+grid reads background, so both outputs start at zeros, except that an
+erosion's starts at ones on the box of voxels that every offset reads inside
+the grid.  An offset set that fills a box (every default ``cube`` element) is
+applied as the box's z, y and x edges in turn: the box is the Minkowski sum
+of its edges, and a voxel an edge shifts out of the grid along one axis stays
+out along the others, so the bits are the same with a radius-1 cube's 9
+shifts in place of 27.  Other sets (balls, the surface-Dice steps) are
+applied offset by offset in one pass.
 """
 
 import numpy as np
@@ -335,20 +336,17 @@ def _shift_combine(mask, offsets, erode):
     into one output.  Output voxel p reads voxel p - o, and erosion, which
     reads p + o, negates the offsets."""
     mask = mask.astype(np.uint8, copy=False)
-    shape = np.array(mask.shape)
-    out = np.full_like(mask, erode)
+    offs = np.asarray(offsets, dtype=np.int64).reshape(-1, 3) * (-1 if erode else 1)
+    out = np.zeros_like(mask)
+    if erode:  # ones on the box every offset reads inside the grid; a slice stops at its edge
+        lo, hi = offs.max(axis=0, initial=0), offs.min(axis=0, initial=0) + mask.shape
+        out[tuple(map(slice, lo, np.maximum(hi, 0)))] = 1
     combine = np.bitwise_and if erode else np.bitwise_or
-    inner_lo, inner_hi = np.zeros(3, dtype=np.int64), shape
-    for off in np.asarray(offsets, dtype=np.int64).reshape(-1, 3) * (-1 if erode else 1):
-        lo, hi = np.clip(off, 0, shape), np.clip(shape + off, 0, shape)
-        inner_lo, inner_hi = np.maximum(inner_lo, lo), np.minimum(inner_hi, hi)
-        if (lo < hi).all():
-            view = out[tuple(map(slice, lo, hi))]
-            combine(view, mask[tuple(map(slice, lo - off, hi - off))], out=view)
-    if erode:  # outside some offset's slice, the read is background
-        for axis in range(3):
-            out[(slice(None),) * axis + (slice(0, inner_lo[axis]),)] = 0
-            out[(slice(None),) * axis + (slice(inner_hi[axis], None),)] = 0
+    for off in offs.tolist():
+        dst = [slice(min(max(o, 0), n), max(min(n + o, n), 0)) for o, n in zip(off, mask.shape)]
+        src = tuple(slice(d.start - o, d.stop - o) for d, o in zip(dst, off))
+        view = out[tuple(dst)]
+        combine(view, mask[src], out=view)
     return out
 
 

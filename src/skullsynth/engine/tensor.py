@@ -108,20 +108,26 @@ class Tensor:
     def __add__(self, other):
         other = self._coerce(other)
         out_data = self.data + other.data
+        a_req, b_req = self.requires_grad, other.requires_grad
 
         def backward(g):
-            Tensor._accum(self, _unbroadcast(g, self.data.shape))
-            Tensor._accum(other, _unbroadcast(g, other.data.shape))
+            if a_req:
+                Tensor._accum(self, _unbroadcast(g, self.data.shape))
+            if b_req:
+                Tensor._accum(other, _unbroadcast(g, other.data.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
     def __mul__(self, other):
         other = self._coerce(other)
         out_data = self.data * other.data
+        a_req, b_req = self.requires_grad, other.requires_grad
 
         def backward(g):
-            Tensor._accum(self, _unbroadcast(g * other.data, self.data.shape))
-            Tensor._accum(other, _unbroadcast(g * self.data, other.data.shape))
+            if a_req:
+                Tensor._accum(self, _unbroadcast(g * other.data, self.data.shape))
+            if b_req:
+                Tensor._accum(other, _unbroadcast(g * self.data, other.data.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -149,10 +155,13 @@ class Tensor:
     def __matmul__(self, other):
         other = self._coerce(other)
         out_data = self.data @ other.data
+        a_req, b_req = self.requires_grad, other.requires_grad
 
         def backward(g):
-            Tensor._accum(self, g @ other.data.T)
-            Tensor._accum(other, self.data.T @ g)
+            if a_req:
+                Tensor._accum(self, g @ other.data.T)
+            if b_req:
+                Tensor._accum(other, self.data.T @ g)
 
         return Tensor._make(out_data, (self, other), backward)
 

@@ -312,7 +312,8 @@ def super_resolve(checkpoint, vol: Volume, core_size=None, halo=None) -> Volume:
     net, cfg, spec = state["net"], state["cfg"], state["spec"]
     if vol.domain != UNIT:
         raise ValueError(f"super-resolution input must be UNIT domain, got {vol.domain}")
-    core_size = core_size or cfg.core_size
+    if core_size is None:
+        core_size = cfg.core_size
     if halo is None:
         halo = cfg.halo
         spec.check_halo(halo)

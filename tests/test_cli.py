@@ -198,6 +198,8 @@ EXIT_CODES = [
     ("phantom-gen --noise-ct -1", 2, lambda d, p: _phantom_gen(d, "--noise-ct", "-1")),
     ("phantom-gen --defect-radius -2", 2,
      lambda d, p: _phantom_gen(d, "--shape", "8", "--defect-radius", "-2")),
+    ("phantom-gen --count 0", 2, lambda d, p: _phantom_gen(d, "--count", "0")),
+    ("phantom-gen --count -1", 2, lambda d, p: _phantom_gen(d, "--count", "-1")),
     ("train-cut, volumes below D's smallest edge", 1,
      lambda d, p: _tiny(d, p, "cut", {"cut.d_layers": 3})),
     ("train-cut, edges not divisible by G's downsampling", 1,
@@ -394,6 +396,8 @@ SPEC_ERRORS = {
     "phantom-gen --noise-ct -1": "noise_sigma_mr, noise_sigma_ct and defect_radius must be >= 0",
     "phantom-gen --defect-radius -2":
         "noise_sigma_mr, noise_sigma_ct and defect_radius must be >= 0",
+    "phantom-gen --count 0": "--count must be >= 1, got 0",
+    "phantom-gen --count -1": "--count must be >= 1, got -1",
 }
 
 

@@ -251,7 +251,8 @@ class TestMorphologyKernels:
 
     @pytest.mark.parametrize("name", ["cube 2", "box {0,1}^3", "box 1x3x5", "cube 2 shuffled",
                                       "ball 2", "surface steps 1 mm", "steps past the edge",
-                                      "empty"])
+                                      "empty", "box without the origin",
+                                      "no box, no origin"])
     def test_dilate_erode_match_shift_oracle(self, name, rng):
         cube2 = kernels.structuring_offsets("cube", 2)
         offs = {
@@ -266,6 +267,10 @@ class TestMorphologyKernels:
             "steps past the edge": np.concatenate([kernels.structuring_offsets("ball", 1),
                                                    [(0, 8, 0), (-10, 1, 0)]]),
             "empty": np.zeros((0, 3), dtype=np.int64),
+            # no origin: along an axis whose reach is one-sided, erosion's
+            # start box has one bound inside the grid and the other at its edge
+            "box without the origin": np.indices((2, 2, 3)).reshape(3, -1).T + (1, 1, 2),
+            "no box, no origin": np.array([(0, 0, 2), (1, -3, 0), (-2, 1, 1)]),
         }[name]
         r = int(np.abs(offs).max(initial=0))
 
@@ -563,6 +568,24 @@ class TestAutodiff:
         np.testing.assert_allclose(t.grad, 4 * a / a.size)
         SGD([t], lr=0.1).zero_grad()
         assert t.grad is None
+
+    @pytest.mark.parametrize("op", ["mul", "add", "matmul"])
+    def test_arithmetic_hands_no_gradient_to_a_constant(self, op, rng, monkeypatch):
+        # a binary op forms only the gradients its operands need
+        handed = []
+        accum = Tensor._accum
+
+        def record(t, g):
+            handed.append(t)
+            accum(t, g)
+
+        monkeypatch.setattr(Tensor, "_accum", staticmethod(record))
+        x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        c = Tensor(rng.normal(size=(3, 3)))
+        y = {"mul": lambda: x * c, "add": lambda: x + c, "matmul": lambda: x @ c}[op]()
+        y.mean().backward()
+        assert c not in handed and x in handed
+        assert c.grad is None
 
 
 class TestFloat32Numerics:

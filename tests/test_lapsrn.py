@@ -165,6 +165,12 @@ class TestSuperResolve:
         finally:
             net.unfreeze()
 
+    def test_core_size_0_is_refused(self, sr_state):
+        # 0 is a value, not "use the checkpoint's core"
+        vol = Volume(np.zeros((8, 8, 8)), (1.0,) * 3, UNIT)
+        with pytest.raises(ValueError, match="core_size must be positive"):
+            super_resolve(sr_state, vol, core_size=0)
+
     def test_chunked_equals_whole_volume_at_paper_width(self):
         # From 48 input channels a GEMM conv may round differently on a crop
         # than on the whole volume; the paper's 64 filters must still match.

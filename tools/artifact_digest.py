@@ -12,7 +12,13 @@ fresh temp dir, with relative paths throughout:
 - ``infer`` of one preprocessed MR case from the ``log`` run's and the SR
   run's final checkpoints, once with ``--skip-sr`` and once without, matched
   against another case's raw CT;
-- ``evaluate`` of the ``--skip-sr`` mask against that case's phantom mask.
+- ``infer`` once more with ``--skip-sr``, a ``ball`` structuring element and
+  no opening.  A ball's closing goes offset by offset, where a cube's goes by
+  axis passes.  The opening is off because it empties this barely trained
+  model's mask;
+- ``evaluate`` against that case's phantom mask: of the ``--skip-sr`` mask at
+  the default surface-Dice tolerance, and of the ``ball`` mask at 3 mm, whose
+  dilations take 123 steps.
 
 Prints one ``<sha256>  <path>`` line per checkpoint, log, ``config.ini``,
 ``infer`` output file and evaluation report, by path.  A checkpoint's digest
@@ -63,16 +69,23 @@ def _scenario():
              "--reference-ct", "raw/case001_ct.raw"]
     runs += [infer + ["--skip-sr", "--out", "infer_skip_sr"],
              infer + ["--sr-ckpt", "sr/sr_final.npz", "--out", "infer_sr"],
+             infer + ["--skip-sr", "--out", "infer_ball",
+                      *_settings({"postprocess.structuring_element": "ball",
+                                  "postprocess.opening_radius": 0})],
              ["evaluate", "--pred-dir", "pred", "--gt-dir", "truth",
-              "--out", "eval/evaluation.csv"]]
+              "--out", "eval/evaluation.csv"],
+             ["evaluate", "--pred-dir", "pred_ball", "--gt-dir", "truth",
+              "--out", "eval/evaluation_ball_3mm.csv", "--set", "metrics.sdsc_tolerance_mm=3"]]
     return runs
 
 
 def _pair_masks(work):
-    """Copy the ``--skip-sr`` mask to ``pred/`` and case000's phantom mask to
-    ``truth/``, each as ``mask.raw``, so ``evaluate`` scores the one pair."""
-    for name, src in (("pred", "infer_skip_sr/mask"), ("truth", "raw/case000_mask")):
-        os.makedirs(os.path.join(work, name))
+    """Copy the ``--skip-sr`` mask to ``pred/``, the ``ball`` mask to
+    ``pred_ball/`` and case000's phantom mask to ``truth/``, each as
+    ``mask.raw``, so each ``evaluate`` scores one pair."""
+    for name, src in (("pred", "infer_skip_sr/mask"), ("pred_ball", "infer_ball/mask"),
+                      ("truth", "raw/case000_mask")):
+        os.makedirs(os.path.join(work, name), exist_ok=True)
         for ext in (".raw", ".raw.meta"):
             shutil.copyfile(os.path.join(work, src + ext), os.path.join(work, name, "mask" + ext))
 
