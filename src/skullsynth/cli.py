@@ -146,15 +146,19 @@ def cmd_infer(args, cfg):
     _require_file(args.reference_ct)
     out_dir = args.out or config_mod.run_settings(cfg).output_dir
 
+    # every input is loaded and checked before anything is written
     mr = vio.load_volume(args.mr, fmt)
+    if not args.skip_sr:
+        sr_state = lapsrn.load_sr_checkpoint(args.sr_ckpt)
+        sr_state["spec"].check_halo(sr_state["cfg"].halo)
+    reference = vio.load_volume(args.reference_ct, fmt)
     syn = cut.translate(args.cut_ckpt, mr)
     os.makedirs(out_dir, exist_ok=True)
     vio.save_volume(syn, os.path.join(out_dir, "syn_ct" + ext), fmt)
     src = syn
     if not args.skip_sr:
-        src = lapsrn.super_resolve(args.sr_ckpt, syn)
+        src = lapsrn.super_resolve(sr_state, syn)
         vio.save_volume(src, os.path.join(out_dir, "sr_ct" + ext), fmt)
-    reference = vio.load_volume(args.reference_ct, fmt)
     matched = postprocess.histogram_match(src, reference)
     vio.save_volume(matched, os.path.join(out_dir, "matched_ct" + ext), fmt)
     mask = postprocess.segment_from_matched(matched, params)

@@ -24,6 +24,9 @@ contraction, BLOCK), never by the volume:
   thread than with several unless the length is a multiple of 32, so the
   padding keeps the bits independent of the BLAS thread count.
 
+A stride-s input gradient is one gather for all s^3 phases of its result;
+each phase's rows go straight into that phase's strided slice of it.
+
 A conv forward with fewer output than input channels multiplies first and
 shifts after instead (kn2row; Vasudevan, Anderson and Gregg 2017,
 arXiv:1704.04428).  In the three networks these are exactly the heads: the
@@ -99,20 +102,17 @@ def _block_gemm(a, cols, res, n):
     )
 
 
-def _gather_gemm(w2, windows, out):
-    """``out[..., v] = w2 @ column v`` for every voxel v, where column v is
-    ``windows[..., v]`` flattened in (channel, tap) order.
-
-    ``windows`` is a (C, a, b, c) + out.shape[-3:] view of one padded input,
-    holding each voxel's C x a x b x c kernel window; ``out``'s leading
-    axes hold w2's rows.  Columns are built in groups of whole planes or
-    rows, at most GROUP_ELEMS entries when a row fits, and multiplied in
-    blocks of BLOCK voxels, the last one padded.
+def _gather_gemm(w2, windows):
+    """Yield (box, rows) per group of output voxels: ``box`` holds the
+    group's (z, y, x) slices and ``rows[:, v]`` is w2 @ column v, where
+    column v is ``windows[..., v]`` flattened in (channel, tap) order and
+    ``windows`` is a (C, a, b, c) + grid view of one padded input, holding
+    each voxel's kernel window.  The next group overwrites ``rows``.
     """
     m, kk = w2.shape
-    lead, (nz, ny, nx) = out.shape[:-3], out.shape[-3:]
-    if not out.size:
-        return out
+    nz, ny, nx = windows.shape[-3:]
+    if not m * nz * ny * nx:
+        return
     groups, width = _groups(nz, ny, nx, max(1, GROUP_ELEMS // (kk * BLOCK)) * BLOCK)
     # Zero rows take the contraction to a multiple of K_ALIGN.  Padding
     # columns hold zeros or an earlier group's entries; their results are
@@ -129,8 +129,7 @@ def _gather_gemm(w2, windows, out):
         n = shape[0] * shape[1] * nx
         cols_taps[..., :n].reshape(taps + shape)[...] = windows[..., z0:z1, y0:y1, :]
         _block_gemm(wp, cols, res, n)
-        out[..., z0:z1, y0:y1, :] = res[:, :n].reshape(*lead, *shape)
-    return out
+        yield (slice(z0, z1), slice(y0, y1), slice(0, nx)), res[:, :n].reshape(m, *shape)
 
 
 def _windows(a, k, stride=1):
@@ -138,13 +137,6 @@ def _windows(a, k, stride=1):
     every stride-th position where one fits."""
     v = np.lib.stride_tricks.sliding_window_view(a, (k, k, k), axis=(1, 2, 3))
     return v[:, ::stride, ::stride, ::stride].transpose(0, 4, 5, 6, 1, 2, 3)
-
-
-def _phases(a, s):
-    """(s, s, s, C, D/s, H/s, W/s) view of ``a`` (C, D, H, W), each axis a
-    multiple of s: entry [bz, by, bx, c, i, j, l] is a[c, s*i+bz, s*j+by, s*l+bx]."""
-    c, d, h, w = a.shape
-    return a.reshape(c, d // s, s, h // s, s, w // s, s).transpose(2, 4, 6, 0, 1, 3, 5)
 
 
 def _kn2row(x, w, stride, pad):
@@ -216,10 +208,11 @@ def _conv_forward(x, w, stride, pad):
     co, ci, k = w.shape[:3]
     if co < ci:
         return _kn2row(x, w, stride, pad)
-    out = tuple(_out_dim(n, k, stride, pad) for n in x.shape[1:])
     windows = _windows(np.pad(x, ((0, 0),) + ((pad, pad),) * 3), k, stride)
-    y = np.empty((co,) + out, dtype=np.result_type(x, w))
-    return _gather_gemm(w.reshape(co, ci * k**3), windows, y)
+    y = np.empty((co,) + windows.shape[-3:], dtype=np.result_type(x, w))
+    for box, rows in _gather_gemm(w.reshape(co, ci * k**3), windows):
+        y[(slice(None),) + box] = rows
+    return y
 
 
 def _conv_backward_input(gy, w, in_shape, stride, pad):
@@ -227,9 +220,8 @@ def _conv_backward_input(gy, w, in_shape, stride, pad):
     s, span = stride, -(-k // stride)
     # Padded input position s*m + b takes tap d = b + s*j from gy[m - j],
     # for each j < span with d < k.  So one gather over m serves all s^3
-    # phases b: its rows are the (b, channel) pairs, a tap a phase lacks has
-    # zero weights, and its output seen through _phases is the padded
-    # gradient from position s*m0 on.
+    # phases b: its rows are the (b, channel) pairs, and a tap a phase lacks
+    # has zero weights.  Each phase's rows go to a strided slice of the result.
     m0 = pad // s
     nm = tuple(-(-(pad + n) // s) - m0 for n in in_shape[1:])
     gyp = np.pad(gy, ((0, 0),) + tuple((span - 1, max(0, m0 + m - n)) for n, m in
@@ -240,10 +232,18 @@ def _conv_backward_input(gy, w, in_shape, stride, pad):
     wk = np.zeros((co, ci) + (s * span,) * 3, dtype=w.dtype)
     wk[:, :, :k, :k, :k] = w
     w2 = wk.reshape(co, ci, span, s, span, s, span, s).transpose(3, 5, 7, 1, 0, 2, 4, 6)
-    gxp = np.empty((ci,) + tuple(s * n for n in nm), dtype=np.result_type(gy, w))
-    _gather_gemm(w2.reshape(s**3 * ci, co * span**3), windows, _phases(gxp, s))
-    o = pad - s * m0
-    return np.ascontiguousarray(gxp[(slice(None),) + tuple(slice(o, o + n) for n in in_shape[1:])])
+    gx = np.empty((ci,) + tuple(in_shape[1:]), dtype=np.result_type(gy, w))
+    o = pad - s * m0  # phase b of window position i is input position s*i + b - o
+    for box, rows in _gather_gemm(w2.reshape(s**3 * ci, co * span**3), windows):
+        rows = rows.reshape((s, s, s, ci) + rows.shape[1:])
+        for b in np.ndindex(s, s, s):  # the group's positions i whose phase b is inside
+            ij = [(max(g.start, -((p - o) // s)), min(g.stop, -((p - o - n) // s)))
+                  for p, g, n in zip(b, box, in_shape[1:])]
+            if all(i < j for i, j in ij):
+                dst = (slice(s * i + p - o, s * j + p - o, s) for (i, j), p in zip(ij, b))
+                src = (slice(i - g.start, j - g.start) for (i, j), g in zip(ij, box))
+                gx[(slice(None), *dst)] = rows[(*b, slice(None), *src)]
+    return gx
 
 
 def _conv_backward_weight(gy, x, k, stride, pad):

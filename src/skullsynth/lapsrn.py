@@ -4,9 +4,9 @@ high-frequency detail on top of a learned upsampling branch.
 Each pyramid level doubles resolution.  The reconstruction branch starts as an
 exact edge-clamped trilinear upsampler (identity convs, trilinear deconv,
 border renormalization) so the residual branch only has to learn detail.
-Training runs on overlapping chunks with gradient accumulation; inference
-re-chunks the volume and keeps each chunk's core, which matches the unchunked
-forward pass wherever the halo covers the receptive field.
+Training runs on overlapping chunks with gradient accumulation.  Inference
+re-chunks the volume with a halo of the pyramid's receptive radius and keeps
+each chunk's core, which then matches the unchunked forward pass bit for bit.
 """
 
 import functools
@@ -83,7 +83,9 @@ class SRTrainConfig:
     max_epochs: int = 100
     max_steps: int = 0  # 0 = no cap
     core_size: int = 64  # chunk core edge, in low-res voxels
-    halo: int = 8  # chunk overlap, in low-res voxels
+    # training chunk overlap, in low-res voxels; inference overlaps by the
+    # receptive radius, after refusing a halo below it
+    halo: int = 8
     checkpoint_every: int = 1  # epochs
     seed: int = 0
     augment: AugmentationConfig = field(default_factory=AugmentationConfig)
@@ -305,8 +307,10 @@ def train_lapsrn(hr_set, cfg: SRTrainConfig, spec: PyramidSpec = None,
 def super_resolve(checkpoint, vol: Volume, core_size=None, halo=None) -> Volume:
     """Chunked inference: upsample a UNIT volume by the net's pyramid scale.
 
-    Without ``halo`` the checkpoint's halo is used, and refused when it is
-    below the pyramid's receptive radius; an explicit ``halo`` is not checked.
+    Without ``halo`` the chunks overlap by the pyramid's receptive radius, the
+    smallest halo that gives the whole-volume bits, after a checkpoint whose
+    stored halo is below that radius is refused.  An explicit ``halo`` is an
+    unchecked override.
     """
     state = load_sr_checkpoint(checkpoint) if not isinstance(checkpoint, dict) else checkpoint
     net, cfg, spec = state["net"], state["cfg"], state["spec"]
@@ -315,8 +319,8 @@ def super_resolve(checkpoint, vol: Volume, core_size=None, halo=None) -> Volume:
     if core_size is None:
         core_size = cfg.core_size
     if halo is None:
-        halo = cfg.halo
-        spec.check_halo(halo)
+        spec.check_halo(cfg.halo)
+        halo = spec.receptive_radius
     scale = spec.scale
     grid = ChunkGrid.build(vol.data.shape, core_size, halo)
     out_grid = grid.scaled(scale)

@@ -1,6 +1,7 @@
 """CLI exit codes: 0 success, 1 runtime failure, 2 usage or configuration error."""
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -66,6 +67,18 @@ def _infer_odd_mr(d, p):
     vio.save_volume(vio.Volume(mr.data[:7, :7, :7], mr.spacing, mr.domain), d + "/mr.raw")
     return ["infer", "--mr", d + "/mr.raw", "--cut-ckpt", p + "/run/cut_final.npz", "--skip-sr",
             "--reference-ct", p + "/n1/case000_ct.raw", "--out", d + "/run"]
+
+
+def _infer_into_run(d, p, sr_ckpt="/run/sr_final.npz", sidecar=True):
+    """`_infer` into <d>/run from the fixture's CUT checkpoint and its file
+    `sr_ckpt`; without `sidecar`, the reference CT is a copy of the
+    fixture's volume file alone, in <d>."""
+    argv = _infer(d + "/run", p, p + "/run/cut_final.npz", p + sr_ckpt)
+    if not sidecar:
+        os.makedirs(d, exist_ok=True)
+        shutil.copyfile(p + "/n1/case000_ct.raw", d + "/ct.raw")
+        argv[argv.index("--reference-ct") + 1] = d + "/ct.raw"
+    return argv
 
 
 def _evaluate(d, pred, truth):
@@ -222,6 +235,12 @@ EXIT_CODES = [
     ("infer, halo below the receptive radius", 1,
      lambda d, p: _infer(d, p, p + "/run/cut_final.npz", p + "/sr_short_halo.npz")),
     ("infer, MR edges not divisible by G's downsampling", 1, lambda d, p: _infer_odd_mr(d, p)),
+    ("infer, new --out, halo below the receptive radius", 1,
+     lambda d, p: _infer_into_run(d, p, "/sr_short_halo.npz")),
+    ("infer, new --out, CUT checkpoint as --sr-ckpt", 1,
+     lambda d, p: _infer_into_run(d, p, "/run/cut_final.npz")),
+    ("infer, new --out, reference CT without its sidecar", 1,
+     lambda d, p: _infer_into_run(d, p, sidecar=False)),
 ]
 
 
@@ -293,6 +312,25 @@ def test_shape_error_leaves_no_run_dir(phantoms, tmp_path, capsys):
             d = tmp_path / name
             assert main(argv(str(d), str(phantoms))) == 1
             assert SHAPE_ERRORS[name] in capsys.readouterr().err
+            assert not (d / "run").exists()
+
+
+# the EXIT_CODES cases `infer` refuses for an input it loads, with the
+# message; each would write to <d>/run
+INFER_INPUT_ERRORS = {
+    "infer, new --out, halo below the receptive radius":
+        "halo 1 is below this pyramid's receptive radius 2",
+    "infer, new --out, CUT checkpoint as --sr-ckpt": "is not a 'lapsrn' checkpoint (kind='cut')",
+    "infer, new --out, reference CT without its sidecar": "missing sidecar",
+}
+
+
+def test_refused_infer_input_leaves_no_run_dir(phantoms, tmp_path, capsys):
+    for name, _, argv in EXIT_CODES:
+        if name in INFER_INPUT_ERRORS:
+            d = tmp_path / name
+            assert main(argv(str(d), str(phantoms))) == 1
+            assert INFER_INPUT_ERRORS[name] in capsys.readouterr().err
             assert not (d / "run").exists()
 
 

@@ -47,6 +47,48 @@ def conv_oracle(x, w, stride, pad):
     return out[:, ::stride, ::stride, ::stride]
 
 
+def phase_buffer_backward_input(gy, w, in_shape, stride, pad):
+    """Conv input gradient as the kernels once placed it: the rows of every
+    group's GEMMs written through an (s, s, s, C, D/s, H/s, W/s) phase view of
+    a buffer padded to whole phases, then the input's crop of that buffer
+    copied out.  Columns, GEMM shapes and blocks are the kernels' own."""
+    co, ci, k = w.shape[:3]
+    s, span = stride, -(-k // stride)
+    m0 = pad // s
+    nm = tuple(-(-(pad + n) // s) - m0 for n in in_shape[1:])
+    gyp = np.pad(gy, ((0, 0),) + tuple((span - 1, max(0, m0 + m - n))
+                                        for n, m in zip(gy.shape[1:], nm)))
+    windows = kernels._windows(gyp, span)[:, ::-1, ::-1, ::-1, m0:m0 + nm[0], m0:m0 + nm[1],
+                                          m0:m0 + nm[2]]
+    wk = np.zeros((co, ci) + (s * span,) * 3, dtype=w.dtype)
+    wk[:, :, :k, :k, :k] = w
+    w2 = wk.reshape(co, ci, span, s, span, s, span, s).transpose(3, 5, 7, 1, 0, 2, 4, 6)
+    w2 = w2.reshape(s**3 * ci, co * span**3)
+    gxp = np.empty((ci,) + tuple(s * n for n in nm), dtype=np.result_type(gy, w))
+    phases = gxp.reshape(ci, nm[0], s, nm[1], s, nm[2], s).transpose(2, 4, 6, 0, 1, 3, 5)
+    # the gather: columns in groups, the contraction padded to K_ALIGN, and
+    # GEMMs in blocks of BLOCK voxels
+    kk = w2.shape[1]
+    kp = -(-kk // kernels.K_ALIGN) * kernels.K_ALIGN
+    wp = np.zeros((len(w2), kp), dtype=w2.dtype)
+    wp[:, :kk] = w2
+    if phases.size:
+        groups, width = kernels._groups(
+            *nm, max(1, kernels.GROUP_ELEMS // (kk * kernels.BLOCK)) * kernels.BLOCK)
+        cols = np.zeros((kp, width), dtype=windows.dtype)
+        cols_taps = cols[:kk].reshape(windows.shape[:4] + (width,))
+        res = np.empty((len(w2), width), dtype=np.result_type(wp, cols))
+        for z0, z1, y0, y1 in groups:
+            shape = (z1 - z0, y1 - y0, nm[2])
+            n = int(np.prod(shape))
+            cols_taps[..., :n].reshape(windows.shape[:4] + shape)[...] = windows[
+                ..., z0:z1, y0:y1, :]
+            kernels._block_gemm(wp, cols, res, n)
+            phases[..., z0:z1, y0:y1, :] = res[:, :n].reshape(phases.shape[:4] + shape)
+    o = pad - s * m0
+    return np.ascontiguousarray(gxp[(slice(None),) + tuple(slice(o, o + n) for n in in_shape[1:])])
+
+
 # Each (stride, pad, k) setting with 3 -> 4 channels, which take the gather
 # path, and with C_out < C_in, which take the kn2row path; the 3 -> 4 cases
 # keep their old ids.
@@ -86,6 +128,44 @@ class TestConvKernels:
             tracemalloc.stop()
         assert y.shape == (1, 58, 58, 58) and y.dtype == np.float32
         assert peak <= bound, (peak, bound)
+
+    @pytest.mark.parametrize("stride,k,pad", [(s, k, p) for s in (1, 2) for k in (3, 4)
+                                              for p in (0, 1)])
+    def test_input_gradients_equal_the_phase_buffer_bits(self, stride, k, pad, rng):
+        # Each phase is written straight into the result; the bits must be
+        # those of the padded phase buffer and its crop.
+        for dtype in BIT_DTYPES:
+            for shape in ((5, 7, 9), (6, 4, 8)):  # odd and even edges
+                for c_in, c_out in ((1, 16), (16, 1), (16, 16)):
+                    x = rng.normal(size=(c_in,) + shape).astype(dtype)
+                    wt = rng.normal(size=(c_in, c_out, k, k, k)).astype(dtype)
+                    out_shape = (c_out,) + tuple(stride * (n - 1) + k - 2 * pad for n in shape)
+                    got = kernels.tconv3d_forward(x, wt, stride, pad)
+                    assert got.dtype == dtype and got.shape == out_shape
+                    np.testing.assert_array_equal(
+                        got, phase_buffer_backward_input(x, wt, out_shape, stride, pad))
+                    w = rng.normal(size=(c_out, c_in, k, k, k)).astype(dtype)
+                    gy = rng.normal(size=kernels.conv3d_forward(x, w, stride, pad).shape)
+                    gy = gy.astype(dtype)
+                    got = kernels.conv3d_backward_input(gy, w, x.shape, stride, pad)
+                    assert got.dtype == dtype and got.shape == x.shape
+                    np.testing.assert_array_equal(
+                        got, phase_buffer_backward_input(gy, w, x.shape, stride, pad))
+
+    def test_tconv_forward_peak_memory_is_under_twice_its_output(self, rng):
+        # The result is the only output-sized array: no phase buffer beside
+        # it and no crop copied out of one.
+        x = rng.normal(size=(16, 20, 20, 20)).astype(np.float32)
+        w = rng.normal(size=(16, 16, 4, 4, 4)).astype(np.float32)
+        kernels.tconv3d_forward(x, w, 2, 1)  # warm-up
+        tracemalloc.start()
+        try:
+            y = kernels.tconv3d_forward(x, w, 2, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (16, 40, 40, 40)
+        assert peak <= 2 * y.nbytes, peak / y.nbytes
 
     @NUMPY_ID
     @pytest.mark.parametrize("stride,pad,k", [(1, 1, 3), (2, 1, 4)])

@@ -216,6 +216,22 @@ class TestReceptiveRadius:
         assert np.array_equal(super_resolve(state, vol, core_size=3, halo=r).data, whole)
         assert not np.array_equal(super_resolve(state, vol, core_size=3, halo=r - 1).data, whole)
 
+    def test_default_halo_is_the_radius_not_the_stored_halo(self, monkeypatch):
+        # the stored halo of 4 is training's; inference cuts at the radius, 2
+        state = perturbed_state(TINY_SPEC, halo=4)
+        vol = Volume(np.random.default_rng(7).random((9, 8, 10)), (1.0,) * 3, UNIT)
+        whole = super_resolve(state, vol, core_size=10, halo=0).data
+        halos, chunk_volume = [], lapsrn.chunk_volume
+
+        def spy(v, grid):
+            halos.append(grid.halo)
+            return chunk_volume(v, grid)
+
+        monkeypatch.setattr(lapsrn, "chunk_volume", spy)
+        out = super_resolve(state, vol, core_size=3).data
+        assert halos == [TINY_HALO]
+        np.testing.assert_array_equal(out, whole)
+
     def test_stored_halo_below_it_is_refused(self):
         state = perturbed_state(TINY_SPEC, halo=TINY_HALO - 1)
         vol = Volume(np.random.default_rng(7).random((6, 6, 6)), (1.0,) * 3, UNIT)

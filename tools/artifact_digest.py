@@ -9,9 +9,11 @@ fresh temp dir, with relative paths throughout:
 - ``train-cut`` in ``log`` and in ``lsgan`` mode, each followed by a
   ``--resume latest`` that trains one more epoch;
 - ``train-sr`` with all five ``aug_*`` switches on, then a ``--resume latest``;
+  and one epoch of it with a halo of 4, twice the pyramid's receptive radius;
 - ``infer`` of one preprocessed MR case from the ``log`` run's and the SR
   run's final checkpoints, once with ``--skip-sr`` and once without, matched
-  against another case's raw CT;
+  against another case's raw CT; and once more from the halo-4 SR run, whose
+  inference chunks overlap by the radius, not by the stored halo;
 - ``infer`` once more with ``--skip-sr``, a ``ball`` structuring element and
   no opening.  A ball's closing goes offset by offset, where a cube's goes by
   axis passes.  The opening is off because it empties this barely trained
@@ -64,11 +66,14 @@ def _scenario():
                  train + ["--set", "cut.max_epochs=3", "--resume", "latest"]]
     train = ["train-sr", "--hr-dir", "ct", *_settings({**SR, "run.output_dir": "sr"})]
     runs += [train + ["--set", "lapsrn.max_epochs=1"],
-             train + ["--set", "lapsrn.max_epochs=2", "--resume", "latest"]]
+             train + ["--set", "lapsrn.max_epochs=2", "--resume", "latest"],
+             ["train-sr", "--hr-dir", "ct", *_settings({
+                 **SR, "lapsrn.halo": 4, "lapsrn.max_epochs": 1, "run.output_dir": "sr_halo4"})]]
     infer = ["infer", "--mr", "mr/case000_mr.raw", "--cut-ckpt", "cut_log/cut_final.npz",
              "--reference-ct", "raw/case001_ct.raw"]
     runs += [infer + ["--skip-sr", "--out", "infer_skip_sr"],
              infer + ["--sr-ckpt", "sr/sr_final.npz", "--out", "infer_sr"],
+             infer + ["--sr-ckpt", "sr_halo4/sr_final.npz", "--out", "infer_sr_halo4"],
              infer + ["--skip-sr", "--out", "infer_ball",
                       *_settings({"postprocess.structuring_element": "ball",
                                   "postprocess.opening_radius": 0})],
