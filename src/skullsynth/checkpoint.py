@@ -12,7 +12,8 @@ code that knows the trainers' run record, format version 3:
 
 - ``meta["kind"]``: ``"cut"`` or ``"lapsrn"``; a loader refuses the other;
 - ``meta["step"]``, ``meta["epoch"]``: optimizer steps and epochs done;
-- ``meta["monitor"]``: the learning-rate schedule's `PlateauDecay` state;
+- ``meta["monitor"]``: the learning-rate schedule's `PlateauDecay` state,
+  with the monitored values of an epoch in progress if a run stopped in one;
 - the trainer's settings, each dataclass as its field dict: for CUT
   ``train_config``, ``generator_spec``, ``discriminator_spec``,
   ``projector_spec``, ``nce_config`` and the derived ``tap_ids``; for

@@ -150,7 +150,6 @@ def cmd_infer(args, cfg):
     mr = vio.load_volume(args.mr, fmt)
     if not args.skip_sr:
         sr_state = lapsrn.load_sr_checkpoint(args.sr_ckpt)
-        sr_state["spec"].check_halo(sr_state["cfg"].halo)
     reference = vio.load_volume(args.reference_ct, fmt)
     syn = cut.translate(args.cut_ckpt, mr)
     os.makedirs(out_dir, exist_ok=True)

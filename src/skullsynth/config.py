@@ -227,14 +227,8 @@ def cut_settings(cfg):
 
 def sr_settings(cfg):
     s = cfg["lapsrn"]
-    spec = _build(PyramidSpec, s)
-    train = _build(SRTrainConfig, s, seed=run_settings(cfg).seed,
-                   augment=_build(AugmentationConfig, s))
-    try:
-        spec.check_halo(train.halo)
-    except ValueError as exc:
-        raise ConfigError(f"lapsrn.{exc}") from exc
-    return spec, train
+    return _build(PyramidSpec, s), _build(SRTrainConfig, s, seed=run_settings(cfg).seed,
+                                          augment=_build(AugmentationConfig, s))
 
 
 def segmentation_settings(cfg):

@@ -76,7 +76,9 @@ class SGD(Optimizer):
 class PlateauDecay:
     """Linear learning-rate decay to zero over the remaining epochs, armed
     once the monitored epoch-mean loss fails to improve for `patience`
-    consecutive epochs.  Before the trigger the rate stays at lr0."""
+    consecutive epochs.  Before the trigger the rate stays at lr0.
+    `epoch_values` holds the monitored values of the epoch in progress, so a
+    run stopped inside an epoch resumes with them."""
 
     def __init__(self, lr0, patience, max_epochs):
         self.lr0 = lr0
@@ -85,6 +87,7 @@ class PlateauDecay:
         self.best = float("inf")
         self.bad_epochs = 0
         self.trigger_epoch = -1  # epochs completed when decay began
+        self.epoch_values = []
 
     def lr_for_epoch(self, epoch):
         if self.trigger_epoch < 0 or epoch < self.trigger_epoch:
@@ -101,14 +104,24 @@ class PlateauDecay:
         if self.trigger_epoch < 0 and self.bad_epochs >= self.patience:
             self.trigger_epoch = epochs_done
 
+    def end_epoch(self, epochs_done):
+        """Observe the mean of `epoch_values`, if any, and clear them."""
+        if self.epoch_values:
+            self.observe(float(np.mean(self.epoch_values)), epochs_done)
+        self.epoch_values = []
+
     def state(self):
-        return {
+        state = {
             "best": self.best,
             "bad_epochs": self.bad_epochs,
             "trigger_epoch": self.trigger_epoch,
         }
+        if self.epoch_values:  # only inside an epoch, so a boundary's record keeps three keys
+            state["epoch_values"] = list(self.epoch_values)
+        return state
 
     def load(self, state):
         self.best = float(state["best"])
         self.bad_epochs = int(state["bad_epochs"])
         self.trigger_epoch = int(state["trigger_epoch"])
+        self.epoch_values = [float(v) for v in state.get("epoch_values", ())]

@@ -64,13 +64,6 @@ class PyramidSpec:
             reach = max(residual, upsample)
         return -(-reach // self.scale)
 
-    def check_halo(self, halo):
-        if halo < self.receptive_radius:
-            raise ValueError(
-                f"halo {halo} is below this pyramid's receptive radius {self.receptive_radius}: "
-                "chunked inference would differ from the whole-volume pass"
-            )
-
 
 @dataclass
 class SRTrainConfig:
@@ -84,7 +77,7 @@ class SRTrainConfig:
     max_steps: int = 0  # 0 = no cap
     core_size: int = 64  # chunk core edge, in low-res voxels
     # training chunk overlap, in low-res voxels; inference overlaps by the
-    # receptive radius, after refusing a halo below it
+    # pyramid's receptive radius instead
     halo: int = 8
     checkpoint_every: int = 1  # epochs
     seed: int = 0
@@ -308,9 +301,9 @@ def super_resolve(checkpoint, vol: Volume, core_size=None, halo=None) -> Volume:
     """Chunked inference: upsample a UNIT volume by the net's pyramid scale.
 
     Without ``halo`` the chunks overlap by the pyramid's receptive radius, the
-    smallest halo that gives the whole-volume bits, after a checkpoint whose
-    stored halo is below that radius is refused.  An explicit ``halo`` is an
-    unchecked override.
+    smallest halo that gives the whole-volume bits; the checkpoint's stored
+    halo is the training chunk overlap and plays no part.  An explicit
+    ``halo`` is an unchecked override.
     """
     state = load_sr_checkpoint(checkpoint) if not isinstance(checkpoint, dict) else checkpoint
     net, cfg, spec = state["net"], state["cfg"], state["spec"]
@@ -319,7 +312,6 @@ def super_resolve(checkpoint, vol: Volume, core_size=None, halo=None) -> Volume:
     if core_size is None:
         core_size = cfg.core_size
     if halo is None:
-        spec.check_halo(cfg.halo)
         halo = spec.receptive_radius
     scale = spec.scale
     grid = ChunkGrid.build(vol.data.shape, core_size, halo)

@@ -28,12 +28,10 @@ CT_SHELL = 1400.0
 @dataclass
 class PhantomSpec:
     shape: tuple = (32, 32, 32)
-    center: Optional[tuple] = None  # defaults to the volume center
     semi_axes: Optional[tuple] = None  # defaults to 0.38 * shape
     thickness: float = 2.0  # shell thickness in voxels
     noise_sigma_mr: float = 0.0  # unit-scale sigma
     noise_sigma_ct: float = 0.0  # HU-scale sigma
-    spacing: tuple = (1.0, 1.0, 1.0)
     defect_center: Optional[tuple] = None
     defect_radius: float = 0.0
     seed: int = 0
@@ -52,9 +50,9 @@ def _ellipsoid(axes, center, semi_axes):
 
 def _regions(spec):
     """The shell and the soft tissue (brain plus defect) as boolean volumes,
-    built from the grid's broadcast z, y and x axes."""
+    centred in the grid and built from its broadcast z, y and x axes."""
     shape = tuple(int(n) for n in spec.shape)
-    center = spec.center or tuple((n - 1) / 2.0 for n in shape)
+    center = tuple((n - 1) / 2.0 for n in shape)
     semi = spec.semi_axes or tuple(0.38 * n for n in shape)
     if any(c - s < -0.5 or c + s > n - 0.5 for c, s, n in zip(center, semi, shape)):
         raise ValueError(f"shell exceeds bounds: center {center}, semi-axes {semi}, shape {shape}")
@@ -71,7 +69,7 @@ def _regions(spec):
 
 
 def make_phantom(spec: PhantomSpec):
-    """Build the (mr_like, ct_like, mask) triplet; deterministic for a fixed seed."""
+    """Build the (mr_like, ct_like, mask) triplet at unit spacing; deterministic per seed."""
     shell, soft = _regions(spec)
     shape = shell.shape
     # a defect exposes soft tissue, not air
@@ -84,7 +82,8 @@ def make_phantom(spec: PhantomSpec):
     if spec.noise_sigma_ct > 0:
         ct = ct + rng.normal(0.0, spec.noise_sigma_ct, shape)
 
-    mr_vol = Volume(mr, spec.spacing, UNIT)
-    ct_vol = Volume(ct, spec.spacing, HU)
-    mask = SegmentationMask(shell.astype(np.uint8), spec.spacing)
+    spacing = (1.0, 1.0, 1.0)
+    mr_vol = Volume(mr, spacing, UNIT)
+    ct_vol = Volume(ct, spacing, HU)
+    mask = SegmentationMask(shell.astype(np.uint8), spacing)
     return mr_vol, ct_vol, mask

@@ -10,6 +10,7 @@ import collections
 import csv
 import dataclasses
 import glob
+import itertools
 import os
 
 import numpy as np
@@ -122,7 +123,9 @@ def fit(trainer, cfg, run_dir, state, epoch_steps):
 
     `epoch_steps(epoch)` yields one callable per optimizer step, called with
     the steps taken and returning the log columns between ``epoch`` and
-    ``lr``; the epoch mean of the last drives `PlateauDecay`.
+    ``lr``; the epoch mean of the last drives `PlateauDecay`.  A run stopped
+    inside an epoch records that epoch's values so far, and its resume skips
+    as many of the epoch's steps.
     """
     monitor = PlateauDecay(cfg.lr, cfg.plateau_patience_epochs, cfg.max_epochs)
     monitor.load(state["monitor"])
@@ -152,20 +155,19 @@ def fit(trainer, cfg, run_dir, state, epoch_steps):
             lr = monitor.lr_for_epoch(epoch)
             for opt in (v for v in state.values() if isinstance(v, Optimizer)):
                 opt.lr = lr
-            monitored = []
-            for run_step in epoch_steps(epoch):
+            taken = len(monitor.epoch_values)  # nonzero only in a resumed epoch
+            for run_step in itertools.islice(epoch_steps(epoch), taken, None):
                 if capped():
                     break
                 values = run_step(step)
                 step += 1
                 rows.append((step, epoch, *values, lr))
-                monitored.append(values[-1])
+                monitor.epoch_values.append(values[-1])
                 writer.writerow([repr(v) for v in rows[-1]])
                 fh.flush()
             else:  # the epoch ran to its end; a capped one stops at the next check
                 epochs_done = epoch + 1
-                if monitored:
-                    monitor.observe(float(np.mean(monitored)), epochs_done)
+                monitor.end_epoch(epochs_done)
                 if cfg.checkpoint_every and epochs_done % cfg.checkpoint_every == 0:
                     save(os.path.join(run_dir, f"{trainer.prefix}_epoch{epochs_done:04d}.npz"))
 

@@ -172,8 +172,6 @@ EXIT_CODES = [
     ("non-int value", 2, lambda d, p: ["phantom-gen", "--out", d, "--set", "cut.batch_size=two"]),
     ("levels=0", 2, lambda d, p: ["train-sr", "--hr-dir", p + "/n1", "--set", "lapsrn.levels=0",
                                   "--set", f"run.output_dir={d}/run"]),
-    ("halo=6", 2, lambda d, p: ["train-sr", "--hr-dir", p + "/n1", "--set", "lapsrn.halo=6",
-                                "--set", f"run.output_dir={d}/run"]),
     ("resample_shape=24,40", 2, lambda d, p: _preprocess(d, p, "data.resample_shape=24,40")),
     ("resample_shape=0,8,8", 2, lambda d, p: _preprocess(d, p, "data.resample_shape=0,8,8")),
     ("sdsc_tolerance_mm=-1", 2, lambda d, p: ["evaluate", "--pred-dir", p + "/n1", "--gt-dir",
@@ -204,6 +202,8 @@ EXIT_CODES = [
     ("lapsrn.max_epochs=-2", 2, lambda d, p: _tiny(d, p, "sr", {"lapsrn.max_epochs": -2})),
     ("lapsrn.plateau_patience_epochs=-1", 2,
      lambda d, p: _tiny(d, p, "sr", {"lapsrn.plateau_patience_epochs": -1})),
+    ("lapsrn.halo=-1", 2, lambda d, p: _tiny(d, p, "sr", {"lapsrn.halo": -1})),
+    ("train-sr, halo 0", 0, lambda d, p: _tiny(d, p, "sr", {"lapsrn.halo": 0})),
     ("run.seed=-1", 2, lambda d, p: ["phantom-gen", "--out", d + "/run", "--set", "run.seed=-1"]),
     ("phantom-gen --shape 0", 2, lambda d, p: _phantom_gen(d, "--shape", "0")),
     ("phantom-gen --shape -4", 2, lambda d, p: _phantom_gen(d, "--shape", "-4")),
@@ -232,11 +232,7 @@ EXIT_CODES = [
      lambda d, p: _infer(d, p, p + "/run/sr_final.npz", p + "/run/cut_final.npz")),
     ("infer, parameter array missing", 1,
      lambda d, p: _infer(d, p, p + "/cut_broken.npz", p + "/run/sr_final.npz")),
-    ("infer, halo below the receptive radius", 1,
-     lambda d, p: _infer(d, p, p + "/run/cut_final.npz", p + "/sr_short_halo.npz")),
     ("infer, MR edges not divisible by G's downsampling", 1, lambda d, p: _infer_odd_mr(d, p)),
-    ("infer, new --out, halo below the receptive radius", 1,
-     lambda d, p: _infer_into_run(d, p, "/sr_short_halo.npz")),
     ("infer, new --out, CUT checkpoint as --sr-ckpt", 1,
      lambda d, p: _infer_into_run(d, p, "/run/cut_final.npz")),
     ("infer, new --out, reference CT without its sidecar", 1,
@@ -318,8 +314,6 @@ def test_shape_error_leaves_no_run_dir(phantoms, tmp_path, capsys):
 # the EXIT_CODES cases `infer` refuses for an input it loads, with the
 # message; each would write to <d>/run
 INFER_INPUT_ERRORS = {
-    "infer, new --out, halo below the receptive radius":
-        "halo 1 is below this pyramid's receptive radius 2",
     "infer, new --out, CUT checkpoint as --sr-ckpt": "is not a 'lapsrn' checkpoint (kind='cut')",
     "infer, new --out, reference CT without its sidecar": "missing sidecar",
 }
@@ -332,6 +326,18 @@ def test_refused_infer_input_leaves_no_run_dir(phantoms, tmp_path, capsys):
             assert main(argv(str(d), str(phantoms))) == 1
             assert INFER_INPUT_ERRORS[name] in capsys.readouterr().err
             assert not (d / "run").exists()
+
+
+def test_infer_ignores_the_stored_halo(phantoms, tmp_path):
+    """The same SR weights with their training halo (2, the pyramid's
+    receptive radius) and with a halo below it give the same outputs."""
+    p = str(phantoms)
+    outputs = []
+    for sr_ckpt in ("run/sr_final", "sr_short_halo"):
+        d = tmp_path / sr_ckpt.replace("/", "_")
+        assert main(_infer(str(d), p, p + "/run/cut_final.npz", f"{p}/{sr_ckpt}.npz")) == 0
+        outputs.append([(d / f"{n}.raw").read_bytes() for n in ("sr_ct", "matched_ct", "mask")])
+    assert outputs[0] == outputs[1]
 
 
 # the run record of format 3 for TINY_RUN's networks: metadata keys, then
@@ -410,7 +416,7 @@ SPEC_ERRORS = {
     "batch_size=0": "batch_size must be >= 1",
     "batch_size=-2": "batch_size must be >= 1",
     "tap_layers=-1": "tap_layers must be >= 0",
-    "halo=6": "lapsrn.halo 6 is below this pyramid's receptive radius 7",
+    "lapsrn.halo=-1": "halo >= 0",
     "resample_shape=24,40": "resample_shape must be 3 sizes >= 1, got (24, 40)",
     "resample_shape=0,8,8": "resample_shape must be 3 sizes >= 1, got (0, 8, 8)",
     "sdsc_tolerance_mm=-1": "sdsc_tolerance_mm must be >= 0",

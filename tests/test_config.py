@@ -160,7 +160,6 @@ def test_defaults_round_trip(tmp_path):
 @pytest.mark.parametrize("settings,override,message", [
     (sr_settings, "lapsrn.levels=0", "levels must be >= 1"),
     (sr_settings, "lapsrn.grad_accum=0", "grad_accum"),
-    (sr_settings, "lapsrn.halo=6", "lapsrn.halo 6 is below this pyramid's receptive radius 7"),
     (segmentation_settings, "postprocess.structuring_element=star", "structuring element"),
 ])
 def test_spec_errors_are_config_errors(settings, override, message):

@@ -301,6 +301,45 @@ class TestConvBitContract:
         monkeypatch.setattr(kernels, "GROUP_ELEMS", 1)  # 256 voxels: 11 padded rows
         np.testing.assert_array_equal(kernels.conv3d_forward(x, w, 1, 1), by_planes)
 
+    def test_gather_bits_do_not_depend_on_the_grouping(self, rng, monkeypatch):
+        # The gather builds its columns a group of whole planes, or of rows of
+        # one plane, at a time, and places each group's GEMM rows, phase by
+        # phase at stride 2.  At GROUP_ELEMS 1 a group holds 256 voxels: the
+        # stride-1 calls take 20-voxel rows 12 at a time, 10 groups.
+        groups, real = [], kernels._groups
+
+        def counting(*args):
+            found = real(*args)
+            groups.append(len(found[0]))
+            return found
+
+        monkeypatch.setattr(kernels, "_groups", counting)
+        for dtype in BIT_DTYPES:
+            x = rng.normal(size=(4, 5, 20, 20)).astype(dtype)
+            w = rng.normal(size=(8, 4, 3, 3, 3)).astype(dtype)
+            wt = rng.normal(size=(4, 8, 4, 4, 4)).astype(dtype)
+            gys = {s: rng.normal(size=(8, 5 // s + s - 1, 20 // s, 20 // s)).astype(dtype)
+                   for s in (1, 2)}
+
+            def calls():
+                return [*(kernels.conv3d_forward(x, w, s, 1) for s in (1, 2)),
+                        *(kernels.conv3d_backward_input(gys[s], w, x.shape, s, 1)
+                          for s in (1, 2)),
+                        kernels.tconv3d_forward(x, wt, 2, 1)]
+
+            del groups[:]
+            whole = calls()
+            by_default = groups[:]
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "GROUP_ELEMS", 1)
+                del groups[:]
+                split = calls()
+            assert groups[0] == groups[2] == 10
+            assert all(a > b for a, b in zip(groups, by_default)), (groups, by_default)
+            for a, b in zip(split, whole):
+                assert a.dtype == dtype
+                np.testing.assert_array_equal(a, b)
+
     def test_bits_do_not_depend_on_blas_threads(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(skullsynth.__file__)))
         for dtype in BIT_DTYPES:

@@ -217,10 +217,10 @@ class TestReceptiveRadius:
         assert not np.array_equal(super_resolve(state, vol, core_size=3, halo=r - 1).data, whole)
 
     def test_default_halo_is_the_radius_not_the_stored_halo(self, monkeypatch):
-        # the stored halo of 4 is training's; inference cuts at the radius, 2
-        state = perturbed_state(TINY_SPEC, halo=4)
+        # the stored halo, 4 or 1, is training's; inference cuts at the radius, 2
+        states = [perturbed_state(TINY_SPEC, halo=h) for h in (4, TINY_HALO - 1)]
         vol = Volume(np.random.default_rng(7).random((9, 8, 10)), (1.0,) * 3, UNIT)
-        whole = super_resolve(state, vol, core_size=10, halo=0).data
+        whole = super_resolve(states[0], vol, core_size=10, halo=0).data
         halos, chunk_volume = [], lapsrn.chunk_volume
 
         def spy(v, grid):
@@ -228,17 +228,9 @@ class TestReceptiveRadius:
             return chunk_volume(v, grid)
 
         monkeypatch.setattr(lapsrn, "chunk_volume", spy)
-        out = super_resolve(state, vol, core_size=3).data
-        assert halos == [TINY_HALO]
-        np.testing.assert_array_equal(out, whole)
-
-    def test_stored_halo_below_it_is_refused(self):
-        state = perturbed_state(TINY_SPEC, halo=TINY_HALO - 1)
-        vol = Volume(np.random.default_rng(7).random((6, 6, 6)), (1.0,) * 3, UNIT)
-        with pytest.raises(ValueError, match="receptive radius 2"):
-            super_resolve(state, vol, core_size=3)
-        # an explicit halo is an unchecked override
-        assert super_resolve(state, vol, core_size=3, halo=0).data.shape == (12, 12, 12)
+        for state in states:
+            np.testing.assert_array_equal(super_resolve(state, vol, core_size=3).data, whole)
+        assert halos == [TINY_HALO] * len(states)
 
 
 @pytest.mark.parametrize("filters", [4, 64])

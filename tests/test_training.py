@@ -29,11 +29,11 @@ def unit_vols(seed, count):
     return [Volume(rng.random((8, 8, 8)), (1, 1, 1), UNIT) for _ in range(count)]
 
 
-def train_cut(run_dir, resume_from=None, **kw):
-    # two draws of one: one optimizer step per epoch
+def train_cut(run_dir, resume_from=None, count=2, **kw):
+    # two draws per step: one optimizer step per epoch of two volumes, two of three
     cfg = cut.CutTrainConfig(lr=1e-3, batch_size=2, plateau_patience_epochs=100, seed=11, **kw)
     nets = {} if resume_from else CUT_NETS
-    return cut.train_cut(unit_vols(1, 2), unit_vols(2, 2), cfg, run_dir=str(run_dir),
+    return cut.train_cut(unit_vols(1, count), unit_vols(2, count), cfg, run_dir=str(run_dir),
                          resume_from=resume_from, **nets)
 
 
@@ -77,6 +77,43 @@ def test_resume_in_same_run_dir_keeps_one_row_per_step(prefix, tmp_path):
     uninterrupted = log.read_bytes()
     train(tmp_path, max_epochs=4, resume_from=str(tmp_path / f"{prefix}_epoch0002.npz"))
     assert log.read_bytes() == uninterrupted
+
+
+# each trainer with two or more steps per epoch, and a step cap inside one:
+# CUT on three volumes stops after step 3, in its second epoch of two steps;
+# SR stops after step 2, in its first epoch of four
+MID_EPOCH = {"cut": ({"count": 3, "max_epochs": 3}, 3), "sr": ({"max_epochs": 2}, 2)}
+
+
+@pytest.mark.parametrize("into", ["same", "fresh"])
+@pytest.mark.parametrize("prefix", ["cut", "sr"])
+def test_resume_from_a_mid_epoch_stop_continues_its_epoch(prefix, into, tmp_path):
+    (kw, cap), train = MID_EPOCH[prefix], TRAINERS[prefix]
+    whole = tmp_path / "whole"
+    _, rows = train(whole, **kw)
+    stopped, _ = train(tmp_path / "same", max_steps=cap, **kw)
+    run_dir = tmp_path / into
+    _, resumed_rows = train(run_dir, resume_from=str(stopped), **kw)
+    assert resumed_rows == rows[cap:]
+    log = (whole / f"{prefix}_log.csv").read_text().splitlines()
+    if into == "fresh":  # the stopped run's rows are in its own dir
+        log = log[:1] + log[1 + cap:]
+    assert (run_dir / f"{prefix}_log.csv").read_text().splitlines() == log
+
+    def epochs(d):
+        return {p.name for p in d.glob(f"{prefix}_epoch*.npz")}
+
+    stopped_epoch = ckpt_io.load_checkpoint(stopped)[0]["epoch"]
+    want = {n for n in epochs(whole) if into == "same" or int(n[-8:-4]) > stopped_epoch}
+    assert epochs(run_dir) == want
+    for name in (*want, f"{prefix}_final.npz"):
+        (meta, arrays), (got_meta, got_arrays) = (ckpt_io.load_checkpoint(d / name)
+                                                  for d in (whole, run_dir))
+        for key in ("step", "epoch", "monitor", "optimizers"):
+            assert got_meta[key] == meta[key], (name, key)
+        assert got_arrays.keys() == arrays.keys()
+        for key in arrays:
+            np.testing.assert_array_equal(got_arrays[key], arrays[key], err_msg=f"{name} {key}")
 
 
 @pytest.mark.parametrize("prefix", ["cut", "sr"])

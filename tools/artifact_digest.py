@@ -14,13 +14,14 @@ fresh temp dir, with relative paths throughout:
   run's final checkpoints, once with ``--skip-sr`` and once without, matched
   against another case's raw CT; and once more from the halo-4 SR run, whose
   inference chunks overlap by the radius, not by the stored halo;
-- ``infer`` once more with ``--skip-sr``, a ``ball`` structuring element and
-  no opening.  A ball's closing goes offset by offset, where a cube's goes by
-  axis passes.  The opening is off because it empties this barely trained
-  model's mask;
+- ``infer`` twice more with ``--skip-sr`` and no opening: with a ``ball``
+  structuring element, and with the default cube.  A ball's closing goes
+  offset by offset, where a cube's goes by axis passes.  The opening is off
+  because it empties this barely trained model's mask, and so the default
+  ``--skip-sr`` mask above;
 - ``evaluate`` against that case's phantom mask: of the ``--skip-sr`` mask at
-  the default surface-Dice tolerance, and of the ``ball`` mask at 3 mm, whose
-  dilations take 123 steps.
+  the default surface-Dice tolerance, of the ``ball`` mask at 3 mm, whose
+  dilations take 123 steps, and of the cube mask at the default tolerance.
 
 Prints one ``<sha256>  <path>`` line per checkpoint, log, ``config.ini``,
 ``infer`` output file and evaluation report, by path.  A checkpoint's digest
@@ -77,19 +78,22 @@ def _scenario():
              infer + ["--skip-sr", "--out", "infer_ball",
                       *_settings({"postprocess.structuring_element": "ball",
                                   "postprocess.opening_radius": 0})],
+             infer + ["--skip-sr", "--out", "infer_cube", "--set", "postprocess.opening_radius=0"],
              ["evaluate", "--pred-dir", "pred", "--gt-dir", "truth",
               "--out", "eval/evaluation.csv"],
              ["evaluate", "--pred-dir", "pred_ball", "--gt-dir", "truth",
-              "--out", "eval/evaluation_ball_3mm.csv", "--set", "metrics.sdsc_tolerance_mm=3"]]
+              "--out", "eval/evaluation_ball_3mm.csv", "--set", "metrics.sdsc_tolerance_mm=3"],
+             ["evaluate", "--pred-dir", "pred_cube", "--gt-dir", "truth",
+              "--out", "eval/evaluation_cube.csv"]]
     return runs
 
 
 def _pair_masks(work):
-    """Copy the ``--skip-sr`` mask to ``pred/``, the ``ball`` mask to
-    ``pred_ball/`` and case000's phantom mask to ``truth/``, each as
-    ``mask.raw``, so each ``evaluate`` scores one pair."""
+    """Copy the ``--skip-sr`` mask to ``pred/``, the ``ball`` and cube masks
+    to ``pred_ball/`` and ``pred_cube/``, and case000's phantom mask to
+    ``truth/``, each as ``mask.raw``, so each ``evaluate`` scores one pair."""
     for name, src in (("pred", "infer_skip_sr/mask"), ("pred_ball", "infer_ball/mask"),
-                      ("truth", "raw/case000_mask")):
+                      ("pred_cube", "infer_cube/mask"), ("truth", "raw/case000_mask")):
         os.makedirs(os.path.join(work, name), exist_ok=True)
         for ext in (".raw", ".raw.meta"):
             shutil.copyfile(os.path.join(work, src + ext), os.path.join(work, name, "mask" + ext))
