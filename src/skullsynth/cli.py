@@ -151,6 +151,7 @@ def cmd_infer(args, cfg):
     if not args.skip_sr:
         sr_state = lapsrn.load_sr_checkpoint(args.sr_ckpt)
     reference = vio.load_volume(args.reference_ct, fmt)
+    postprocess.require_hu(reference, "--reference-ct")
     syn = cut.translate(args.cut_ckpt, mr)
     os.makedirs(out_dir, exist_ok=True)
     vio.save_volume(syn, os.path.join(out_dir, "syn_ct" + ext), fmt)

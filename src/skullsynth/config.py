@@ -12,6 +12,7 @@ import configparser
 import dataclasses
 import difflib
 import io
+import math
 from typing import Optional
 
 from skullsynth import FORMAT_VERSION
@@ -212,11 +213,18 @@ def dump_config(cfg):
 
 
 def _build(cls, values, **extra):
-    """`cls` from its section's `values`; a value it rejects is a config error."""
+    """`cls` from its section's `values`; a value it rejects, and then a float
+    setting that is not finite, is a config error."""
+    fields = dict(_ini_fields(cls))
     try:
-        return cls(**{f.name: values[key] for key, f in _ini_fields(cls)}, **extra)
+        built = cls(**{f.name: values[key] for key, f in fields.items()}, **extra)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for key, f in fields.items():
+        if f.type is float and not math.isfinite(values[key]):
+            section = next(sec for sec, classes in SECTIONS.items() if cls in classes)
+            raise ConfigError(f"[{section}] {key} must be finite, got {values[key]!r}")
+    return built
 
 
 def cut_settings(cfg):

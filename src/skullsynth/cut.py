@@ -329,9 +329,11 @@ def gan_losses(d, real_ct, syn_ct, mode: str = "log"):
     """(d_loss, g_adv_loss) for one real/synthetic pair.
 
     d_loss treats the synthetic volume as a constant; g_adv_loss propagates
-    into the generator but not into discriminator parameters (their gradient
-    work is skipped at forward capture).  Both discriminator evaluations use
-    the current parameters; the trainer steps D before G either way.
+    into the generator but not into discriminator parameters: its D pass runs
+    inside ``d.frozen()``, which skips their gradient work at forward capture
+    and then gives each parameter its own flag back.  Both discriminator
+    evaluations use the current parameters; the trainer steps D before G
+    either way.
     """
     real_t = as_tensor(real_ct)
     syn_t = as_tensor(syn_ct)
@@ -339,11 +341,8 @@ def gan_losses(d, real_ct, syn_ct, mode: str = "log"):
         raise ValueError(f"shape mismatch: {real_t.data.shape} vs {syn_t.data.shape}")
     logits_real = d(real_t)
     logits_syn_d = d(syn_t.detach())
-    d.freeze()
-    try:
+    with d.frozen():
         logits_syn_g = d(syn_t)
-    finally:
-        d.unfreeze()
     if mode == "log":
         # log(1 - sigmoid(x)) = log_sigmoid(-x)
         d_loss = -(ops.log_sigmoid(logits_real).mean()) - ops.log_sigmoid(-logits_syn_d).mean()

@@ -204,7 +204,7 @@ def _kn2row(x, w, stride, pad):
     return np.ascontiguousarray(out.reshape(co, nz, ny, wp)[..., :nx])
 
 
-def _conv_forward(x, w, stride, pad):
+def conv3d_forward(x, w, stride=1, pad=0):
     co, ci, k = w.shape[:3]
     if co < ci:
         return _kn2row(x, w, stride, pad)
@@ -215,7 +215,7 @@ def _conv_forward(x, w, stride, pad):
     return y
 
 
-def _conv_backward_input(gy, w, in_shape, stride, pad):
+def conv3d_backward_input(gy, w, in_shape, stride=1, pad=0):
     co, ci, k = w.shape[:3]
     s, span = stride, -(-k // stride)
     # Padded input position s*m + b takes tap d = b + s*j from gy[m - j],
@@ -246,7 +246,7 @@ def _conv_backward_input(gy, w, in_shape, stride, pad):
     return gx
 
 
-def _conv_backward_weight(gy, x, k, stride, pad):
+def conv3d_backward_weight(gy, x, k, stride=1, pad=0):
     co, ci = gy.shape[0], x.shape[0]
     windows = _windows(np.pad(x, ((0, 0),) + ((pad, pad),) * 3), k, stride)
     # Each tap's GEMM contracts over the output voxels, zero-padded to a
@@ -264,25 +264,18 @@ def _conv_backward_weight(gy, x, k, stride, pad):
     return gw
 
 
-def conv3d_forward(x, w, stride=1, pad=0):
-    return _conv_forward(x, w, stride, pad)
-
-
-def conv3d_backward_input(gy, w, in_shape, stride=1, pad=0):
-    return _conv_backward_input(gy, w, in_shape, stride, pad)
-
-
-def conv3d_backward_weight(gy, x, k, stride=1, pad=0):
-    return _conv_backward_weight(gy, x, k, stride, pad)
-
-
 # A transposed conv with weights w (C_in, C_out, k^3) is the input gradient of
 # the conv that reads the same array as (C_out, C_in, k^3) weights and maps
 # the tconv output back to its input.  So its forward is that conv's
 # backward-input, its backward-input is that conv's forward, and its
 # backward-weight is that conv's backward-weight with the operands swapped.
-# The tconv kernels call the private helpers, so traces that wrap the public
-# names keep transposed-conv time apart from conv time.
+# The tconv kernels call the conv kernels through the private aliases below,
+# bound once at import: a tracer that replaces the public attributes then
+# sees each call once, as a tconv, and its spans do not nest.
+
+_conv_forward = conv3d_forward
+_conv_backward_input = conv3d_backward_input
+_conv_backward_weight = conv3d_backward_weight
 
 
 def tconv3d_forward(x, w, stride=2, pad=1):

@@ -1,11 +1,11 @@
 """Parameterized layers and the module bookkeeping they share.
 
-A Module discovers its parameters and freezes or unfreezes them; saving and
-restoring them is `checkpoint.save_state`/`restore_state`'s job.  Layers
-create their parameters in the engine dtype, ``tensor.DTYPE``, and draw
-random weights from the caller's seeded RNG; every conv and Linear has a
-bias.  The one transposed-conv geometry is the 2x upsampler: kernel 4,
-stride 2, pad 1."""
+A Module discovers its parameters and freezes them for the body of a
+``with module.frozen():``; saving and restoring them is
+`checkpoint.save_state`/`restore_state`'s job.  Layers create their
+parameters in the engine dtype, ``tensor.DTYPE``, and draw random weights
+from the caller's seeded RNG; every conv and Linear has a bias.  The one
+transposed-conv geometry is the 2x upsampler: kernel 4, stride 2, pad 1."""
 
 import contextlib
 
@@ -41,21 +41,14 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def freeze(self):
-        for p in self.parameters():
-            p.requires_grad = False
-
-    def unfreeze(self):
-        for p in self.parameters():
-            p.requires_grad = True
-
     @contextlib.contextmanager
     def frozen(self):
         """Freeze every parameter for the body of a ``with``, so the module
         builds no autograd graph there; then give each its flag back."""
         params = self.parameters()
         flags = [p.requires_grad for p in params]
-        self.freeze()
+        for p in params:
+            p.requires_grad = False
         try:
             yield self
         finally:

@@ -3,9 +3,9 @@
 Convolutions delegate to ``kernels``; everything else is plain numpy
 inside forward/backward closures.  The gradients of conv weights and biases
 and of the instance norm's affine honor the flag captured at forward time, so
-freezing a parameter before the forward pass really skips its gradient work
-(the adversarial generator term uses this to block discriminator updates
-without a second forward).
+a forward pass inside ``with module.frozen():`` really skips its parameters'
+gradient work (the adversarial generator term uses this to block
+discriminator updates without a second forward).
 """
 
 import numpy as np

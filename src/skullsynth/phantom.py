@@ -10,6 +10,7 @@ An optional spherical defect removes shell voxels from all three outputs
 consistently; removed voxels take the interior (soft-tissue) intensity.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +43,9 @@ class PhantomSpec:
         if not all(v >= 0 for v in (self.noise_sigma_mr, self.noise_sigma_ct,
                                     self.defect_radius)):
             raise ValueError("noise_sigma_mr, noise_sigma_ct and defect_radius must be >= 0")
+        for name in ("noise_sigma_mr", "noise_sigma_ct", "defect_radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 def _ellipsoid(axes, center, semi_axes):

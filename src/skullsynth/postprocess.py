@@ -37,8 +37,16 @@ class SegmentationParams:
             raise ValueError(f"unknown structuring element {self.structuring_element!r}")
 
 
+def require_hu(v: Volume, what: str):
+    """Refuse `v`, the volume `what` names, unless it is in HU."""
+    if v.domain != HU:
+        raise DomainError(f"{what} needs a HU volume, got {v.domain}")
+
+
 def histogram_match(source: Volume, reference: Volume) -> Volume:
-    """Monotone quantile mapping of source intensities onto the reference distribution."""
+    """Monotone quantile mapping of source intensities onto the distribution
+    of `reference`, a HU volume; the result is HU."""
+    require_hu(reference, "histogram_match's reference")
     src = source.data.ravel()
     n = src.size
     if n > 2**32:
@@ -78,8 +86,7 @@ def _sort_order(x):
 
 
 def threshold_hu(v: Volume, t: float) -> SegmentationMask:
-    if v.domain != HU:
-        raise DomainError(f"threshold_hu needs a HU volume, got {v.domain}")
+    require_hu(v, "threshold_hu")
     return SegmentationMask((v.data >= t).astype(np.uint8), v.spacing)
 
 

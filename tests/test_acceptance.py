@@ -7,7 +7,9 @@ same case's raw CT, then `segment_from_matched`) must recover the truth mask
 with Dice and surface Dice of at least 0.95 (Nikolov et al. 2018,
 arXiv:1809.04430).  The trained path's Dice and the SR PSNR against trilinear
 upsampling (Lai et al. 2017, arXiv:1704.03915) are reported, not gated: a few
-steps of tiny networks are not expected to reach the paper's numbers.
+steps of tiny networks are not expected to reach the paper's numbers.  So is
+the baseline the trained path has to beat: the raw MR thresholded below
+MR_THRESHOLD, then the default opening and closing.
 """
 
 import csv
@@ -21,6 +23,7 @@ from skullsynth.cli import main
 EDGE = 32
 CASES = ("case000", "case001")
 FLOOR = 0.95
+MR_THRESHOLD = 0.10  # between the phantom's MR shell (0.05) and its exterior (0.15)
 # a few optimizer steps of each trainer: CUT takes one step per epoch on two
 # cases, SR four (16 chunks of the two 16^3 inputs, 4 per step)
 SETTINGS = {
@@ -95,6 +98,12 @@ def test_pipeline_through_the_cli(tmp_path, capsys):
     dice, surface_dice = _evaluate(tmp_path, "oracle", oracle, truth)
     assert dice >= FLOOR and surface_dice >= FLOOR, (dice, surface_dice)
 
+    # reported only: the MR-intensity baseline, with no network
+    raw_mr = vio.load_volume(f"{raw}/case000_mr.raw")
+    dark = vio.SegmentationMask((raw_mr.data < MR_THRESHOLD).astype(np.uint8), raw_mr.spacing)
+    mr_mask = postprocess.binary_close(postprocess.binary_open(dark, params), params)
+    mr_baseline = _evaluate(tmp_path, "mr_threshold", mr_mask.to_volume(), truth)
+
     # reported only: the trained path's mask against the truth at SR resolution
     up = np.repeat(np.repeat(np.repeat(truth.data, 2, 0), 2, 1), 2, 2)
     truth_sr = vio.Volume(up, result["mask"].spacing, truth.domain)
@@ -106,4 +115,6 @@ def test_pipeline_through_the_cli(tmp_path, capsys):
     with capsys.disabled():
         print(f"\noracle mask: dice {dice:.4f} surface dice {surface_dice:.4f}; "
               f"trained mask: dice {trained[0]:.4f} surface dice {trained[1]:.4f}; "
+              f"MR < {MR_THRESHOLD} mask: dice {mr_baseline[0]:.4f} "
+              f"surface dice {mr_baseline[1]:.4f}; "
               f"SR PSNR {sr_psnr:.2f} dB, trilinear {baseline_psnr:.2f} dB")

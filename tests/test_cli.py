@@ -81,6 +81,13 @@ def _infer_into_run(d, p, sr_ckpt="/run/sr_final.npz", sidecar=True):
     return argv
 
 
+def _infer_unit_reference(d, p):
+    """`_infer_into_run` with the fixture's unit-domain MR as the reference CT."""
+    argv = _infer_into_run(d, p)
+    argv[argv.index("--reference-ct") + 1] = p + "/unit/case000_mr.raw"
+    return argv
+
+
 def _evaluate(d, pred, truth):
     """`evaluate` of the one case `pred` against `truth`, reporting to <d>/run."""
     for name, v in (("gt", truth), ("pred", pred)):
@@ -104,8 +111,8 @@ def _evaluate_cropped(d, p):
                           for n in (4, 5)))
 
 
-def _preprocess(d, p, setting):
-    return ["preprocess", "--in-dir", p + "/n1", "--out-dir", d + "/run", "--kind", "mr",
+def _preprocess(d, p, setting, kind="mr"):
+    return ["preprocess", "--in-dir", p + "/n1", "--out-dir", d + "/run", "--kind", kind,
             "--set", setting]
 
 
@@ -174,6 +181,7 @@ EXIT_CODES = [
                                   "--set", f"run.output_dir={d}/run"]),
     ("resample_shape=24,40", 2, lambda d, p: _preprocess(d, p, "data.resample_shape=24,40")),
     ("resample_shape=0,8,8", 2, lambda d, p: _preprocess(d, p, "data.resample_shape=0,8,8")),
+    ("data.floor_hu=nan", 2, lambda d, p: _preprocess(d, p, "data.floor_hu=nan", kind="ct")),
     ("sdsc_tolerance_mm=-1", 2, lambda d, p: ["evaluate", "--pred-dir", p + "/n1", "--gt-dir",
                                               p + "/n1", "--out", d + "/run/e.csv", "--set",
                                               "metrics.sdsc_tolerance_mm=-1"]),
@@ -197,6 +205,9 @@ EXIT_CODES = [
     ("cut.temperature=nan", 2, lambda d, p: _tiny(d, p, "cut", {"cut.temperature": "nan"})),
     ("lapsrn.momentum=nan", 2, lambda d, p: _tiny(d, p, "sr", {"lapsrn.momentum": "nan"})),
     ("lapsrn.weight_decay=nan", 2, lambda d, p: _tiny(d, p, "sr", {"lapsrn.weight_decay": "nan"})),
+    ("cut.learning_rate=inf", 2, lambda d, p: _tiny(d, p, "cut", {"cut.learning_rate": "inf"})),
+    ("lapsrn.learning_rate=inf", 2,
+     lambda d, p: _tiny(d, p, "sr", {"lapsrn.learning_rate": "inf"})),
     ("cut.max_steps=-1", 2, lambda d, p: _tiny(d, p, "cut", {"cut.max_steps": -1})),
     ("cut.checkpoint_every=-1", 2, lambda d, p: _tiny(d, p, "cut", {"cut.checkpoint_every": -1})),
     ("lapsrn.max_epochs=-2", 2, lambda d, p: _tiny(d, p, "sr", {"lapsrn.max_epochs": -2})),
@@ -209,6 +220,7 @@ EXIT_CODES = [
     ("phantom-gen --shape -4", 2, lambda d, p: _phantom_gen(d, "--shape", "-4")),
     ("phantom-gen --noise-mr -0.5", 2, lambda d, p: _phantom_gen(d, "--noise-mr", "-0.5")),
     ("phantom-gen --noise-ct -1", 2, lambda d, p: _phantom_gen(d, "--noise-ct", "-1")),
+    ("phantom-gen --noise-ct inf", 2, lambda d, p: _phantom_gen(d, "--noise-ct", "inf")),
     ("phantom-gen --defect-radius -2", 2,
      lambda d, p: _phantom_gen(d, "--shape", "8", "--defect-radius", "-2")),
     ("phantom-gen --count 0", 2, lambda d, p: _phantom_gen(d, "--count", "0")),
@@ -237,6 +249,9 @@ EXIT_CODES = [
      lambda d, p: _infer_into_run(d, p, "/run/cut_final.npz")),
     ("infer, new --out, reference CT without its sidecar", 1,
      lambda d, p: _infer_into_run(d, p, sidecar=False)),
+    ("infer, new --out, reference CT not in HU", 1, _infer_unit_reference),
+    ("infer, postprocess.bone_threshold_hu=nan", 2,
+     lambda d, p: _infer_into_run(d, p) + ["--set", "postprocess.bone_threshold_hu=nan"]),
 ]
 
 
@@ -316,6 +331,7 @@ def test_shape_error_leaves_no_run_dir(phantoms, tmp_path, capsys):
 INFER_INPUT_ERRORS = {
     "infer, new --out, CUT checkpoint as --sr-ckpt": "is not a 'lapsrn' checkpoint (kind='cut')",
     "infer, new --out, reference CT without its sidecar": "missing sidecar",
+    "infer, new --out, reference CT not in HU": "--reference-ct needs a HU volume, got UNIT",
 }
 
 
@@ -419,6 +435,7 @@ SPEC_ERRORS = {
     "lapsrn.halo=-1": "halo >= 0",
     "resample_shape=24,40": "resample_shape must be 3 sizes >= 1, got (24, 40)",
     "resample_shape=0,8,8": "resample_shape must be 3 sizes >= 1, got (0, 8, 8)",
+    "data.floor_hu=nan": "[data] floor_hu must be finite, got nan",
     "sdsc_tolerance_mm=-1": "sdsc_tolerance_mm must be >= 0",
     "adam_beta2=1.0": "adam_beta1 and adam_beta2 must be in [0, 1)",
     "adam_beta1=-0.5": "adam_beta1 and adam_beta2 must be in [0, 1)",
@@ -429,6 +446,10 @@ SPEC_ERRORS = {
     "cut.temperature=nan": "temperature must be > 0",
     "lapsrn.momentum=nan": "momentum and weight_decay must be >= 0",
     "lapsrn.weight_decay=nan": "momentum and weight_decay must be >= 0",
+    "cut.learning_rate=inf": "[cut] learning_rate must be finite, got inf",
+    "lapsrn.learning_rate=inf": "[lapsrn] learning_rate must be finite, got inf",
+    "infer, postprocess.bone_threshold_hu=nan":
+        "[postprocess] bone_threshold_hu must be finite, got nan",
     "cut.max_steps=-1": "max_steps must be >= 0",
     "cut.checkpoint_every=-1": "checkpoint_every must be >= 0",
     "lapsrn.max_epochs=-2": "max_epochs must be >= 0",
@@ -438,6 +459,7 @@ SPEC_ERRORS = {
     "phantom-gen --shape -4": "shape must be 3 sizes >= 1, got (-4, -4, -4)",
     "phantom-gen --noise-mr -0.5": "noise_sigma_mr, noise_sigma_ct and defect_radius must be >= 0",
     "phantom-gen --noise-ct -1": "noise_sigma_mr, noise_sigma_ct and defect_radius must be >= 0",
+    "phantom-gen --noise-ct inf": "noise_sigma_ct must be finite, got inf",
     "phantom-gen --defect-radius -2":
         "noise_sigma_mr, noise_sigma_ct and defect_radius must be >= 0",
     "phantom-gen --count 0": "--count must be >= 1, got 0",
@@ -511,3 +533,49 @@ def test_float64_checkpoints_load_as_float32(phantoms, tmp_path, engine_dtype):
             np.testing.assert_array_equal(arr, saved[key].astype(np.float32), err_msg=key)
     run = str(tmp_path / "run")
     assert main(_infer(str(tmp_path / "out"), p, run + "/cut_final.npz", run + "/sr_final.npz")) == 0
+
+
+def _pipeline(root, fmt):
+    """phantom-gen -> preprocess -> train-cut -> train-sr -> infer -> evaluate
+    on one 8^3 case with TINY_RUN's networks and no opening, every volume
+    file in `fmt`: the four volumes `infer` wrote, and the evaluation report."""
+    ext, r = vio.EXTENSIONS[fmt][0], str(root)
+    settings = [f"--set={k}={v}" for k, v in
+                {**TINY_RUN, "run.output_dir": r + "/run", "data.format": fmt,
+                 "postprocess.opening_radius": 0}.items()]
+    assert main(["phantom-gen", "--out", r + "/gen", "--count", "1", "--shape", "8",
+                 "--noise-ct", "20", *settings]) == 0
+    for kind in ("mr", "ct"):
+        assert main(["preprocess", "--in-dir", r + "/gen", "--out-dir", f"{r}/{kind}",
+                     "--kind", kind, *settings]) == 0
+    assert main(["train-cut", "--mr-dir", r + "/mr", "--ct-dir", r + "/ct", *settings]) == 0
+    assert main(["train-sr", "--hr-dir", r + "/ct", *settings]) == 0
+    assert main(["infer", "--mr", f"{r}/mr/case000_mr{ext}", "--cut-ckpt", r + "/run/cut_final.npz",
+                 "--sr-ckpt", r + "/run/sr_final.npz", "--reference-ct", f"{r}/gen/case000_ct{ext}",
+                 "--out", r + "/out", *settings]) == 0
+    # the truth mask on the SR grid: each voxel split into 2^3
+    truth = vio.load_volume(f"{r}/gen/case000_mask{ext}", fmt)
+    truth = vio.Volume(truth.data.repeat(2, 0).repeat(2, 1).repeat(2, 2),
+                       tuple(s / 2 for s in truth.spacing), truth.domain)
+    for name, v in (("pred", vio.load_volume(f"{r}/out/mask{ext}", fmt)), ("gt", truth)):
+        os.makedirs(f"{r}/{name}")
+        vio.save_volume(v, f"{r}/{name}/case000{ext}", fmt)
+    assert main(["evaluate", "--pred-dir", r + "/pred", "--gt-dir", r + "/gt",
+                 "--out", r + "/evaluation.csv", *settings]) == 0
+    outputs = {n: vio.load_volume(f"{r}/out/{n}{ext}", fmt)
+               for n in ("syn_ct", "sr_ct", "matched_ct", "mask")}
+    return outputs, (root / "evaluation.csv").read_text()
+
+
+def test_nifti_and_raw_files_give_the_same_results(tmp_path):
+    """The whole CLI run on NIfTI files, the format real MR and CT come in,
+    gives what it gives on raw files."""
+    nifti, nifti_report = _pipeline(tmp_path / "nifti", vio.NIFTI)
+    raw, raw_report = _pipeline(tmp_path / "raw", vio.RAW_F32)
+    assert sorted(p.name for p in (tmp_path / "nifti" / "out").iterdir()) == [
+        f"{n}.nii.gz" for n in ("mask", "matched_ct", "sr_ct", "syn_ct")]
+    assert nifti["mask"].data.any()
+    for name, v in nifti.items():
+        np.testing.assert_array_equal(v.data, raw[name].data, err_msg=name)
+        assert (v.spacing, v.domain) == (raw[name].spacing, raw[name].domain), name
+    assert nifti_report == raw_report

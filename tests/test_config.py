@@ -4,11 +4,15 @@ import pytest
 
 from skullsynth import FORMAT_VERSION
 from skullsynth.config import (
+    REGISTRY,
     ConfigError,
     cut_settings,
+    data_settings,
     default_config,
     dump_config,
     load_config,
+    metrics_settings,
+    run_settings,
     segmentation_settings,
     sr_settings,
 )
@@ -165,6 +169,25 @@ def test_defaults_round_trip(tmp_path):
 def test_spec_errors_are_config_errors(settings, override, message):
     with pytest.raises(ConfigError, match=message):
         settings(load_config(overrides=[override]))
+
+
+SETTINGS = {"data": data_settings, "cut": cut_settings, "lapsrn": sr_settings,
+            "postprocess": segmentation_settings, "metrics": metrics_settings,
+            "run": run_settings}
+FLOAT_KEYS = [f"{sec}.{key}" for sec, keys in REGISTRY.items()
+              for key, (parser, _) in keys.items() if parser is float]
+
+
+def test_every_float_setting_must_be_finite():
+    assert "postprocess.bone_threshold_hu" in FLOAT_KEYS and len(FLOAT_KEYS) > 10
+    for dotted in FLOAT_KEYS:
+        for value in ("nan", "inf", "-inf"):
+            # the dataclass's own check may refuse first, with its own message
+            with pytest.raises(ConfigError, match="must be"):
+                SETTINGS[dotted.split(".")[0]](load_config(overrides=[f"{dotted}={value}"]))
+    # its own check takes +inf, and the finiteness check names its key
+    with pytest.raises(ConfigError, match=r"\[metrics\] sdsc_tolerance_mm must be finite"):
+        metrics_settings(load_config(overrides=["metrics.sdsc_tolerance_mm=inf"]))
 
 
 def test_default_dump_is_pinned():

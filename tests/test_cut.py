@@ -2,6 +2,7 @@
 softmax math, adversarial loss algebra and gradient separation, and the
 training loop's checkpoint/resume determinism."""
 
+import contextlib
 import os
 
 import numpy as np
@@ -349,11 +350,9 @@ class _StubD:
     def __call__(self, x):
         return Tensor(np.full((1, 2, 2, 2), self.value))
 
-    def freeze(self):
-        pass
-
-    def unfreeze(self):
-        pass
+    @contextlib.contextmanager
+    def frozen(self):
+        yield self
 
 
 class _FailsWhenFrozenD(_StubD):
@@ -361,18 +360,20 @@ class _FailsWhenFrozenD(_StubD):
 
     def __init__(self):
         super().__init__(0.0)
-        self.frozen = False
+        self.is_frozen = False
 
     def __call__(self, x):
-        if self.frozen:
+        if self.is_frozen:
             raise RuntimeError("forward failed while frozen")
         return super().__call__(x)
 
-    def freeze(self):
-        self.frozen = True
-
-    def unfreeze(self):
-        self.frozen = False
+    @contextlib.contextmanager
+    def frozen(self):
+        self.is_frozen = True
+        try:
+            yield self
+        finally:
+            self.is_frozen = False
 
 
 class _IdentityD(_StubD):
@@ -390,7 +391,7 @@ class TestGanLosses:
         d = _FailsWhenFrozenD()
         with pytest.raises(RuntimeError, match="while frozen"):
             gan_losses(d, unit_vol(rng), unit_vol(rng))
-        assert not d.frozen
+        assert not d.is_frozen
 
     def test_log_mode_zero_logit_values(self, rng):
         x = unit_vol(rng)
@@ -443,6 +444,17 @@ class TestGanLosses:
         g_adv.backward()
         assert all(p.grad is None for p in d.parameters())
         assert any(p.grad is not None for p in g.parameters())
+
+    def test_keeps_the_callers_frozen_discriminator_parameter(self, rng):
+        g, d, _, _ = tiny_nets()
+        d.final.bias.requires_grad = False  # a caller's own freeze stays
+        flags = [p.requires_grad for p in d.parameters()]
+        syn, _ = g(Tensor(rng.random((1, 8, 8, 8))))
+        d_loss, _ = gan_losses(d, Tensor(rng.random((1, 8, 8, 8))), syn, mode="log")
+        assert [p.requires_grad for p in d.parameters()] == flags
+        d_loss.backward()
+        assert d.final.bias.grad is None
+        assert d.final.weight.grad is not None
 
 
 class TestTotalLoss:

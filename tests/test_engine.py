@@ -822,9 +822,8 @@ class TestLayers:
         # flag read at forward time decides, not the one at backward time
         layer = InstanceNorm3d(3)
         x = Tensor(rng.normal(size=(3, 4, 4, 4)), requires_grad=True)
-        layer.freeze()
-        y = layer(x)
-        layer.unfreeze()
+        with layer.frozen():
+            y = layer(x)
         (y * y).mean().backward()
         assert layer.gamma.grad is None and layer.beta.grad is None
         assert x.grad is not None
@@ -858,11 +857,10 @@ class TestLayers:
 
     def test_freeze_blocks_grads(self, rng):
         lin = Linear(3, 2, rng=rng)
-        lin.freeze()
-        out = lin(Tensor(rng.normal(size=(4, 3)), requires_grad=True))
+        with lin.frozen():
+            out = lin(Tensor(rng.normal(size=(4, 3)), requires_grad=True))
         out.mean().backward()
         assert all(p.grad is None for p in lin.parameters())
-        lin.unfreeze()
         out2 = lin(Tensor(rng.normal(size=(4, 3))))
         out2.mean().backward()
         assert all(p.grad is not None for p in lin.parameters())

@@ -163,7 +163,7 @@ class TestSuperResolve:
             assert graph_nodes
             np.testing.assert_array_equal(out.data, np.clip(whole.data[0], 0.0, 1.0))
         finally:
-            net.unfreeze()
+            net.levels[0].feat_head.bias.requires_grad = True
 
     def test_core_size_0_is_refused(self, sr_state):
         # 0 is a value, not "use the checkpoint's core"

@@ -18,7 +18,7 @@ from skullsynth.postprocess import (
     segment_from_matched,
     threshold_hu,
 )
-from skullsynth.volume_io import HU, UNIT, DomainError, SegmentationMask, Volume
+from skullsynth.volume_io import ARBITRARY, HU, UNIT, DomainError, SegmentationMask, Volume
 
 
 def hu_volume(data, spacing=(1, 1, 1)):
@@ -126,6 +126,14 @@ class TestHistogramMatch:
         src = Volume(np.random.default_rng(0).random((3, 3, 3)), (0.5, 2.0, 1.0), UNIT)
         out = histogram_match(src, hu_volume(np.zeros((3, 3, 3))))
         assert out.spacing == (0.5, 2.0, 1.0)
+
+    @pytest.mark.parametrize("domain", [UNIT, ARBITRARY])
+    def test_rejects_a_reference_not_in_hu(self, domain):
+        # its output is labelled HU, so a unit-range reference would pass for
+        # HU values in [0, 1] and threshold to an empty mask
+        ref = Volume(np.linspace(0.0, 1.0, 27).reshape(3, 3, 3), (1, 1, 1), domain)
+        with pytest.raises(DomainError, match=f"reference needs a HU volume, got {domain}"):
+            histogram_match(unit_volume_of(np.zeros((3, 3, 3))), ref)
 
 
 class TestThreshold:

@@ -8,7 +8,11 @@ module> import name``, or named bare in its own module.  In the benchmark, a
 string that spells the name counts too, since its tracer wraps callables by
 attribute name; in the package it does not.  So ``np.exp`` does not count as a
 use of ``ops.exp``, nor the ``gan_mode`` value ``"log"`` as one of an
-``ops.log``."""
+``ops.log``.
+
+A method of a package class, other than a dunder, is used where package or
+benchmark code reads an attribute of its name (``x.name``, on any object), or
+where the benchmark spells the name as a string."""
 
 import ast
 import pathlib
@@ -106,3 +110,22 @@ def test_every_public_name_has_a_caller():
 
 def test_every_private_helper_has_a_caller():
     assert _uncalled(private=True) == []
+
+
+def test_every_method_has_a_caller():
+    statements = list(_statements())
+    read = set()
+    for _, _, stmt, _, strings in statements:
+        read |= strings
+        read.update(node.attr for node in ast.walk(stmt)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    uncalled = [
+        f"{path.relative_to(PACKAGE)}:{stmt.name}.{method.name}"
+        for path, _, stmt, _, _ in statements
+        if path.is_relative_to(PACKAGE) and isinstance(stmt, ast.ClassDef)
+        for method in stmt.body
+        if isinstance(method, ast.FunctionDef)
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+        and method.name not in read
+    ]
+    assert uncalled == []
