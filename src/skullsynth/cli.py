@@ -2,8 +2,10 @@
 
 Subcommands: phantom-gen, preprocess, train-cut, train-sr, infer, evaluate.
 Every command reads the same INI config; repeated `--set section.key=value`
-flags override file values.  Exit codes: 0 success, 1 runtime failure,
-2 usage or configuration error (including missing input files).
+flags override file values.  A training run writes its resolved config, data
+dirs included, to `<run>/config.ini`, so `--config <run>/config.ini --resume
+latest` continues it.  Exit codes: 0 success, 1 runtime failure, 2 usage or
+configuration error (including missing input files).
 """
 
 import argparse
@@ -37,10 +39,6 @@ def _require_file(path):
     if not os.path.isfile(path):
         raise FileNotFoundError(path)
     return path
-
-
-def _load_dir(directory, fmt):
-    return [vio.load_volume(p, fmt) for p in _volume_paths(directory, fmt)]
 
 
 # ---------------------------------------------------------------------------
@@ -96,41 +94,34 @@ def cmd_preprocess(args, cfg):
     return 0
 
 
-def cmd_train_cut(args, cfg):
-    g_spec, d_spec, p_spec, nce, train_cfg = config_mod.cut_settings(cfg)
+def _train(args, cfg, train, keys, settings):
+    """Call `train` with the volumes of each `[data]` dir in `keys` (its flag
+    wins over the config), then `settings`; the dirs go into config.ini."""
     fmt = config_mod.data_settings(cfg).format
-    mr_dir = args.mr_dir or cfg["data"]["mr_dir"]
-    ct_dir = args.ct_dir or cfg["data"]["ct_dir"]
-    if not mr_dir or not ct_dir:
-        raise ConfigError("train-cut needs [data] mr_dir and ct_dir (or --mr-dir/--ct-dir)")
-    mr_set = _load_dir(mr_dir, fmt)
-    ct_set = _load_dir(ct_dir, fmt)
-    if not mr_set or not ct_set:
-        raise ConfigError(f"empty dataset: {mr_dir} has {len(mr_set)}, {ct_dir} has {len(ct_set)}")
-    final, rows = cut.train_cut(
-        mr_set, ct_set, train_cfg, g_spec, d_spec, p_spec, nce,
-        run_dir=config_mod.run_settings(cfg).output_dir, resume_from=args.resume,
-        config_ini=config_mod.dump_config(cfg),
-    )
+    dirs = [getattr(args, key) or cfg["data"][key] for key in keys]
+    if not all(dirs):
+        raise ConfigError(f"{args.command} needs [data] {' and '.join(keys)} "
+                          f"(or {'/'.join('--' + k.replace('_', '-') for k in keys)})")
+    datasets = [[vio.load_volume(p, fmt) for p in _volume_paths(d, fmt)] for d in dirs]
+    for d, volumes in zip(dirs, datasets):
+        if not volumes:
+            raise ConfigError(f"empty dataset: {d} has 0")
+    cfg["data"].update(zip(keys, dirs))
+    final, rows = train(*datasets, *settings, run_dir=config_mod.run_settings(cfg).output_dir,
+                        resume_from=args.resume, config_ini=config_mod.dump_config(cfg))
     print(f"trained {len(rows)} step(s); final checkpoint {final}")
     return 0
+
+
+def cmd_train_cut(args, cfg):
+    g_spec, d_spec, p_spec, nce, train_cfg = config_mod.cut_settings(cfg)
+    return _train(args, cfg, cut.train_cut, ("mr_dir", "ct_dir"),
+                  (train_cfg, g_spec, d_spec, p_spec, nce))
 
 
 def cmd_train_sr(args, cfg):
     spec, train_cfg = config_mod.sr_settings(cfg)
-    fmt = config_mod.data_settings(cfg).format
-    hr_dir = args.hr_dir or cfg["data"]["hr_dir"]
-    if not hr_dir:
-        raise ConfigError("train-sr needs [data] hr_dir (or --hr-dir)")
-    hr_set = _load_dir(hr_dir, fmt)
-    if not hr_set:
-        raise ConfigError(f"empty dataset: no volumes in {hr_dir}")
-    final, rows = lapsrn.train_lapsrn(
-        hr_set, train_cfg, spec, run_dir=config_mod.run_settings(cfg).output_dir,
-        resume_from=args.resume, config_ini=config_mod.dump_config(cfg),
-    )
-    print(f"trained {len(rows)} step(s); final checkpoint {final}")
-    return 0
+    return _train(args, cfg, lapsrn.train_lapsrn, ("hr_dir",), (train_cfg, spec))
 
 
 def cmd_infer(args, cfg):

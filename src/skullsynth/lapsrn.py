@@ -244,12 +244,8 @@ def _epoch_microbatches(hr_set, cfg, spec, epoch):
     change between epochs only through it (shapes are preserved)."""
     micros = []
     for v_idx, vol in enumerate(hr_set):
-        hr = vol
-        if cfg.augment.enabled():
-            aug_seed = int(
-                seeding.stream(cfg.seed, "sr.augment", epoch, v_idx).integers(2**63)
-            )
-            hr = augment(vol, cfg.augment, aug_seed)
+        aug_seed = int(seeding.stream(cfg.seed, "sr.augment", epoch, v_idx).integers(2**63))
+        hr = augment(vol, cfg.augment, aug_seed)
         lr, targets = make_lr_hr_pairs(hr, spec.levels)
         grid = ChunkGrid.build(lr.data.shape, cfg.core_size, cfg.halo)
         lr_chunks = chunk_volume(lr, grid)
@@ -315,11 +311,9 @@ def super_resolve(checkpoint, vol: Volume, core_size=None, halo=None) -> Volume:
         halo = spec.receptive_radius
     scale = spec.scale
     grid = ChunkGrid.build(vol.data.shape, core_size, halo)
-    out_grid = grid.scaled(scale)
     with net.frozen():
-        out_chunks = [Chunk(net(c.data)[-1].data[0], origin)
-                      for c, origin in zip(chunk_volume(vol, grid), out_grid.origins)]
-    data = assemble_chunks(out_chunks, out_grid)
+        out_chunks = [Chunk(net(c.data)[-1].data[0]) for c in chunk_volume(vol, grid)]
+    data = assemble_chunks(out_chunks, grid.scaled(scale))
     np.clip(data, 0.0, 1.0, out=data)
     spacing = tuple(s / scale for s in vol.spacing)
     return Volume(data, spacing, UNIT)

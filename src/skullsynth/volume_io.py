@@ -9,13 +9,16 @@ Two interchange formats:
   dtypes, spacing from pixdim, intensity domain carried in the descrip field.
 
 Spacing is quantized to float32 on construction so both formats round-trip
-(data, spacing, domain) exactly.
+(data, spacing, domain) exactly.  Every edge of a volume or mask must be >= 1;
+a file whose header or sidecar says otherwise, and a .nii.gz whose gzip stream
+cannot be read, is a `FormatError`.
 """
 
 import gzip
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,14 +61,15 @@ class Volume:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float32)
-        if self.data.ndim != 3:
-            raise ValueError(f"volume data must be 3-D, got shape {self.data.shape}")
+        if self.data.ndim != 3 or min(self.data.shape) < 1:
+            raise ValueError(f"volume data must be 3-D with every edge >= 1, "
+                             f"got shape {self.data.shape}")
         if not np.isfinite(self.data).all():
             raise ValueError("volume contains non-finite entries")
         self.spacing = _spacing(self.spacing)
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
-        if self.domain == UNIT and self.data.size:
+        if self.domain == UNIT:
             lo, hi = float(self.data.min()), float(self.data.max())
             if lo < 0.0 or hi > 1.0:
                 raise DomainError(f"UNIT volume out of range: [{lo}, {hi}]")
@@ -78,8 +82,8 @@ class SegmentationMask:
 
     def __post_init__(self):
         arr = np.asarray(self.data)
-        if arr.ndim != 3:
-            raise ValueError(f"mask must be 3-D, got shape {arr.shape}")
+        if arr.ndim != 3 or min(arr.shape) < 1:
+            raise ValueError(f"mask must be 3-D with every edge >= 1, got shape {arr.shape}")
         if not ((arr == 0) | (arr == 1)).all():
             raise ValueError("mask entries must be exactly 0 or 1")
         self.data = arr.astype(np.uint8)
@@ -134,8 +138,8 @@ def _load_raw(path):
     except (KeyError, ValueError) as exc:
         raise FormatError(f"malformed sidecar {meta_path}: {exc}") from exc
     domain = fields.get("domain", ARBITRARY)
-    if len(shape) != 3:
-        raise FormatError(f"sidecar shape must have 3 dims, got {fields['shape']!r}")
+    if len(shape) != 3 or min(shape) < 1:
+        raise FormatError(f"{meta_path}: shape must be 3 edges >= 1, got {fields['shape']!r}")
     expected = int(np.prod(shape)) * 4
     with open(path, "rb") as fh:
         payload = fh.read()
@@ -187,8 +191,11 @@ def _save_nifti(v, path):
 
 def _load_nifti(path):
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with opener(path, "rb") as fh:
+            blob = fh.read()
+    except (EOFError, zlib.error) as exc:  # a truncated or corrupt gzip stream
+        raise FormatError(f"{path}: unreadable gzip stream ({exc})") from exc
     if len(blob) < 352:
         raise FormatError(f"{path}: file shorter than a NIfTI-1 header")
     end = "<"
@@ -209,7 +216,9 @@ def _load_nifti(path):
         raise FormatError(f"{path}: dim[0]={ndim} out of range")
     if ndim > 3 and any(n > 1 for n in dim[4 : ndim + 1]):
         raise FormatError(f"{path}: only volumetric (3-D) images are supported, dim={dim}")
-    nx, ny, nz = (max(1, n) for n in dim[1:4])
+    if min(dim[1 : ndim + 1]) < 1:
+        raise FormatError(f"{path}: every edge must be >= 1, got dim={dim}")
+    nx, ny, nz = (dim[i] if i <= ndim else 1 for i in (1, 2, 3))
     (dtype_code,) = struct.unpack_from(end + "h", blob, 70)
     if dtype_code not in _NIFTI_DTYPES:
         raise FormatError(f"{path}: unsupported datatype code {dtype_code}")

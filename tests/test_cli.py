@@ -150,6 +150,26 @@ def _phantom_gen(d, *flags):
     return ["phantom-gen", "--out", d + "/run", "--count", "1", *flags]
 
 
+def _train_sr_on_empty_dir(d, p):
+    """`_tiny` train-sr with an empty <d>/empty as its --hr-dir."""
+    os.makedirs(d + "/empty")
+    argv = _tiny(d, p, "sr")
+    argv[argv.index("--hr-dir") + 1] = d + "/empty"
+    return argv
+
+
+def _preprocess_truncated_nifti(d, p):
+    """`preprocess --kind mr` into <d>/run of <d>/in, which holds the
+    fixture's MR as a .nii.gz cut in half."""
+    os.makedirs(d + "/in")
+    path = d + "/in/case000_mr.nii.gz"
+    vio.save_volume(vio.load_volume(p + "/unit/case000_mr.raw"), path, vio.NIFTI)
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) // 2)
+    return ["preprocess", "--in-dir", d + "/in", "--out-dir", d + "/run", "--kind", "mr",
+            "--set", "data.format=nifti"]
+
+
 def test_phantom_gen_writes_every_case(phantoms):
     assert sorted(p.name for p in (phantoms / "n2").iterdir()) == [
         f"case00{i}_{kind}.raw{ext}"
@@ -181,6 +201,7 @@ EXIT_CODES = [
                                   "--set", f"run.output_dir={d}/run"]),
     ("resample_shape=24,40", 2, lambda d, p: _preprocess(d, p, "data.resample_shape=24,40")),
     ("resample_shape=0,8,8", 2, lambda d, p: _preprocess(d, p, "data.resample_shape=0,8,8")),
+    ("preprocess, truncated .nii.gz", 1, _preprocess_truncated_nifti),
     ("data.floor_hu=nan", 2, lambda d, p: _preprocess(d, p, "data.floor_hu=nan", kind="ct")),
     ("sdsc_tolerance_mm=-1", 2, lambda d, p: ["evaluate", "--pred-dir", p + "/n1", "--gt-dir",
                                               p + "/n1", "--out", d + "/run/e.csv", "--set",
@@ -232,6 +253,9 @@ EXIT_CODES = [
     ("train-sr, edges not divisible by the scale", 1,
      lambda d, p: _tiny(d, p, "sr", {"lapsrn.levels": 4, "lapsrn.halo": 4})),
     ("train-cut, MR and CT shapes differ", 1, _train_cut_other_ct_shape),
+    ("train-cut, no --ct-dir and no [data] ct_dir", 2,
+     lambda d, p: ["train-cut", "--mr-dir", p + "/unit", "--set", f"run.output_dir={d}/run"]),
+    ("train-sr, --hr-dir holds no volumes", 2, _train_sr_on_empty_dir),
     ("train-cut resume, MR and CT shapes differ", 1,
      lambda d, p: _train_cut_other_ct_shape(d, p, resume=True)),
     ("train-cut resume", 0, lambda d, p: _resume(d, p, "cut")),
@@ -291,6 +315,22 @@ def test_refused_resume_leaves_the_run_dir_as_it_was(phantoms, tmp_path, prefix,
     assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
 
 
+@pytest.mark.parametrize("prefix,section", [("cut", "cut"), ("sr", "lapsrn")])
+def test_run_resumes_from_its_own_config(phantoms, tmp_path, prefix, section):
+    """config.ini names the data dirs the run read, so a resume from it
+    alone, with no dir flags, trains one more epoch."""
+    d, p = str(tmp_path), str(phantoms)
+    assert main(_tiny(d, p, prefix, {f"{section}.max_steps": 0,
+                                     f"{section}.max_epochs": 1})) == 0
+    data = config.load_config(d + "/run/config.ini")["data"]
+    keys = ("mr_dir", "ct_dir") if prefix == "cut" else ("hr_dir",)
+    assert {k: data[k] for k in keys} == dict.fromkeys(keys, p + "/unit")
+    assert main([f"train-{prefix}", "--config", d + "/run/config.ini",
+                 "--set", f"{section}.max_epochs=2", "--resume", "latest"]) == 0
+    meta, _ = ckpt_io.load_checkpoint(f"{d}/run/{prefix}_final.npz")
+    assert meta["epoch"] == 2
+
+
 def test_volumes_too_small_for_d_leave_the_run_dir_empty(phantoms, tmp_path, capsys):
     # three stride-2 convs and two k4 stride-1 convs leave no logit of an 8^3 volume
     assert main(_tiny(str(tmp_path), str(phantoms), "cut", {"cut.d_layers": 3})) == 1
@@ -323,6 +363,24 @@ def test_shape_error_leaves_no_run_dir(phantoms, tmp_path, capsys):
             d = tmp_path / name
             assert main(argv(str(d), str(phantoms))) == 1
             assert SHAPE_ERRORS[name] in capsys.readouterr().err
+            assert not (d / "run").exists()
+
+
+# the EXIT_CODES cases a training command refuses for its data dirs, with the
+# message ({d} is the case's dir); each would write to <d>/run
+DATA_DIR_ERRORS = {
+    "train-cut, no --ct-dir and no [data] ct_dir":
+        "train-cut needs [data] mr_dir and ct_dir (or --mr-dir/--ct-dir)",
+    "train-sr, --hr-dir holds no volumes": "empty dataset: {d}/empty has 0",
+}
+
+
+def test_refused_data_dir_leaves_no_run_dir(phantoms, tmp_path, capsys):
+    for name, _, argv in EXIT_CODES:
+        if name in DATA_DIR_ERRORS:
+            d = tmp_path / name
+            assert main(argv(str(d), str(phantoms))) == 2
+            assert DATA_DIR_ERRORS[name].format(d=d) in capsys.readouterr().err
             assert not (d / "run").exists()
 
 

@@ -60,11 +60,19 @@ class TestVolume:
         with pytest.raises(ValueError):
             Volume(np.zeros((2, 2, 2)), (1.0, 1.0, 1.0), "KELVIN")
 
+    def test_rejects_an_empty_edge(self):
+        with pytest.raises(ValueError, match="every edge >= 1"):
+            Volume(np.zeros((0, 8, 8)), (1.0, 1.0, 1.0), HU)
+
 
 class TestMask:
     def test_binary_enforced(self):
         with pytest.raises(ValueError):
             SegmentationMask(np.full((2, 2, 2), 2, dtype=np.uint8), (1.0, 1.0, 1.0))
+
+    def test_rejects_an_empty_edge(self):
+        with pytest.raises(ValueError, match="every edge >= 1"):
+            SegmentationMask(np.zeros((8, 0, 8), np.uint8), (1.0, 1.0, 1.0))
 
     def test_round_trip_through_volume(self, rng):
         m = SegmentationMask((rng.random((4, 4, 4)) > 0.5).astype(np.uint8), (1.0, 1.0, 1.0))
@@ -94,6 +102,14 @@ class TestRawRoundTrip:
         vio.save_volume(Volume(np.zeros((2, 2, 2)), (1.0, 1.0, 1.0), HU), path)
         (tmp_path / "vol.raw.meta").write_text("shape=2,2,2\nspacing=nan,1,1\ndomain=HU\n")
         with pytest.raises(ValueError, match="spacing must be 3 finite positive values"):
+            vio.load_volume(path)
+
+    @pytest.mark.parametrize("shape", ["0,8,8", "-4,8,8", "8,8,-4"])
+    def test_sidecar_edge_below_one_is_refused(self, tmp_path, shape):
+        path = tmp_path / "vol.raw"
+        path.write_bytes(b"")
+        (tmp_path / "vol.raw.meta").write_text(f"shape={shape}\nspacing=1,1,1\ndomain=HU\n")
+        with pytest.raises(FormatError, match="vol.raw.meta: shape must be 3 edges >= 1"):
             vio.load_volume(path)
 
     def test_truncated_payload(self, tmp_path, rng):
@@ -169,6 +185,31 @@ class TestNifti:
         vio.save_volume(Volume(rng.random((4, 4, 4)), (1, 1, 1), HU), path, vio.NIFTI)
         path.write_bytes(path.read_bytes()[:360])
         with pytest.raises(FormatError):
+            vio.load_volume(path, vio.NIFTI)
+
+    @pytest.mark.parametrize("edge", [0, -4])
+    def test_header_edge_below_one_is_refused(self, tmp_path, rng, edge):
+        # read as 4x4x1 from the first 16 voxels, were the edge clamped to 1
+        path = tmp_path / "vol.nii"
+        vio.save_volume(Volume(rng.random((4, 4, 4)), (1, 1, 1), HU), path, vio.NIFTI)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<h", raw, 42, edge)  # dim[1], the x edge
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="vol.nii: every edge must be >= 1"):
+            vio.load_volume(path, vio.NIFTI)
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_unreadable_gzip_stream_is_a_format_error(self, tmp_path, rng, damage):
+        path = tmp_path / "vol.nii"
+        vio.save_volume(Volume(rng.random((4, 4, 4)), (1, 1, 1), HU), path, vio.NIFTI)
+        blob = bytearray(gzip.compress(path.read_bytes(), mtime=0))
+        if damage == "truncated":
+            del blob[len(blob) // 2 :]
+        else:
+            blob[10] = 0xFF  # the first deflate block header: block type 3 is invalid
+        path = tmp_path / "vol.nii.gz"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="vol.nii.gz: unreadable gzip stream"):
             vio.load_volume(path, vio.NIFTI)
 
     def test_two_file_header_rejected(self, tmp_path):

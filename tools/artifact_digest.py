@@ -9,7 +9,9 @@ fresh temp dir, with relative paths throughout:
 - ``train-cut`` in ``log`` and in ``lsgan`` mode, each followed by a
   ``--resume latest`` that trains one more epoch;
 - ``train-sr`` with all five ``aug_*`` switches on, then a ``--resume latest``;
-  and one epoch of it with a halo of 4, twice the pyramid's receptive radius;
+  one epoch of it with a halo of 4, twice the pyramid's receptive radius; and
+  one epoch of it with every ``aug_*`` switch off;
+- ``phantom-gen`` and ``preprocess`` of the MR volumes again, as NIfTI files;
 - ``infer`` of one preprocessed MR case from the ``log`` run's and the SR
   run's final checkpoints, once with ``--skip-sr`` and once without, matched
   against another case's raw CT; and once more from the halo-4 SR run, whose
@@ -21,7 +23,9 @@ fresh temp dir, with relative paths throughout:
   ``--skip-sr`` mask above;
 - ``evaluate`` against that case's phantom mask: of the ``--skip-sr`` mask at
   the default surface-Dice tolerance, of the ``ball`` mask at 3 mm, whose
-  dilations take 123 steps, and of the cube mask at the default tolerance.
+  dilations take 123 steps, and of the cube mask at the default tolerance;
+- ``infer --skip-sr`` of the first NIfTI MR case from the ``log`` run,
+  matched against the other NIfTI case's raw CT.
 
 Prints one ``<sha256>  <path>`` line per checkpoint, log, ``config.ini``,
 ``infer`` output file and evaluation report, by path.  A checkpoint's digest
@@ -69,7 +73,14 @@ def _scenario():
     runs += [train + ["--set", "lapsrn.max_epochs=1"],
              train + ["--set", "lapsrn.max_epochs=2", "--resume", "latest"],
              ["train-sr", "--hr-dir", "ct", *_settings({
-                 **SR, "lapsrn.halo": 4, "lapsrn.max_epochs": 1, "run.output_dir": "sr_halo4"})]]
+                 **SR, "lapsrn.halo": 4, "lapsrn.max_epochs": 1, "run.output_dir": "sr_halo4"})],
+             ["train-sr", "--hr-dir", "ct", *_settings({
+                 **SR, **{k: "false" for k in SR if k.startswith("lapsrn.aug_")},
+                 "lapsrn.max_epochs": 1, "run.output_dir": "sr_noaug"})],
+             ["phantom-gen", "--out", "raw_nii", "--count", "2", "--shape", "16",
+              "--noise-mr", "0.02", "--noise-ct", "20", "--set", "data.format=nifti"],
+             ["preprocess", "--in-dir", "raw_nii", "--out-dir", "mr_nii", "--kind", "mr",
+              "--set", "data.format=nifti"]]
     infer = ["infer", "--mr", "mr/case000_mr.raw", "--cut-ckpt", "cut_log/cut_final.npz",
              "--reference-ct", "raw/case001_ct.raw"]
     runs += [infer + ["--skip-sr", "--out", "infer_skip_sr"],
@@ -84,7 +95,10 @@ def _scenario():
              ["evaluate", "--pred-dir", "pred_ball", "--gt-dir", "truth",
               "--out", "eval/evaluation_ball_3mm.csv", "--set", "metrics.sdsc_tolerance_mm=3"],
              ["evaluate", "--pred-dir", "pred_cube", "--gt-dir", "truth",
-              "--out", "eval/evaluation_cube.csv"]]
+              "--out", "eval/evaluation_cube.csv"],
+             ["infer", "--mr", "mr_nii/case000_mr.nii.gz", "--cut-ckpt", "cut_log/cut_final.npz",
+              "--reference-ct", "raw_nii/case001_ct.nii.gz", "--skip-sr",
+              "--set", "data.format=nifti", "--out", "infer_nifti"]]
     return runs
 
 
