@@ -76,18 +76,20 @@ def make_phantom(spec: PhantomSpec):
     """Build the (mr_like, ct_like, mask) triplet at unit spacing; deterministic per seed."""
     shell, soft = _regions(spec)
     shape = shell.shape
-    # a defect exposes soft tissue, not air
-    mr = np.select([shell, soft], [MR_SHELL, MR_BRAIN], MR_EXTERIOR)
-    ct = np.select([shell, soft], [CT_SHELL, CT_BRAIN], CT_EXTERIOR)
-
-    rng = np.random.default_rng(np.random.SeedSequence((int(spec.seed), 0x70AA)))
-    if spec.noise_sigma_mr > 0:
-        mr = np.clip(mr + rng.normal(0.0, spec.noise_sigma_mr, shape), 0.0, 1.0)
-    if spec.noise_sigma_ct > 0:
-        ct = ct + rng.normal(0.0, spec.noise_sigma_ct, shape)
-
     spacing = (1.0, 1.0, 1.0)
+    rng = np.random.default_rng(np.random.SeedSequence((int(spec.seed), 0x70AA)))
+    # one float64 volume at a time, noised in place: the MR, whose noise is
+    # drawn first, becomes its float32 Volume before the CT is built.
+    # A defect exposes soft tissue, not air.
+    mr = np.select([shell, soft], [MR_SHELL, MR_BRAIN], MR_EXTERIOR)
+    if spec.noise_sigma_mr > 0:
+        mr += rng.normal(0.0, spec.noise_sigma_mr, shape)
+        np.clip(mr, 0.0, 1.0, out=mr)
     mr_vol = Volume(mr, spacing, UNIT)
+    del mr
+    ct = np.select([shell, soft], [CT_SHELL, CT_BRAIN], CT_EXTERIOR)
+    if spec.noise_sigma_ct > 0:
+        ct += rng.normal(0.0, spec.noise_sigma_ct, shape)
     ct_vol = Volume(ct, spacing, HU)
     mask = SegmentationMask(shell.astype(np.uint8), spacing)
     return mr_vol, ct_vol, mask

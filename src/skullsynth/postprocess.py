@@ -6,13 +6,19 @@ CDFs with linear interpolation between reference order statistics, which makes
 it deterministic, tie-stable, and monotone, and sends a constant source to the
 reference median.
 
-The source is ranked by one in-place sort of int64 keys, not an argsort: each
-key holds a voxel's float32 bits, made order-preserving, in its high word and
-the voxel's index in its low word, so the sorted low words are the sorting
-permutation.  Runs of equal values are found by comparing floats, so -0.0 and
-+0.0 are one value, as in ``np.unique``.  Each run's matched value is
-scattered back through the permutation.  The index word limits a source to
-2**32 voxels.
+The voxels equal to the source's minimum are its first run of equal values,
+and a run's matched value needs only its bounds, so they are placed without a
+sort.  That run always holds at least one voxel, and in real inputs it is
+most of the volume: CT floored at -500 HU and scaled has its air at exactly
+0.0, and super-resolution clips its output at 0.
+
+The other voxels are ranked by one in-place sort of int64 keys, not an
+argsort: each key holds a voxel's float32 bits, made order-preserving, in its
+high word and the voxel's position in the volume in its low word, so the
+sorted low words are the voxels in value order.  Runs of equal values are
+found by comparing floats, so -0.0 and +0.0 are one value, as in
+``np.unique``.  Each run's matched value is scattered back through those
+positions.  The position word limits a source to 2**32 voxels.
 """
 
 from dataclasses import dataclass
@@ -51,35 +57,46 @@ def histogram_match(source: Volume, reference: Volume) -> Volume:
     n = src.size
     if n > 2**32:
         raise ValueError(f"histogram_match sorts at most 2**32 voxels, got {n}")
-    order = _sort_order(src)
+    # the first run is the voxels at the minimum, compared as floats so -0.0
+    # and +0.0 are one value; only the rest are sorted, by their positions
+    rest = np.flatnonzero(src != src.min())
+    first = n - rest.size
+    order = _sort_order(src[rest], rest)
+    del rest
     # each whole-volume temporary is dropped once read (the `del`s), which
     # takes the peak on distinct values from 16 to 14 times the source's bytes
     vals = src[order]
-    # runs of equal values, compared as floats so -0.0 and +0.0 are one value
-    edges = np.ones(n + 1, dtype=bool)
-    np.not_equal(vals[1:], vals[:-1], out=edges[1:-1])
+    # each run's first sorted index, then n: edge 0 is the first run's, and
+    # edge i > 0 stands for sorted index first + i - 1, the rest's runs
+    edges = np.ones(order.size + 2, dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=edges[2:-1])
     del vals
-    bounds = np.flatnonzero(edges)  # each run's first sorted index, then n
+    bounds = np.flatnonzero(edges)
+    bounds[1:] += first - 1
     del edges
-    # mid-rank CDF: (count_less + count_less_or_equal) / 2n
-    q = (bounds[:-1] + bounds[1:]) / (2.0 * n)
-    ref = np.sort(reference.data.ravel().astype(np.float64))
-    positions = (np.arange(ref.size) + 0.5) / ref.size
+    # mid-rank CDF: (count_less + count_less_or_equal) / 2n, the sum exact
+    # in float64 and divided in place
+    q = np.add(bounds[:-1], bounds[1:], dtype=np.float64)
+    q /= 2.0 * n
+    ref = reference.data.ravel().astype(np.float64)
+    ref.sort()  # in place: the cast is already a copy
+    # a float64 arange holds the same integers, and + and / reuse its buffer
+    positions = (np.arange(ref.size, dtype=np.float64) + 0.5) / ref.size
     mapped = np.interp(q, positions, ref).astype(np.float32)
     del q, ref, positions
-    out = np.empty(n, dtype=np.float32)
-    out[order] = np.repeat(mapped, np.diff(bounds))
+    out = np.full(n, mapped[0], dtype=np.float32)
+    out[order] = np.repeat(mapped[1:], np.diff(bounds[1:]))
     return Volume(out.reshape(source.data.shape), source.spacing, HU)
 
 
-def _sort_order(x):
-    """The permutation that sorts float32 `x` of at most 2**32 entries: one
-    in-place sort of int64 keys, each entry's bits made order-preserving in
-    the high word above its index in the low word."""
+def _sort_order(x, index):
+    """`index`, of the same size as float32 `x` and below 2**32, ordered by
+    `x`: one in-place sort of int64 keys, each entry's bits made
+    order-preserving in the high word above its index in the low word."""
     keys = x.view(np.int32).astype(np.int64)
     keys ^= (keys >> 31) & 0x7FFFFFFF  # negative floats count down
     keys <<= 32
-    keys |= np.arange(x.size, dtype=np.int64)
+    keys |= index
     keys.sort()
     keys &= 0xFFFFFFFF
     return keys

@@ -1,5 +1,7 @@
 """Phantom fixtures: geometry, intensity contract, defects, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,21 @@ class TestGeometryAndIntensity:
     def test_noise_respects_unit_range(self):
         mr, _, _ = make_phantom(sphere_spec(noise_sigma_mr=0.5))
         assert mr.data.min() >= 0.0 and mr.data.max() <= 1.0
+
+    def test_peak_memory_holds_one_float64_volume_at_a_time(self):
+        # 64^3 with both noises: each float64 volume is noised in place and
+        # the MR is float32 before the CT is built, so the peak is 5.5
+        # float32 volumes; building both side by side peaked at 8.5
+        spec = PhantomSpec(shape=(64, 64, 64), noise_sigma_mr=0.05, noise_sigma_ct=30.0)
+        make_phantom(PhantomSpec(shape=(4, 4, 4)))  # the first call's imports are not counted
+        tracemalloc.start()
+        try:
+            make_phantom(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        volume = np.dtype(np.float32).itemsize * 64**3
+        assert peak <= 6 * volume, peak / volume
 
 
 class TestDefects:

@@ -8,6 +8,7 @@ import scipy.ndimage as ndi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skullsynth.cli import main
 from skullsynth.engine import kernels
 from skullsynth.phantom import PhantomSpec, make_phantom
 from skullsynth.postprocess import (
@@ -18,7 +19,17 @@ from skullsynth.postprocess import (
     segment_from_matched,
     threshold_hu,
 )
-from skullsynth.volume_io import ARBITRARY, HU, UNIT, DomainError, SegmentationMask, Volume
+from skullsynth.volume_io import (
+    ARBITRARY,
+    HU,
+    UNIT,
+    DomainError,
+    SegmentationMask,
+    Volume,
+    hounsfield_floor,
+    load_volume,
+    minmax_normalize,
+)
 
 
 def hu_volume(data, spacing=(1, 1, 1)):
@@ -47,6 +58,11 @@ MATCH_SOURCES = {
     "constant": lambda rng: np.full((4, 5, 6), 0.25),
     "one voxel": lambda rng: np.full((1, 1, 1), -3.0),
     "normal noise": lambda rng: rng.normal(size=(16, 17, 18)),
+    "background run": lambda rng: np.where(rng.random((16, 17, 18)) < 0.76, 0.0,
+                                           rng.random((16, 17, 18))),
+    "-0.0 minimum and +0.0": lambda rng: rng.choice([-0.0, 0.0, 0.5, 1.25], size=(8, 8, 8)),
+    "one-voxel minimum": lambda rng: rng.permutation(
+        np.r_[-1.0, rng.integers(0, 4, size=503)]).reshape(8, 9, 7),
 }
 
 
@@ -72,6 +88,34 @@ class TestHistogramMatch:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * src.data.nbytes, peak / src.data.nbytes
+
+    def test_preprocessed_phantom_gen_ct(self, tmp_path):
+        # a phantom-gen CT floored and scaled as `preprocess` does, so its air
+        # is one run at exactly 0.0, matched against another case's CT
+        assert main(["phantom-gen", "--out", str(tmp_path), "--count", "2", "--shape", "24",
+                     "--noise-ct", "30"]) == 0
+        ct, ref = (load_volume(str(tmp_path / f"case00{i}_ct.raw")) for i in (0, 1))
+        src = minmax_normalize(hounsfield_floor(ct))
+        assert (src.data == 0.0).mean() > 0.5
+        got = histogram_match(src, ref).data
+        np.testing.assert_array_equal(got.view(np.uint32),
+                                      unique_match(src, ref).view(np.uint32))
+
+    def test_peak_memory_on_a_background_run(self, rng):
+        # 64^3 with 76% of its voxels at the minimum, against a 64^3
+        # reference: only the rest are sorted, so the peak is 6.2 times the
+        # source's bytes; sorting every voxel peaked at 9.0
+        shape = (64, 64, 64)
+        data = np.where(rng.random(shape) < 0.76, 0.0, rng.random(shape))
+        src = Volume(data, (1, 1, 1), UNIT)
+        ref = hu_volume(rng.normal(scale=400.0, size=shape))
+        tracemalloc.start()
+        try:
+            histogram_match(src, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * src.data.nbytes, peak / src.data.nbytes
 
     def test_two_level_source_hand_computed(self):
         # mid-rank quantiles 0.25/0.75 against sorted reference [10,20,30,40]
