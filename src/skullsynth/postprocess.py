@@ -8,9 +8,12 @@ reference median.
 
 The voxels equal to the source's minimum are its first run of equal values,
 and a run's matched value needs only its bounds, so they are placed without a
-sort.  That run always holds at least one voxel, and in real inputs it is
-most of the volume: CT floored at -500 HU and scaled has its air at exactly
-0.0, and super-resolution clips its output at 0.
+sort.  That run always holds at least one voxel.  It is most of the volume
+when the source has a floor: a CT that ``preprocess`` floors and scales has
+its air at exactly 0.0, and perfbench's ``mask_eval`` matches such sources.
+The translated and super-resolved CTs that ``infer`` matches have one voxel
+at their minimum, so there the split saves nothing and adds a mask, a
+position array and a gather.
 
 The other voxels are ranked by one in-place sort of int64 keys, not an
 argsort: each key holds a voxel's float32 bits, made order-preserving, in its
