@@ -49,9 +49,21 @@ padded copy of the input: beside the output it holds one output-sized
 accumulator, whose rows are as wide as the padded input.
 
 Weight gradients are one GEMM per tap that contracts over the output
-voxels; that contraction is zero-padded to a multiple of K_ALIGN too, so
-their bits do not depend on the BLAS thread count either.  Every kernel
-accumulates in a fixed order, so repeated calls are bitwise reproducible.
+voxels, and no tap copies its window.  The padded input is cut into its s^3
+stride phases, phase q holding the padded positions s*i + q, each a zero-filled
+copy laid out flat on one phase grid with zero slack at its end; at stride 1
+the one phase is the padded input itself.  gy goes once into a zero buffer on
+the same grid, so tap s*(a', b', c') + q of every output voxel sits at the one
+flat offset a'*P + b'*R + c' in phase q, for P and R the grid's plane and row
+lengths.  The tap's GEMM multiplies the (C_in, n) view of phase q at that
+offset, which BLAS reads in place, by gy's buffer, and its product goes
+straight into the result; grid voxels off the output grid are zeros in gy's
+buffer, so the reads that wrap past a row or a plane add nothing.  gy's buffer
+has at least two rows, a zero row when C_out is 1, since numpy hands a
+(1, n) @ (n, 1) product to BLAS dot, which OpenBLAS splits between threads;
+and the contraction n is zero-padded to a multiple of K_ALIGN.  So their bits
+do not depend on the BLAS thread count either.  Every kernel accumulates in a
+fixed order, so repeated calls are bitwise reproducible.
 
 Binary dilation and erosion OR, or AND, one shifted slice of the mask per
 offset into a single output.  A voxel whose shifted read falls outside the
@@ -65,6 +77,8 @@ shifts in place of 27.  Other sets (balls, the surface-Dice steps) are
 applied offset by offset in one pass.
 """
 
+import itertools
+
 import numpy as np
 
 BLOCK = 256  # output voxels per GEMM column block
@@ -74,6 +88,14 @@ K_ALIGN = 32  # contraction lengths are padded to a multiple of this
 
 def _out_dim(d, k, stride, pad):
     return (d + 2 * pad - k) // stride + 1
+
+
+def _pad(a, widths):
+    """``a`` inside zeros, with ``widths`` (before, after) entries along each
+    axis: constant-mode ``np.pad`` in one allocation and one copy."""
+    out = np.zeros([n + lo + hi for n, (lo, hi) in zip(a.shape, widths)], dtype=a.dtype)
+    out[tuple(slice(lo, lo + n) for n, (lo, _) in zip(a.shape, widths))] = a
+    return out
 
 
 def _groups(nz, ny, nx, cap):
@@ -208,7 +230,7 @@ def conv3d_forward(x, w, stride=1, pad=0):
     co, ci, k = w.shape[:3]
     if co < ci:
         return _kn2row(x, w, stride, pad)
-    windows = _windows(np.pad(x, ((0, 0),) + ((pad, pad),) * 3), k, stride)
+    windows = _windows(_pad(x, ((0, 0),) + ((pad, pad),) * 3), k, stride)
     y = np.empty((co,) + windows.shape[-3:], dtype=np.result_type(x, w))
     for box, rows in _gather_gemm(w.reshape(co, ci * k**3), windows):
         y[(slice(None),) + box] = rows
@@ -224,8 +246,8 @@ def conv3d_backward_input(gy, w, in_shape, stride=1, pad=0):
     # has zero weights.  Each phase's rows go to a strided slice of the result.
     m0 = pad // s
     nm = tuple(-(-(pad + n) // s) - m0 for n in in_shape[1:])
-    gyp = np.pad(gy, ((0, 0),) + tuple((span - 1, max(0, m0 + m - n)) for n, m in
-                                        zip(gy.shape[1:], nm)))
+    gyp = _pad(gy, ((0, 0),) + tuple((span - 1, max(0, m0 + m - n)) for n, m in
+                                      zip(gy.shape[1:], nm)))
     # window entry span - 1 - j of position m holds tap j of m
     windows = _windows(gyp, span)[:, ::-1, ::-1, ::-1,
                                   m0 : m0 + nm[0], m0 : m0 + nm[1], m0 : m0 + nm[2]]
@@ -248,19 +270,34 @@ def conv3d_backward_input(gy, w, in_shape, stride=1, pad=0):
 
 def conv3d_backward_weight(gy, x, k, stride=1, pad=0):
     co, ci = gy.shape[0], x.shape[0]
-    windows = _windows(np.pad(x, ((0, 0),) + ((pad, pad),) * 3), k, stride)
-    # Each tap's GEMM contracts over the output voxels, zero-padded to a
-    # multiple of K_ALIGN so its bits do not follow the BLAS thread count.
-    n = gy[0].size
-    npad = -(-n // K_ALIGN) * K_ALIGN
-    g2 = np.zeros((co, npad), dtype=gy.dtype)
-    g2[:, :n] = gy.reshape(co, n)
-    cols = np.zeros((ci, npad), dtype=x.dtype)
-    cols_vol = cols[:, :n].reshape(windows.shape[:1] + windows.shape[4:])
+    s, span = stride, -(-k // stride)
     gw = np.zeros((co, ci, k, k, k), dtype=gy.dtype)
-    for tap in np.ndindex(k, k, k):
-        cols_vol[...] = windows[(slice(None),) + tap]
-        gw[(slice(None), slice(None)) + tap] = g2 @ cols.T
+    if not gy.size or not gw.size:
+        return gw
+    # Phase q of the padded input holds its positions s*i + q.  Tap s*a' + q
+    # of output z reads phase q at z + a', which is flat offset a'*P + b'*R + c'
+    # from the output's own flat position on the phase grid, for P and R the
+    # grid's plane and row lengths.
+    grid = [-(-(n + 2 * pad) // s) for n in x.shape[1:]]
+    plane, row = grid[1] * grid[2], grid[2]
+    nz, ny, nx = gy.shape[1:]
+    n = -(-((nz - 1) * plane + (ny - 1) * row + nx) // K_ALIGN) * K_ALIGN
+    # gy on the phase grid, zero off the output grid and out to n, with at
+    # least two rows so that no GEMM is a dot product
+    gt = _pad(gy, ((0, max(0, 2 - co)), (0, max(nz, -(-n // plane)) - nz),
+                   (0, grid[1] - ny), (0, grid[2] - nx))).reshape(max(co, 2), -1)[:, :n].T
+    # the last tap reads n entries from offset (span - 1) * (P + R + 1): a
+    # phase has as many planes as that needs, zeros past the grid's
+    planes = max(grid[0], -(-((span - 1) * (plane + row + 1) + n) // plane))
+    for q in itertools.product(range(min(s, k)), repeat=3):
+        lo = [max(0, -(-(pad - r) // s)) for r in q]  # the first phase position inside x
+        src = x[(slice(None),) + tuple(slice(s * i + r - pad, None, s) for i, r in zip(lo, q))]
+        phase = _pad(src, [(0, 0)] + [(i, m - i - c) for i, m, c in
+                                      zip(lo, [planes] + grid[1:], src.shape[1:])])
+        phase = phase.reshape(ci, -1)
+        for a, b, c in itertools.product(*(range(r, k, s) for r in q)):
+            off = a // s * plane + b // s * row + c // s
+            gw[:, :, a, b, c] = (phase[:, off : off + n] @ gt)[:, :co].T
     return gw
 
 

@@ -191,6 +191,50 @@ class TestConvKernels:
         assert gw.shape == w.shape
         np.testing.assert_allclose((y * gy).sum(), (w * gw).sum(), rtol=1e-10)
 
+    @pytest.mark.parametrize("stride,pad,k", [(s, p, k) for s in (1, 2) for p in (0, 1)
+                                              for k in (2, 3, 4)])
+    def test_backward_weights_match_window_oracle(self, stride, pad, k, rng):
+        # gw[o, i, a, b, c] sums gy[o, v] times the padded input at tap
+        # (a, b, c) of output voxel v.  At stride 2, k = 3 gives the phases
+        # unequal tap counts.
+        def oracle(gy, x):
+            xp = np.pad(x, ((0, 0),) + ((pad, pad),) * 3)
+            win = np.lib.stride_tricks.sliding_window_view(xp, (k, k, k), axis=(1, 2, 3))
+            return np.einsum("ozyx,izyxabc->oiabc", gy, win[:, ::stride, ::stride, ::stride])
+
+        for shape in ((5, 7, 6), (6, 4, 8)):  # odd and even edges
+            for c_in, c_out in ((1, 1), (1, 5), (5, 1), (3, 4)):
+                x = rng.normal(size=(c_in,) + shape)
+                gy = rng.normal(size=(c_out,) + tuple(
+                    (n + 2 * pad - k) // stride + 1 for n in shape))
+                got = kernels.conv3d_backward_weight(gy, x, k, stride, pad)
+                assert got.shape == (c_out, c_in, k, k, k) and got.dtype == np.float64
+                np.testing.assert_allclose(got, oracle(gy, x), rtol=1e-12, atol=1e-12)
+                # a tconv (C_in, C_out) weight's gradient: its input x plays
+                # the conv's gy, and its output gradient the conv's input
+                gy = rng.normal(size=(c_out,) + tuple(
+                    stride * (n - 1) + k - 2 * pad for n in shape))
+                got = kernels.tconv3d_backward_weight(gy, x, k, stride, pad)
+                assert got.shape == (c_in, c_out, k, k, k)
+                np.testing.assert_allclose(got, oracle(x, gy), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("c_in,c_out,edge,k,bound", [(16, 1, 40, 3, 1.5),
+                                                         (256, 512, 4, 4, 1.25)])
+    def test_backward_weight_peak_memory(self, c_in, c_out, edge, k, bound, rng):
+        # No tap copies its window into a column buffer (16 -> 1), and no
+        # taps-by-channels temporary sits beside the result (256 -> 512).
+        x = rng.normal(size=(c_in,) + (edge,) * 3).astype(np.float32)
+        gy = rng.normal(size=(c_out,) + (edge + 3 - k,) * 3).astype(np.float32)
+        kernels.conv3d_backward_weight(gy, x, k, 1, 1)  # warm-up
+        tracemalloc.start()
+        try:
+            gw = kernels.conv3d_backward_weight(gy, x, k, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gw.shape == (c_out, c_in, k, k, k)
+        assert peak <= bound * (x.nbytes + gw.nbytes), peak / (x.nbytes + gw.nbytes)
+
     @NUMPY_ID
     @pytest.mark.parametrize("stride,pad,k", [(2, 1, 4), (1, 1, 3), (2, 0, 2)])
     def test_tconv_forward_is_conv_adjoint(self, stride, pad, k, rng):
@@ -266,6 +310,29 @@ print(hashlib.sha256(b"".join(o.tobytes() for o in outs)).hexdigest())
 """
 
 BIT_DTYPES = (np.float64, np.float32)  # the test oracles' dtype and the networks'
+
+# Prints a digest of one-channel weight gradients in the dtype named by the
+# first argument: the SR image upsampling's 1 -> 1 k4 s2 tconv, a 1 -> 1 k3
+# conv and a 16 -> 1 head.  A product with one row on each side would be a
+# BLAS dot, which OpenBLAS splits between threads.
+WGRAD_THREAD_SCRIPT = """
+import hashlib
+import sys
+import numpy as np
+from skullsynth.engine import kernels
+rng = np.random.default_rng(0)
+dtype = np.dtype(sys.argv[1])
+x = rng.normal(size=(16, 40, 40, 40)).astype(dtype)
+gy = rng.normal(size=(1, 40, 40, 40)).astype(dtype)
+outs = [
+    kernels.tconv3d_backward_weight(rng.normal(size=(1, 32, 32, 32)).astype(dtype),
+                                    rng.normal(size=(1, 16, 16, 16)).astype(dtype), 4, 2, 1),
+    kernels.conv3d_backward_weight(gy, x[:1], 3, 1, 1),
+    kernels.conv3d_backward_weight(gy, x, 3, 1, 1),
+]
+assert all(o.dtype == dtype for o in outs)
+print(hashlib.sha256(b"".join(o.tobytes() for o in outs)).hexdigest())
+"""
 
 
 class TestConvBitContract:
@@ -348,6 +415,19 @@ class TestConvBitContract:
                 env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
                 run = subprocess.run(
                     [sys.executable, "-c", THREAD_SCRIPT, np.dtype(dtype).name], env=env,
+                    capture_output=True, text=True, check=True, timeout=120,
+                )
+                digests.add(run.stdout.strip())
+            assert len(digests) == 1, np.dtype(dtype).name
+
+    def test_one_channel_weight_gradients_do_not_depend_on_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(skullsynth.__file__)))
+        for dtype in BIT_DTYPES:
+            digests = set()
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+                run = subprocess.run(
+                    [sys.executable, "-c", WGRAD_THREAD_SCRIPT, np.dtype(dtype).name], env=env,
                     capture_output=True, text=True, check=True, timeout=120,
                 )
                 digests.add(run.stdout.strip())
