@@ -2,10 +2,11 @@
 
 `save_checkpoint`/`load_checkpoint` store free-form array keys next to a
 JSON-serializable metadata dict that always carries a format version.
-Loading a container with a different format version fails loudly rather
-than guessing.  Saves are atomic: readers see either the old file or the
-complete new one.  `load_checkpoint` can read just the arrays under a key
-prefix; the others are neither read nor checked.
+Loading a container of another format version fails loudly rather than
+guessing; a missing path or a directory raises `open`'s error.  A load can
+read just the arrays under a key prefix; the others are neither read nor
+checked.  `replacing` is the one writer of the files a resume reads back
+(checkpoints, run log, ``config.ini``): readers see the old file or the new.
 
 `save_run`/`load_run`, through `save_state`/`restore_state`, are the only
 code that knows the trainers' run record, format version 3:
@@ -49,21 +50,16 @@ from skullsynth.engine.optim import Optimizer
 _META_KEY = "__meta__"
 
 
-def save_checkpoint(path, meta: dict, arrays: dict) -> None:
-    if _META_KEY in arrays:
-        raise ValueError(f"array key {_META_KEY!r} is reserved")
-    meta = dict(meta)
-    meta["format_version"] = FORMAT_VERSION
-    payload = {_META_KEY: np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
-    for key, arr in arrays.items():
-        payload[key] = np.asarray(arr)
-    # Write a temp file next to `path`, then rename it over `path`: a crash
-    # mid-write leaves the previous checkpoint intact, and the ".tmp" suffix
-    # keeps the temp file out of the `*_epoch*.npz` resume globs.
+@contextlib.contextmanager
+def replacing(path, mode, **open_kwargs):
+    """``open(<path>.tmp, mode, **open_kwargs)``, synced and renamed over
+    `path` once the body has written it: a crash or an exception mid-write
+    leaves the previous file and no temp file.  The ".tmp" suffix keeps the
+    temp file out of the `*_epoch*.npz` resume globs."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **payload)
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -73,6 +69,18 @@ def save_checkpoint(path, meta: dict, arrays: dict) -> None:
         raise
 
 
+def save_checkpoint(path, meta: dict, arrays: dict) -> None:
+    if _META_KEY in arrays:
+        raise ValueError(f"array key {_META_KEY!r} is reserved")
+    meta = dict(meta)
+    meta["format_version"] = FORMAT_VERSION
+    payload = {_META_KEY: np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)}
+    for key, arr in arrays.items():
+        payload[key] = np.asarray(arr)
+    with replacing(path, "wb") as fh:
+        np.savez(fh, **payload)
+
+
 def load_checkpoint(path, prefix=""):
     try:
         with open(path, "rb") as fh, np.load(fh) as npz:
@@ -80,6 +88,8 @@ def load_checkpoint(path, prefix=""):
                 raise KeyError(_META_KEY)
             meta = json.loads(bytes(npz[_META_KEY].tobytes()).decode("utf-8"))
             arrays = {k: npz[k] for k in npz.files if k != _META_KEY and k.startswith(prefix)}
+    except (FileNotFoundError, IsADirectoryError):
+        raise
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"corrupt or unreadable checkpoint {path}: {exc}") from exc
     version = meta.get("format_version")

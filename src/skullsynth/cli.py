@@ -4,8 +4,10 @@ Subcommands: phantom-gen, preprocess, train-cut, train-sr, infer, evaluate.
 Every command reads the same INI config; repeated `--set section.key=value`
 flags override file values.  A training run writes its resolved config, data
 dirs included, to `<run>/config.ini`, so `--config <run>/config.ini --resume
-latest` continues it.  Exit codes: 0 success, 1 runtime failure, 2 usage or
-configuration error (including missing input files).
+latest` continues it.  `infer` runs super-resolution exactly when
+`--sr-ckpt` is given.  Exit codes: 0 success, 1 runtime failure, 2 usage or
+configuration error.  A missing input file, or a directory in its place, is
+exit 2, reported by the code that opens it, before anything is written.
 """
 
 import argparse
@@ -33,12 +35,6 @@ def _case_id(path):
     name = os.path.basename(path)
     ext = next(e for exts in vio.EXTENSIONS.values() for e in exts if name.endswith(e))
     return name[: -len(ext)]
-
-
-def _require_file(path):
-    if not os.path.isfile(path):
-        raise FileNotFoundError(path)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -128,18 +124,11 @@ def cmd_infer(args, cfg):
     params = config_mod.segmentation_settings(cfg)
     fmt = config_mod.data_settings(cfg).format
     ext = vio.EXTENSIONS[fmt][0]
-    _require_file(args.mr)
-    _require_file(args.cut_ckpt)
-    if not args.skip_sr:
-        if args.sr_ckpt is None:
-            raise ConfigError("infer needs --sr-ckpt unless --skip-sr is given")
-        _require_file(args.sr_ckpt)
-    _require_file(args.reference_ct)
     out_dir = args.out or config_mod.run_settings(cfg).output_dir
 
     # every input is loaded and checked before anything is written
     mr = vio.load_volume(args.mr, fmt)
-    if not args.skip_sr:
+    if args.sr_ckpt is not None:
         sr_state = lapsrn.load_sr_checkpoint(args.sr_ckpt)
     reference = vio.load_volume(args.reference_ct, fmt)
     postprocess.require_hu(reference, "--reference-ct")
@@ -147,14 +136,14 @@ def cmd_infer(args, cfg):
     os.makedirs(out_dir, exist_ok=True)
     vio.save_volume(syn, os.path.join(out_dir, "syn_ct" + ext), fmt)
     src = syn
-    if not args.skip_sr:
+    if args.sr_ckpt is not None:
         src = lapsrn.super_resolve(sr_state, syn)
         vio.save_volume(src, os.path.join(out_dir, "sr_ct" + ext), fmt)
     matched = postprocess.histogram_match(src, reference)
     vio.save_volume(matched, os.path.join(out_dir, "matched_ct" + ext), fmt)
     mask = postprocess.segment_from_matched(matched, params)
     vio.save_volume(mask.to_volume(), os.path.join(out_dir, "mask" + ext), fmt)
-    print(f"wrote syn_ct, {'sr_ct, ' if not args.skip_sr else ''}matched_ct, mask under {out_dir}")
+    print(f"wrote syn_ct, {'sr_ct, ' if args.sr_ckpt else ''}matched_ct, mask under {out_dir}")
     return 0
 
 
@@ -258,10 +247,10 @@ def build_parser():
     common(p)
     p.add_argument("--mr", required=True)
     p.add_argument("--cut-ckpt", required=True)
-    p.add_argument("--sr-ckpt", default=None)
+    p.add_argument("--sr-ckpt", default=None,
+                   help="super-resolution checkpoint; SR runs exactly when it is given")
     p.add_argument("--reference-ct", required=True)
     p.add_argument("--out", default=None, help="output directory (default: [run] output_dir)")
-    p.add_argument("--skip-sr", action="store_true", help="omit the super-resolution stage")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("evaluate", help="score predicted masks against ground truth")
@@ -286,7 +275,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:  # a directory is no input file
         missing = exc.filename if exc.filename else str(exc)
         print(f"error: no such file or directory: {missing}", file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ threshold with a wide margin so segmentation acceptance never hinges on
 threshold tuning: CT shell ~1400 HU, interior ~30 HU, exterior -1000 HU.
 The MR-like view inverts the contrast (dark shell, bright brain).
 
-An optional spherical defect removes shell voxels from all three outputs
+An optional spherical defect, centred on the outer wall where the first
+axis enters the shell, removes shell voxels from all three outputs
 consistently; removed voxels take the interior (soft-tissue) intensity.
 """
 
@@ -33,7 +34,6 @@ class PhantomSpec:
     thickness: float = 2.0  # shell thickness in voxels
     noise_sigma_mr: float = 0.0  # unit-scale sigma
     noise_sigma_ct: float = 0.0  # HU-scale sigma
-    defect_center: Optional[tuple] = None
     defect_radius: float = 0.0
     seed: int = 0
 
@@ -65,7 +65,7 @@ def _regions(spec):
     soft = _ellipsoid(axes, center, inner_semi)
     shell = _ellipsoid(axes, center, semi) & ~soft
     if spec.defect_radius > 0:
-        dc = spec.defect_center or (center[0] - semi[0], center[1], center[2])
+        dc = (center[0] - semi[0], center[1], center[2])
         sphere = sum((a - c) ** 2 for a, c in zip(axes, dc)) <= spec.defect_radius**2
         soft |= shell & sphere
         shell &= ~sphere

@@ -3,7 +3,9 @@ acceptance, the optimizer step, the CSV log, the learning-rate schedule, the
 step cap, epoch checkpoints and the final save.  Run-dir files are named by a
 prefix: ``config.ini``, ``<prefix>_log.csv``, ``<prefix>_epoch%04d.npz`` and
 ``<prefix>_final.npz``.  `start` writes none of them until a resume is
-accepted, so a refused resume leaves the run dir as it was.
+accepted, so a refused resume leaves the run dir as it was.  Each is written
+whole through `checkpoint.replacing`, the one writer of the files a resume
+reads back, except the log rows a run appends.
 """
 
 import collections
@@ -29,7 +31,7 @@ def _truncate_log(path, columns, step):
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         kept = [r for r in rows if len(r) == len(columns) and int(r[0]) <= step]
-    with open(path, "w", newline="") as fh:
+    with ckpt_io.replacing(path, "w", newline="") as fh:
         csv.writer(fh).writerows([columns, *kept])
 
 
@@ -78,8 +80,6 @@ def start(trainer, run_dir, cfg, given, datasets, resume_from=None, config_ini=N
         state = {**nets, **opts, **settings, "step": 0, "epoch": 0, "monitor": monitor.state()}
     else:
         path = latest_checkpoint(run_dir, prefix) if resume_from == "latest" else resume_from
-        if not os.path.isfile(path):
-            raise FileNotFoundError(path)
         state = load(path, cfg)
         for want, name in zip(given, names):
             if want is None:
@@ -95,7 +95,7 @@ def start(trainer, run_dir, cfg, given, datasets, resume_from=None, config_ini=N
             check(state, v)
     os.makedirs(run_dir, exist_ok=True)
     if config_ini is not None:
-        with open(os.path.join(run_dir, "config.ini"), "w", encoding="utf-8") as fh:
+        with ckpt_io.replacing(os.path.join(run_dir, "config.ini"), "w", encoding="utf-8") as fh:
             fh.write(config_ini)
     return state
 

@@ -11,7 +11,8 @@ Two interchange formats:
 Spacing is quantized to float32 on construction so both formats round-trip
 (data, spacing, domain) exactly.  Every edge of a volume or mask must be >= 1;
 a file whose header or sidecar says otherwise, and a .nii.gz whose gzip stream
-cannot be read, is a `FormatError`.
+cannot be read, is a `FormatError`; a missing volume file is a
+FileNotFoundError naming it, raised where the file is opened.
 """
 
 import gzip
@@ -119,6 +120,8 @@ def _save_raw(v, path):
 
 
 def _load_raw(path):
+    with open(path, "rb") as fh:
+        payload = fh.read()
     meta_path = _sidecar_path(path)
     if not os.path.exists(meta_path):
         raise FormatError(f"missing sidecar {meta_path}")
@@ -141,8 +144,6 @@ def _load_raw(path):
     if len(shape) != 3 or min(shape) < 1:
         raise FormatError(f"{meta_path}: shape must be 3 edges >= 1, got {fields['shape']!r}")
     expected = int(np.prod(shape)) * 4
-    with open(path, "rb") as fh:
-        payload = fh.read()
     if len(payload) != expected:
         raise FormatError(f"{path}: payload is {len(payload)} bytes, header implies {expected}")
     data = np.frombuffer(payload, dtype="<f4").reshape(shape)
@@ -253,8 +254,6 @@ def _load_nifti(path):
 
 
 def load_volume(path, format=RAW_F32) -> Volume:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no such volume file: {path}")
     if format == RAW_F32:
         return _load_raw(path)
     if format == NIFTI:

@@ -61,6 +61,13 @@ def test_save_in_progress_is_invisible_to_resume(tmp_path, monkeypatch, prefix, 
     assert training.latest_checkpoint(tmp_path, prefix) == str(tmp_path / name)
 
 
+def test_missing_file_is_file_not_found(tmp_path):
+    path = tmp_path / "none.npz"
+    with pytest.raises(FileNotFoundError) as info:
+        load_checkpoint(path)
+    assert info.value.filename == str(path)
+
+
 def test_format_version_mismatch_raises(tmp_path):
     path = tmp_path / "old.npz"
     meta = json.dumps({"format_version": FORMAT_VERSION + 1}).encode("utf-8")

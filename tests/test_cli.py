@@ -60,12 +60,12 @@ def _infer(d, p, cut_ckpt, sr_ckpt):
 
 
 def _infer_odd_mr(d, p):
-    """`infer --skip-sr` into <d>/run of the fixture's MR cropped to 7^3,
+    """`infer` without SR into <d>/run of the fixture's MR cropped to 7^3,
     which the fixture's generator, with one downsampling, cannot take."""
     mr = vio.load_volume(p + "/unit/case000_mr.raw")
     os.makedirs(d, exist_ok=True)
     vio.save_volume(vio.Volume(mr.data[:7, :7, :7], mr.spacing, mr.domain), d + "/mr.raw")
-    return ["infer", "--mr", d + "/mr.raw", "--cut-ckpt", p + "/run/cut_final.npz", "--skip-sr",
+    return ["infer", "--mr", d + "/mr.raw", "--cut-ckpt", p + "/run/cut_final.npz",
             "--reference-ct", p + "/n1/case000_ct.raw", "--out", d + "/run"]
 
 
@@ -78,6 +78,15 @@ def _infer_into_run(d, p, sr_ckpt="/run/sr_final.npz", sidecar=True):
         os.makedirs(d, exist_ok=True)
         shutil.copyfile(p + "/n1/case000_ct.raw", d + "/ct.raw")
         argv[argv.index("--reference-ct") + 1] = d + "/ct.raw"
+    return argv
+
+
+def _missing(argv, flag, d, directory=False):
+    """`argv` with the file after `flag` replaced by <d>/none, which does not
+    exist, or with `directory`, is an empty directory."""
+    if directory:
+        os.makedirs(d + "/none")
+    argv[argv.index(flag) + 1] = d + "/none"
     return argv
 
 
@@ -263,6 +272,12 @@ EXIT_CODES = [
      lambda d, p: _resume(d, p, "cut", {"cut.base_filters": 3})),
     ("train-sr resume", 0, lambda d, p: _resume(d, p, "sr")),
     ("train-sr resume, other filters", 1, lambda d, p: _resume(d, p, "sr", {"lapsrn.filters": 3})),
+    ("train-cut resume, no --resume file", 2,
+     lambda d, p: _missing(_resume(d, p, "cut"), "--resume", d)),
+    ("train-sr resume, no --resume file", 2,
+     lambda d, p: _missing(_resume(d, p, "sr"), "--resume", d)),
+    ("train-sr resume, --resume is a directory", 2,
+     lambda d, p: _missing(_resume(d, p, "sr"), "--resume", d, directory=True)),
     ("infer", 0, lambda d, p: _infer(d, p, p + "/run/cut_final.npz", p + "/run/sr_final.npz")),
     ("infer, checkpoints swapped", 1,
      lambda d, p: _infer(d, p, p + "/run/sr_final.npz", p + "/run/cut_final.npz")),
@@ -274,6 +289,17 @@ EXIT_CODES = [
     ("infer, new --out, reference CT without its sidecar", 1,
      lambda d, p: _infer_into_run(d, p, sidecar=False)),
     ("infer, new --out, reference CT not in HU", 1, _infer_unit_reference),
+    ("infer, new --out, no --mr file", 2, lambda d, p: _missing(_infer_into_run(d, p), "--mr", d)),
+    ("infer, new --out, no --cut-ckpt file", 2,
+     lambda d, p: _missing(_infer_into_run(d, p), "--cut-ckpt", d)),
+    ("infer, new --out, no --sr-ckpt file", 2,
+     lambda d, p: _missing(_infer_into_run(d, p), "--sr-ckpt", d)),
+    ("infer, new --out, no --reference-ct file", 2,
+     lambda d, p: _missing(_infer_into_run(d, p), "--reference-ct", d)),
+    ("infer, new --out, --mr is a directory", 2,
+     lambda d, p: _missing(_infer_into_run(d, p), "--mr", d, directory=True)),
+    ("infer, new --out, --cut-ckpt is a directory", 2,
+     lambda d, p: _missing(_infer_into_run(d, p), "--cut-ckpt", d, directory=True)),
     ("infer, postprocess.bone_threshold_hu=nan", 2,
      lambda d, p: _infer_into_run(d, p) + ["--set", "postprocess.bone_threshold_hu=nan"]),
 ]
@@ -400,6 +426,32 @@ def test_refused_infer_input_leaves_no_run_dir(phantoms, tmp_path, capsys):
             assert main(argv(str(d), str(phantoms))) == 1
             assert INFER_INPUT_ERRORS[name] in capsys.readouterr().err
             assert not (d / "run").exists()
+
+
+# the EXIT_CODES cases with an input file, <d>/none, that does not exist or
+# is a directory; each would write to <d>/run
+MISSING_INPUTS = [name for name, _, _ in EXIT_CODES if name.endswith((" file", " directory"))]
+
+
+def test_missing_input_is_named_and_leaves_no_run_dir(phantoms, tmp_path, capsys):
+    assert len(MISSING_INPUTS) == 9
+    for name in MISSING_INPUTS:
+        argv = next(a for n, _, a in EXIT_CODES if n == name)
+        d = tmp_path / name
+        assert main(argv(str(d), str(phantoms))) == 2
+        assert capsys.readouterr().err == f"error: no such file or directory: {d}/none\n"
+        assert not (d / "run").exists()
+
+
+def test_infer_without_sr_ckpt_runs_no_super_resolution(phantoms, tmp_path):
+    argv = _infer_into_run(str(tmp_path), str(phantoms))
+    at = argv.index("--sr-ckpt")
+    del argv[at : at + 2]
+    assert main(argv) == 0
+    assert sorted(f.name for f in (tmp_path / "run").iterdir()) == [
+        f"{n}.raw{ext}" for n in ("mask", "matched_ct", "syn_ct") for ext in ("", ".meta")]
+    # the mask is on the MR's grid, not the SR grid of twice its edges
+    assert vio.load_volume(str(tmp_path / "run" / "mask.raw")).data.shape == (8, 8, 8)
 
 
 def test_infer_ignores_the_stored_halo(phantoms, tmp_path):

@@ -3,6 +3,7 @@ the epoch checkpoints an earlier run left, the log handle after a failing
 step, and the work done for capped epochs; and the shared optimizer step,
 directly."""
 
+import csv
 import gc
 import warnings
 
@@ -131,6 +132,41 @@ def test_latest_checkpoint_orders_epochs_by_number(tmp_path):
     for name in ("cut_epoch9999.npz", "cut_epoch10000.npz"):
         (tmp_path / name).touch()
     assert training.latest_checkpoint(str(tmp_path), "cut") == str(tmp_path / "cut_epoch10000.npz")
+
+
+def test_failed_log_rewrite_leaves_the_previous_log(tmp_path, monkeypatch):
+    path = tmp_path / "sr_log.csv"
+    path.write_text("step,loss\n" + "".join(f"{i},0.5\n" for i in range(1, 10)))
+    before = path.read_bytes()
+    real_writer = csv.writer
+
+    class HeaderThenFail:
+        """A csv writer that writes the first row it is given, then fails."""
+
+        def __init__(self, fh):
+            self.writer = real_writer(fh)
+
+        def writerows(self, rows):
+            self.writer.writerow(rows[0])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(csv, "writer", HeaderThenFail)
+    with pytest.raises(OSError, match="no space left"):
+        training._truncate_log(str(path), ["step", "loss"], 5)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sr_log.csv"]
+
+
+def test_failed_config_write_leaves_the_previous_config(tmp_path):
+    (tmp_path / "config.ini").write_text("[run]\nseed = 1\n")
+    before = (tmp_path / "config.ini").read_bytes()
+    cfg = lapsrn.SRTrainConfig(core_size=2, halo=1, max_epochs=1)
+    # a lone surrogate has no UTF-8 encoding: the write fails after the file is opened
+    with pytest.raises(UnicodeEncodeError):
+        lapsrn.train_lapsrn(unit_vols(3, 1), cfg, SR_SPEC, run_dir=str(tmp_path),
+                            config_ini="[run]\nseed = 2\n\ud800\n")
+    assert (tmp_path / "config.ini").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["config.ini"]
 
 
 @pytest.mark.parametrize("prefix", ["cut", "sr"])

@@ -124,6 +124,13 @@ class TestRawRoundTrip:
         with pytest.raises(FileNotFoundError):
             vio.load_volume(tmp_path / "nope.raw")
 
+    @pytest.mark.parametrize("name,fmt", [("nope.raw", vio.RAW_F32), ("nope.nii.gz", vio.NIFTI)])
+    def test_missing_file_error_names_the_path(self, tmp_path, name, fmt):
+        path = tmp_path / name
+        with pytest.raises(FileNotFoundError) as info:
+            vio.load_volume(path, fmt)
+        assert info.value.filename == str(path)
+
     def test_load_closes_its_files(self, tmp_path, rng):
         path = tmp_path / "vol.raw"
         vio.save_volume(Volume(rng.random((3, 3, 3)), (1, 1, 1), HU), path)

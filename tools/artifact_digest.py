@@ -12,19 +12,20 @@ fresh temp dir, with relative paths throughout:
   one epoch of it with a halo of 4, twice the pyramid's receptive radius; and
   one epoch of it with every ``aug_*`` switch off;
 - ``phantom-gen`` and ``preprocess`` of the MR volumes again, as NIfTI files;
-- ``infer`` of one preprocessed MR case from the ``log`` run's and the SR
-  run's final checkpoints, once with ``--skip-sr`` and once without, matched
-  against another case's raw CT; and once more from the halo-4 SR run, whose
-  inference chunks overlap by the radius, not by the stored halo;
-- ``infer`` twice more with ``--skip-sr`` and no opening: with a ``ball``
+- ``infer`` of one preprocessed MR case from the ``log`` run's final
+  checkpoint, matched against another case's raw CT: once without
+  ``--sr-ckpt``, so with no super-resolution, and once with the SR run's
+  final checkpoint; and once more from the halo-4 SR run, whose inference
+  chunks overlap by the radius, not by the stored halo;
+- ``infer`` twice more without SR and with no opening: with a ``ball``
   structuring element, and with the default cube.  A ball's closing goes
   offset by offset, where a cube's goes by axis passes.  The opening is off
   because it empties this barely trained model's mask, and so the default
-  ``--skip-sr`` mask above;
-- ``evaluate`` against that case's phantom mask: of the ``--skip-sr`` mask at
-  the default surface-Dice tolerance, of the ``ball`` mask at 3 mm, whose
+  SR-free mask above;
+- ``evaluate`` against that case's phantom mask: of the SR-free mask at the
+  default surface-Dice tolerance, of the ``ball`` mask at 3 mm, whose
   dilations take 123 steps, and of the cube mask at the default tolerance;
-- ``infer --skip-sr`` of the first NIfTI MR case from the ``log`` run,
+- ``infer`` without SR of the first NIfTI MR case from the ``log`` run,
   matched against the other NIfTI case's raw CT.
 
 Prints one ``<sha256>  <path>`` line per checkpoint, log, ``config.ini``,
@@ -83,13 +84,13 @@ def _scenario():
               "--set", "data.format=nifti"]]
     infer = ["infer", "--mr", "mr/case000_mr.raw", "--cut-ckpt", "cut_log/cut_final.npz",
              "--reference-ct", "raw/case001_ct.raw"]
-    runs += [infer + ["--skip-sr", "--out", "infer_skip_sr"],
+    runs += [infer + ["--out", "infer_skip_sr"],
              infer + ["--sr-ckpt", "sr/sr_final.npz", "--out", "infer_sr"],
              infer + ["--sr-ckpt", "sr_halo4/sr_final.npz", "--out", "infer_sr_halo4"],
-             infer + ["--skip-sr", "--out", "infer_ball",
+             infer + ["--out", "infer_ball",
                       *_settings({"postprocess.structuring_element": "ball",
                                   "postprocess.opening_radius": 0})],
-             infer + ["--skip-sr", "--out", "infer_cube", "--set", "postprocess.opening_radius=0"],
+             infer + ["--out", "infer_cube", "--set", "postprocess.opening_radius=0"],
              ["evaluate", "--pred-dir", "pred", "--gt-dir", "truth",
               "--out", "eval/evaluation.csv"],
              ["evaluate", "--pred-dir", "pred_ball", "--gt-dir", "truth",
@@ -97,13 +98,13 @@ def _scenario():
              ["evaluate", "--pred-dir", "pred_cube", "--gt-dir", "truth",
               "--out", "eval/evaluation_cube.csv"],
              ["infer", "--mr", "mr_nii/case000_mr.nii.gz", "--cut-ckpt", "cut_log/cut_final.npz",
-              "--reference-ct", "raw_nii/case001_ct.nii.gz", "--skip-sr",
+              "--reference-ct", "raw_nii/case001_ct.nii.gz",
               "--set", "data.format=nifti", "--out", "infer_nifti"]]
     return runs
 
 
 def _pair_masks(work):
-    """Copy the ``--skip-sr`` mask to ``pred/``, the ``ball`` and cube masks
+    """Copy the SR-free mask to ``pred/``, the ``ball`` and cube masks
     to ``pred_ball/`` and ``pred_cube/``, and case000's phantom mask to
     ``truth/``, each as ``mask.raw``, so each ``evaluate`` scores one pair."""
     for name, src in (("pred", "infer_skip_sr/mask"), ("pred_ball", "infer_ball/mask"),
