@@ -7,7 +7,8 @@ dirs included, to `<run>/config.ini`, so `--config <run>/config.ini --resume
 latest` continues it.  `infer` runs super-resolution exactly when
 `--sr-ckpt` is given.  Exit codes: 0 success, 1 runtime failure, 2 usage or
 configuration error.  A missing input file, or a directory in its place, is
-exit 2, reported by the code that opens it, before anything is written.
+exit 2, reported by the code that opens it as "no such file or directory" or
+"is a directory", before anything is written.
 """
 
 import argparse
@@ -275,9 +276,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:  # a directory is no input file
-        missing = exc.filename if exc.filename else str(exc)
-        print(f"error: no such file or directory: {missing}", file=sys.stderr)
+    except FileNotFoundError as exc:
+        print(f"error: no such file or directory: {exc.filename or exc}", file=sys.stderr)
+        return 2
+    except IsADirectoryError as exc:  # a directory is no input file
+        print(f"error: is a directory: {exc.filename or exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ValueError, OSError) as exc:  # FormatError and DomainError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -65,11 +65,23 @@ and the contraction n is zero-padded to a multiple of K_ALIGN.  So their bits
 do not depend on the BLAS thread count either.  Every kernel accumulates in a
 fixed order, so repeated calls are bitwise reproducible.
 
-Binary dilation and erosion OR, or AND, one shifted slice of the mask per
-offset into a single output.  A voxel whose shifted read falls outside the
-grid reads background, so both outputs start at zeros, except that an
-erosion's starts at ones on the box of voxels that every offset reads inside
-the grid.  An offset set that fills a box (every default ``cube`` element) is
+Binary dilation and erosion work on the mask packed 64 voxels to a uint64
+word along x: voxel x of a row sits at bit x % 64 of word x // 64
+(``np.packbits(..., bitorder="little")`` read as little-endian words), and
+the pad bits past the last column are zero.  Each offset ORs, or ANDs, one
+shifted slice of the packed mask into a single packed output.  A z or y
+shift moves whole words: the slice stops at the grid's edge.  An x shift of
+64q + r moves words by q and bits by r, carrying the top r bits of each word
+into the next; bits shifted in from past either end are zero.  The offsets
+that share an x step share one bit-shifted copy.  A voxel whose shifted read
+falls outside the grid reads background, so both outputs start at zeros,
+except that an erosion's starts at ones on the box of voxels that every
+offset reads inside the grid.  The bits are those of a byte-per-voxel pass:
+a read past the last column lands on a zero pad bit, or on a word past the
+row's end, which reads zero too, and an x step that carries ones into the
+pad bits is followed by clearing them, so no later pass or call reads them.
+An erosion's box has no pad bits, and a voxel off it stays zero whatever it
+reads.  An offset set that fills a box (every default ``cube`` element) is
 applied as the box's z, y and x edges in turn: the box is the Minkowski sum
 of its edges, and a voxel an edge shifts out of the grid along one axis stays
 out along the others, so the bits are the same with a radius-1 cube's 9
@@ -84,6 +96,7 @@ import numpy as np
 BLOCK = 256  # output voxels per GEMM column block
 GROUP_ELEMS = 1 << 18  # buffer entries (columns, or maps and input) per batched GEMM call
 K_ALIGN = 32  # contraction lengths are padded to a multiple of this
+WORD_BITS = 64  # mask voxels per packed word along x
 
 
 def _out_dim(d, k, stride, pad):
@@ -349,34 +362,82 @@ def _axis_passes(offsets):
 
 def dilate(mask, offsets):
     """Binary dilation by an explicit offset set; outside the grid is background."""
+    words, width = _pack(mask)
     for offs in _axis_passes(offsets):
-        mask = _shift_combine(mask, offs, erode=False)
-    return mask
+        words = _shift_combine(words, width, offs, erode=False)
+    return _unpack(words, width)
 
 
 def erode(mask, offsets):
     """Binary erosion by an explicit offset set; outside the grid is background."""
+    words, width = _pack(mask)
     for offs in _axis_passes(offsets):
-        mask = _shift_combine(mask, offs, erode=True)
-    return mask
+        words = _shift_combine(words, width, offs, erode=True)
+    return _unpack(words, width)
 
 
-def _shift_combine(mask, offsets, erode):
-    """OR (dilation) or AND (erosion) of each offset's shifted slice of `mask`
-    into one output.  Output voxel p reads voxel p - o, and erosion, which
-    reads p + o, negates the offsets."""
-    mask = mask.astype(np.uint8, copy=False)
+def _pack(mask):
+    """A 0/1 uint8 or bool mask as its x rows of little-endian uint64 words,
+    voxel x at bit x % 64 of word x // 64, the pad bits clear; and its width."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool:
+        mask = mask.astype(np.uint8, copy=False)
+    width = mask.shape[-1]
+    packed = np.zeros(mask.shape[:-1] + (-(-width // WORD_BITS) * 8,), dtype=np.uint8)
+    packed[..., : -(-width // 8)] = np.packbits(mask, axis=-1, bitorder="little")
+    return packed.view("<u8"), width
+
+
+def _unpack(words, width):
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=width, bitorder="little")
+
+
+def _in_grid(o, n):
+    """The slices of an axis of n entries where entry i reads entry i - o,
+    both inside the axis: (destination, source)."""
+    dst = slice(min(max(o, 0), n), max(min(n + o, n), 0))
+    return dst, slice(dst.start - o, dst.stop - o)
+
+
+def _shift_x(words, dx):
+    """`words` with each voxel x reading voxel x - dx of its row, zero where
+    that falls outside the words: bit b of word j is bit b - r of word j - q,
+    or, for b < r, bit b - r + 64 of word j - q - 1, where dx = 64q + r."""
+    if dx == 0:
+        return words
+    q, r = divmod(dx, WORD_BITS)
+    out = np.zeros_like(words)
+    dst, src = _in_grid(q, words.shape[-1])
+    np.left_shift(words[..., src], r, out=out[..., dst])
+    if r:
+        dst, src = _in_grid(q + 1, words.shape[-1])
+        view = out[..., dst]
+        view |= words[..., src] >> (WORD_BITS - r)
+    return out
+
+
+def _shift_combine(words, width, offsets, erode):
+    """OR (dilation) or AND (erosion) of each offset's shifted slice of the
+    packed mask `words`, `width` voxels wide, into one packed output.  Output
+    voxel p reads voxel p - o, and erosion, which reads p + o, negates the
+    offsets.  Offsets that share an x step share one bit-shifted copy."""
     offs = np.asarray(offsets, dtype=np.int64).reshape(-1, 3) * (-1 if erode else 1)
-    out = np.zeros_like(mask)
+    shape = words.shape[:-1] + (width,)
+    out = np.zeros_like(words)
     if erode:  # ones on the box every offset reads inside the grid; a slice stops at its edge
-        lo, hi = offs.max(axis=0, initial=0), offs.min(axis=0, initial=0) + mask.shape
-        out[tuple(map(slice, lo, np.maximum(hi, 0)))] = 1
+        lo, hi = offs.max(axis=0, initial=0), np.maximum(offs.min(axis=0, initial=0) + shape, 0)
+        row = np.zeros(out.shape[-1] * WORD_BITS, dtype=bool)
+        row[lo[2] : hi[2]] = True
+        out[lo[0] : hi[0], lo[1] : hi[1]] = np.packbits(row, bitorder="little").view("<u8")
     combine = np.bitwise_and if erode else np.bitwise_or
-    for off in offs.tolist():
-        dst = [slice(min(max(o, 0), n), max(min(n + o, n), 0)) for o, n in zip(off, mask.shape)]
-        src = tuple(slice(d.start - o, d.stop - o) for d, o in zip(dst, off))
-        view = out[tuple(dst)]
-        combine(view, mask[src], out=view)
+    for dx in np.unique(offs[:, 2]).tolist():
+        shifted = _shift_x(words, dx)
+        for dz, dy in offs[offs[:, 2] == dx, :2].tolist():
+            (dst_z, src_z), (dst_y, src_y) = _in_grid(dz, shape[0]), _in_grid(dy, shape[1])
+            view = out[dst_z, dst_y]
+            combine(view, shifted[src_z, src_y], out=view)
+    if width % WORD_BITS:  # an x step can carry ones past the last column
+        out[..., -1] &= np.uint64((1 << width % WORD_BITS) - 1)
     return out
 
 

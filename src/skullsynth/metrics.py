@@ -7,16 +7,18 @@ step no longer than the tolerance.  Each step's length is computed once, as
 scipy's Euclidean distance transform computes it, ``sqrt(sum((d_i * s_i)**2))``
 summed in axis order, so ties need no recheck.
 
-The cost is one pass over the volume per step and direction: it grows with
-the tolerance, not with the boundary.  Two 128^3 skull masks at 1 mm voxels
-(perfbench ``mask_eval``, seed 0; range of 5 calls, 2-core VM), against the
-bounded k-d tree query this replaced:
+The cost is one pass over the packed mask (`kernels.dilate` holds 64 voxels
+to a word) per step and direction: it grows with the tolerance, not with the
+boundary.  Two 128^3 skull masks at 1 mm voxels (perfbench ``mask_eval``,
+seed 0, case 0; range of 5 calls, 2-core VM).  The k-d tree column is the
+bounded query this replaced, as measured then; the byte column is the
+byte-per-voxel dilation that the packed words replaced, measured beside them:
 
-    tolerance        steps  k-d tree     dilation
-    1 mm (default)     7    105-113 ms    45-49 ms
-    2 mm              33    105-114 ms    70-73 ms
-    3 mm             123    102-113 ms   161-173 ms
-    5 mm             515    104-118 ms   539-600 ms
+    tolerance        steps  k-d tree     bytes        packed
+    1 mm (default)     7    105-113 ms    14-21 ms      7 ms
+    2 mm              33    105-114 ms    28-30 ms     8-9 ms
+    3 mm             123    102-113 ms    87-95 ms    14-16 ms
+    5 mm             515    104-118 ms   346-360 ms   39-40 ms
 
 Two whole-volume distance transforms are the test oracle
 (tests/test_metrics.py).  They agree except at ties: the transform can keep
@@ -39,19 +41,18 @@ def dice(a, b) -> float:
     b = _mask_data(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    na = int(a.sum())
-    nb = int(b.sum())
+    na = int(np.count_nonzero(a))
+    nb = int(np.count_nonzero(b))
     if na + nb == 0:
         return 1.0
-    inter = int((a & b).sum())
+    inter = int(np.count_nonzero(a & b))
     return 2.0 * inter / (na + nb)
 
 
 def _surface(mask):
     # boundary voxels: the mask minus its radius-1 cube erosion (outside = background)
     offs = kernels.structuring_offsets("cube", 1)
-    eroded = kernels.erode(mask.astype(np.uint8), offs).astype(bool)
-    return mask & ~eroded
+    return mask & ~kernels.erode(mask, offs).view(bool)
 
 
 def _lengths(steps, spacing):
@@ -78,8 +79,8 @@ def surface_dice(a, b, tol_mm: float, spacing=(1.0, 1.0, 1.0)) -> float:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     sa = _surface(a)
     sb = _surface(b)
-    na = int(sa.sum())
-    nb = int(sb.sum())
+    na = int(np.count_nonzero(sa))
+    nb = int(np.count_nonzero(sb))
     if na + nb == 0:
         return 1.0
     if na == 0 or nb == 0:

@@ -107,7 +107,7 @@ def _sort_order(x, index):
 
 def threshold_hu(v: Volume, t: float) -> SegmentationMask:
     require_hu(v, "threshold_hu")
-    return SegmentationMask((v.data >= t).astype(np.uint8), v.spacing)
+    return SegmentationMask((v.data >= t).view(np.uint8), v.spacing)
 
 
 def _offsets(params, radius):

@@ -78,6 +78,8 @@ class Volume:
 
 @dataclass
 class SegmentationMask:
+    """A 0/1 mask, held as uint8; uint8 data is kept, not copied."""
+
     data: np.ndarray
     spacing: tuple = (1.0, 1.0, 1.0)
 
@@ -85,9 +87,13 @@ class SegmentationMask:
         arr = np.asarray(self.data)
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValueError(f"mask must be 3-D with every edge >= 1, got shape {arr.shape}")
-        if not ((arr == 0) | (arr == 1)).all():
+        if arr.dtype.kind in "iu":  # a pass each, with no elementwise temporaries
+            binary = arr.min() >= 0 and arr.max() <= 1
+        else:
+            binary = arr.dtype == bool or ((arr == 0) | (arr == 1)).all()
+        if not binary:
             raise ValueError("mask entries must be exactly 0 or 1")
-        self.data = arr.astype(np.uint8)
+        self.data = arr.astype(np.uint8, copy=False)
         self.spacing = _spacing(self.spacing)
 
     def to_volume(self):
@@ -95,7 +101,7 @@ class SegmentationMask:
 
 
 def mask_from_volume(v: Volume) -> SegmentationMask:
-    return SegmentationMask((v.data > 0.5).astype(np.uint8), v.spacing)
+    return SegmentationMask((v.data > 0.5).view(np.uint8), v.spacing)
 
 
 # ---------------------------------------------------------------------------

@@ -439,7 +439,8 @@ def test_missing_input_is_named_and_leaves_no_run_dir(phantoms, tmp_path, capsys
         argv = next(a for n, _, a in EXIT_CODES if n == name)
         d = tmp_path / name
         assert main(argv(str(d), str(phantoms))) == 2
-        assert capsys.readouterr().err == f"error: no such file or directory: {d}/none\n"
+        why = "is a directory" if name.endswith(" directory") else "no such file or directory"
+        assert capsys.readouterr().err == f"error: {why}: {d}/none\n"
         assert not (d / "run").exists()
 
 

@@ -434,6 +434,32 @@ class TestConvBitContract:
             assert len(digests) == 1, np.dtype(dtype).name
 
 
+def shift_oracle(mask, offs, erode=False):
+    """Dilation, or erosion, of a uint8 mask as the OR, or AND, of one
+    shifted copy per offset, each reduction from its identity, the result of
+    the empty set."""
+    offs = np.asarray(offs, dtype=np.int64).reshape(-1, 3)
+    reach = np.abs(offs).max(axis=0, initial=0)
+    # pad each axis by its reach with background; dilation reads voxel p - o,
+    # erosion voxel p + o
+    sign = 1 if erode else -1
+    padded = np.pad(mask, [(r, r) for r in reach])
+    shifted = [padded[tuple(slice(r + sign * o, r + sign * o + n)
+                            for o, r, n in zip(off, reach, mask.shape))] for off in offs]
+    if erode:
+        return np.bitwise_and.reduce([np.ones_like(mask)] + shifted)
+    return np.bitwise_or.reduce([np.zeros_like(mask)] + shifted)
+
+
+def scipy_morphology(mask, offs, erode=False):
+    """scipy's binary dilation or erosion by `offs`, outside the grid background."""
+    r = int(np.abs(offs).max(initial=0))
+    struct = np.zeros((2 * r + 1,) * 3, dtype=bool)
+    struct[tuple((np.asarray(offs) + r).T)] = True
+    op = ndi.binary_erosion if erode else ndi.binary_dilation
+    return op(mask.astype(bool), structure=struct, border_value=0).astype(np.uint8)
+
+
 class TestMorphologyKernels:
     @NUMPY_ID
     @pytest.mark.parametrize("kind,radius", [("cube", 1), ("ball", 1), ("ball", 2)])
@@ -471,26 +497,73 @@ class TestMorphologyKernels:
             "box without the origin": np.indices((2, 2, 3)).reshape(3, -1).T + (1, 1, 2),
             "no box, no origin": np.array([(0, 0, 2), (1, -3, 0), (-2, 1, 1)]),
         }[name]
-        r = int(np.abs(offs).max(initial=0))
-
-        def shifted(mask, sign):
-            # pad by the reach with background; dilation reads voxel p - o,
-            # erosion voxel p + o
-            padded = np.pad(mask, r)
-            return [padded[tuple(slice(r + sign * o, r + sign * o + n)
-                                 for o, n in zip(off, mask.shape))] for off in offs]
-
         # sparse seeds for dilation and sparse holes for erosion, so that a
         # large box neither fills nor empties the volume
         sparse = (rng.random((9, 8, 10)) < 0.04).astype(np.uint8)
         dense = 1 - (rng.random((9, 8, 10)) < 0.01).astype(np.uint8)
-        # each reduction starts from its identity, the result of the empty set
-        np.testing.assert_array_equal(
-            kernels.dilate(sparse, offs),
-            np.bitwise_or.reduce([np.zeros_like(sparse)] + shifted(sparse, -1)))
-        np.testing.assert_array_equal(
-            kernels.erode(dense, offs),
-            np.bitwise_and.reduce([np.ones_like(dense)] + shifted(dense, 1)))
+        np.testing.assert_array_equal(kernels.dilate(sparse, offs), shift_oracle(sparse, offs))
+        np.testing.assert_array_equal(kernels.erode(dense, offs),
+                                      shift_oracle(dense, offs, erode=True))
+
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 80, 130])
+    @pytest.mark.parametrize("kind,radius", [("cube", 1), ("ball", 2)])
+    def test_packed_rows_of_every_width_match_scipy(self, kind, radius, width, rng):
+        # rows of one word, a word less a bit, one word, a word and a bit,
+        # infer's 80-voxel mask edge, and more than two words; sparse seeds
+        # for dilation and sparse holes for erosion
+        offs = kernels.structuring_offsets(kind, radius)
+        sparse = (rng.random((5, 4, width)) < 0.05).astype(np.uint8)
+        dense = 1 - (rng.random((5, 4, width)) < 0.05).astype(np.uint8)
+        np.testing.assert_array_equal(kernels.dilate(sparse, offs),
+                                      scipy_morphology(sparse, offs))
+        np.testing.assert_array_equal(kernels.erode(dense, offs),
+                                      scipy_morphology(dense, offs, erode=True))
+
+    @pytest.mark.parametrize("name", ["x steps of a word and more", "x steps past the volume",
+                                      "x box of 140", "z and y steps past the volume"])
+    def test_long_steps_match_shift_oracle(self, name, rng):
+        # rows of 130 voxels: three words, the last with 2 voxels and 62 pad bits
+        offs = {
+            "x steps of a word and more": [(0, 0, 0), (0, 0, 64), (0, 0, -64), (0, 0, 65),
+                                           (1, 0, -70), (0, -1, 127), (-1, 1, -128)],
+            "x steps past the volume": [(0, 0, 1), (0, 0, 130), (0, 0, -131), (1, 1, 200)],
+            "x box of 140": np.indices((1, 1, 140)).reshape(3, -1).T - (0, 0, 70),
+            "z and y steps past the volume": [(0, 0, -1), (5, 0, 66), (0, -4, 3), (-2, 2, 0)],
+        }[name]
+        sparse = (rng.random((5, 4, 130)) < 0.05).astype(np.uint8)
+        dense = 1 - (rng.random((5, 4, 130)) < 0.05).astype(np.uint8)
+        np.testing.assert_array_equal(kernels.dilate(sparse, offs), shift_oracle(sparse, offs))
+        np.testing.assert_array_equal(kernels.erode(dense, offs),
+                                      shift_oracle(dense, offs, erode=True))
+
+    @pytest.mark.parametrize("width", [65, 80, 130])
+    def test_pad_bits_never_leak(self, width):
+        # a dilation whose x steps carry the last column into the pad bits,
+        # then erosions whose x steps read past the last column
+        mask = np.zeros((3, 4, width), dtype=np.uint8)
+        mask[1, 1:3, -2:] = 1
+        grow = [(0, 0, 0), (0, 0, 3), (0, 1, 70), (1, 0, 1)]
+        words, _ = kernels._pack(mask)
+        for erode in (False, True):
+            out = kernels._shift_combine(words, width, grow, erode)
+            assert not (out[..., -1] >> np.uint64(width % 64)).any()  # the pad bits are clear
+        grown = kernels.dilate(mask, grow)
+        np.testing.assert_array_equal(grown, shift_oracle(mask, grow))
+        for shrink in ([(0, 0, 0), (0, 0, 2)], [(0, 0, 0), (0, 0, 64)], [(0, 0, 0), (0, 0, 1)]):
+            np.testing.assert_array_equal(kernels.erode(grown, shrink),
+                                          shift_oracle(grown, shrink, erode=True))
+            np.testing.assert_array_equal(kernels.dilate(kernels.erode(grown, shrink), grow),
+                                          shift_oracle(shift_oracle(grown, shrink, True), grow))
+
+    def test_bool_and_uint8_give_the_same_contiguous_uint8(self, rng):
+        mask = rng.random((4, 5, 70)) < 0.3
+        offs = kernels.structuring_offsets("ball", 1)
+        for op in (kernels.dilate, kernels.erode):
+            outs = [op(m, offs) for m in (mask, mask.astype(np.uint8),
+                                          np.asfortranarray(mask.astype(np.uint8)))]
+            for out in outs:
+                assert out.dtype == np.uint8 and out.flags.c_contiguous
+                np.testing.assert_array_equal(out, outs[0])
 
     @pytest.mark.parametrize("kind,radius", [("cube", 1), ("ball", 2)])
     def test_erode_peak_memory_matches_dilate(self, kind, radius, rng):

@@ -74,6 +74,21 @@ class TestMask:
         with pytest.raises(ValueError, match="every edge >= 1"):
             SegmentationMask(np.zeros((8, 0, 8), np.uint8), (1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.array(-1, np.int8), np.array(0.5), np.array(np.nan)],
+                             ids=["int8 -1", "float 0.5", "nan"])
+    def test_refuses_an_entry_that_is_not_0_or_1(self, bad):
+        data = np.zeros((2, 3, 4), dtype=bad.dtype)
+        data[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            SegmentationMask(data, (1.0, 1.0, 1.0))
+
+    def test_accepts_bool_as_uint8_and_keeps_uint8_data(self, rng):
+        data = rng.random((3, 4, 5)) > 0.5
+        m = SegmentationMask(data, (1.0, 1.0, 1.0))
+        assert m.data.dtype == np.uint8
+        np.testing.assert_array_equal(m.data, data)
+        assert SegmentationMask(m.data, m.spacing).data is m.data
+
     def test_round_trip_through_volume(self, rng):
         m = SegmentationMask((rng.random((4, 4, 4)) > 0.5).astype(np.uint8), (1.0, 1.0, 1.0))
         back = vio.mask_from_volume(m.to_volume())
