@@ -1,5 +1,11 @@
 """Overlapping chunk decomposition: disjoint cores tiling the volume, plus halos.
 
+A core is a cube of one edge (``core_size`` an int) or a box of one edge per
+axis (``core_size`` a tuple); super-resolution inference cuts full-width
+z-slabs, whose y and x edges are the volume's own.  The halo is the same
+along every axis and stops at the volume's faces, so a slab's halo lies
+along z alone.
+
 Chunks come in grid order: `chunk_volume` returns one per origin of
 `ChunkGrid.origins`, and `assemble_chunks` takes them back in that order.
 Assembly follows the core-wins rule: every output voxel is taken from the one
@@ -9,6 +15,7 @@ whole-volume processing wherever the halo covers the processing receptive
 field.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,39 +24,47 @@ import numpy as np
 @dataclass(frozen=True)
 class ChunkGrid:
     source_shape: tuple
-    core_size: int
+    core_size: object  # one edge for every axis (an int), or a tuple of one per axis
     halo: int
     origins: tuple  # absolute start of each core, z-major order
 
     @classmethod
     def build(cls, source_shape, core_size=64, halo=8):
-        if core_size <= 0:
+        shape = tuple(int(n) for n in source_shape)
+        per_axis = isinstance(core_size, (tuple, list))
+        core = tuple(int(c) for c in core_size) if per_axis else (int(core_size),) * len(shape)
+        if len(core) != len(shape):
+            raise ValueError(f"core_size {core_size} does not match shape {shape}")
+        if min(core) <= 0:
             raise ValueError(f"core_size must be positive, got {core_size}")
         if halo < 0:
             raise ValueError(f"halo must be >= 0, got {halo}")
-        shape = tuple(int(n) for n in source_shape)
-        axes = [tuple(range(0, n, core_size)) for n in shape]
-        origins = tuple(
-            (z, y, x) for z in axes[0] for y in axes[1] for x in axes[2]
-        )
-        return cls(shape, int(core_size), int(halo), origins)
+        origins = tuple(itertools.product(*(range(0, n, c) for n, c in zip(shape, core))))
+        return cls(shape, core if per_axis else core[0], int(halo), origins)
+
+    @property
+    def core(self):
+        """The core edge along each axis."""
+        c = self.core_size
+        return c if isinstance(c, tuple) else (c,) * len(self.source_shape)
 
     def core_slices(self, origin):
         return tuple(
-            slice(o, min(o + self.core_size, n)) for o, n in zip(origin, self.source_shape)
+            slice(o, min(o + c, n)) for o, c, n in zip(origin, self.core, self.source_shape)
         )
 
     def chunk_slices(self, origin):
         return tuple(
-            slice(max(0, o - self.halo), min(n, min(o + self.core_size, n) + self.halo))
-            for o, n in zip(origin, self.source_shape)
+            slice(max(0, s.start - self.halo), min(n, s.stop + self.halo))
+            for s, n in zip(self.core_slices(origin), self.source_shape)
         )
 
     def scaled(self, factor):
         """The same grid geometry at ``factor``x resolution (for SR assembly)."""
+        c = self.core_size
         return ChunkGrid(
             tuple(n * factor for n in self.source_shape),
-            self.core_size * factor,
+            tuple(e * factor for e in c) if isinstance(c, tuple) else c * factor,
             self.halo * factor,
             tuple(tuple(o * factor for o in org) for org in self.origins),
         )

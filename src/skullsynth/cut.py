@@ -139,7 +139,7 @@ class ResBlock(Module):
         self.norm2 = InstanceNorm3d(c)
 
     def __call__(self, x):
-        h = ops.relu(self.norm1(self.conv1(x)))
+        h = ops.relu(self.norm1(self.conv1(x)), inplace=True)
         return x + self.norm2(self.conv2(h))
 
 
@@ -173,7 +173,8 @@ class Generator(Module):
         """The encoder in tap order, as (output channels, stage): the stem and
         each downsampling conv, each with its norm and ReLU, then each residual block."""
         convs = [(self.stem, self.stem_norm), *zip(self.downs, self.down_norms)]
-        stages = [(conv.weight.data.shape[0], lambda h, c=conv, n=norm: ops.relu(n(c(h))))
+        stages = [(conv.weight.data.shape[0],
+                   lambda h, c=conv, n=norm: ops.relu(n(c(h)), inplace=True))
                   for conv, norm in convs]
         return stages + [(block.conv2.weight.data.shape[0], block) for block in self.blocks]
 
@@ -213,7 +214,7 @@ class Generator(Module):
         """Full pass; returns (output in [0,1], list of tap features)."""
         h, feats = self._encode(x, tap_ids)
         for tconv, norm in zip(self.ups, self.up_norms):
-            h = ops.relu(norm(tconv(h)))
+            h = ops.relu(norm(tconv(h)), inplace=True)
         out = (ops.tanh(self.head(h)) + 1.0) * 0.5
         return out, feats
 
@@ -234,9 +235,9 @@ class Discriminator(Module):
         self.final = convs[-1]
 
     def __call__(self, x):
-        h = ops.leaky_relu(self.convs[0](x), 0.2)
+        h = ops.leaky_relu(self.convs[0](x), 0.2, inplace=True)
         for conv, norm in zip(self.convs[1:], self.norms):
-            h = ops.leaky_relu(norm(conv(h)), 0.2)
+            h = ops.leaky_relu(norm(conv(h)), 0.2, inplace=True)
         return self.final(h)
 
 

@@ -4,12 +4,16 @@ high-frequency detail on top of a learned upsampling branch.
 Each pyramid level doubles resolution.  The reconstruction branch starts as an
 exact edge-clamped trilinear upsampler (identity convs, trilinear deconv,
 border renormalization) so the residual branch only has to learn detail.
-Training runs on overlapping chunks with gradient accumulation.  Inference
-re-chunks the volume with a halo of the pyramid's receptive radius and keeps
-each chunk's core, which then matches the unchunked forward pass bit for bit.
+Training runs on overlapping cubic chunks of the configured core and halo,
+with gradient accumulation.  Inference cuts the volume into full-width
+z-slabs, as few as keep each slab's widest activation within SLAB_ELEMS
+entries, or into cubes of the configured core where no slab fits or slabs
+would compute more; its halo is the pyramid's receptive radius, and each
+chunk's core then matches the unchunked forward pass bit for bit.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -23,6 +27,10 @@ from skullsynth.engine.layers import Conv3d, ConvTranspose3d, Module
 from skullsynth.engine.optim import SGD
 from skullsynth.engine.tensor import DTYPE, Tensor, as_tensor
 from skullsynth.volume_io import UNIT, Volume, resample
+
+# Entries of the widest activation (the last level's features) that one
+# inference slab may hold: 24 MiB in float32.
+SLAB_ELEMS = 6 << 20
 
 
 @dataclass
@@ -75,7 +83,9 @@ class SRTrainConfig:
     plateau_patience_epochs: int = 5
     max_epochs: int = 100
     max_steps: int = 0  # 0 = no cap
-    core_size: int = 64  # chunk core edge, in low-res voxels
+    # chunk core edge, in low-res voxels: training's, and inference's cube
+    # where no full-width slab fits or slabs would compute more
+    core_size: int = 64
     # training chunk overlap, in low-res voxels; inference overlaps by the
     # pyramid's receptive radius instead
     halo: int = 8
@@ -119,14 +129,14 @@ class _LevelNet(Module):
     def residual(self, x):
         h = x
         for conv in self.feat_convs:
-            h = ops.leaky_relu(conv(h), 0.2)
-        h = ops.leaky_relu(self.feat_up(h), 0.2)
+            h = ops.leaky_relu(conv(h), 0.2, inplace=True)
+        h = ops.leaky_relu(self.feat_up(h), 0.2, inplace=True)
         return self.feat_head(h)
 
     def upsample(self, x):
         h = x
         for conv in self.recon_convs:
-            h = ops.leaky_relu(conv(h), 0.2)
+            h = ops.leaky_relu(conv(h), 0.2, inplace=True)
         return self.recon_up(h) * _inv_border_weights(x.data.shape[1:])
 
 
@@ -293,24 +303,64 @@ def train_lapsrn(hr_set, cfg: SRTrainConfig, spec: PyramidSpec = None,
     return training.fit(_TRAINER, cfg, run_dir, state, epoch_steps)
 
 
+def _slab_grid(shape, spec, halo):
+    """Full-width z-slabs of `shape`: the fewest equal slabs whose widest
+    activation, ``filters * scale^3`` entries per plane of its chunk, fits
+    SLAB_ELEMS.  None when even one plane and its halo do not fit."""
+    d, h, w = shape
+    per_plane = spec.filters * spec.scale**3 * h * w
+    if per_plane * min(d, 1 + 2 * halo) > SLAB_ELEMS:
+        return None
+    for n in range(1, d + 1):
+        grid = ChunkGrid.build(shape, (-(-d // n), h, w), halo)
+        chunks = (grid.chunk_slices(o)[0] for o in grid.origins)
+        if per_plane * max(z.stop - z.start for z in chunks) <= SLAB_ELEMS:
+            return grid
+
+
+def _computed_voxels(grid):
+    """Input voxels the chunks of ``grid`` span, halos included."""
+    return sum(math.prod(s.stop - s.start for s in grid.chunk_slices(o)) for o in grid.origins)
+
+
+def _inference_grid(shape, spec, cube_core, halo):
+    """`_slab_grid`'s slabs when they fit SLAB_ELEMS and span no more voxels
+    than cubes of ``cube_core``; those cubes otherwise."""
+    cubes = ChunkGrid.build(shape, cube_core, halo)
+    slabs = _slab_grid(shape, spec, halo)
+    if slabs is not None and _computed_voxels(slabs) <= _computed_voxels(cubes):
+        return slabs
+    return cubes
+
+
 def super_resolve(checkpoint, vol: Volume, core_size=None, halo=None) -> Volume:
     """Chunked inference: upsample a UNIT volume by the net's pyramid scale.
 
+    Without ``core_size`` the volume is cut into full-width z-slabs, as few
+    as keep each slab's widest activation (the last level's ``filters``
+    channels at full scale, halo included) within SLAB_ELEMS entries.  Where
+    no slab fits (one plane and its halo already exceed SLAB_ELEMS, as at the
+    paper's width on planes of 29x29 or more), or the slabs would span more
+    voxels than cubes of the checkpoint's stored core, those cubes are cut
+    instead, so the default call never computes more than they do.  An
+    explicit ``core_size`` cuts cubes of that edge.  The checkpoint's stored
+    halo is training's and plays no part.
+
     Without ``halo`` the chunks overlap by the pyramid's receptive radius, the
-    smallest halo that gives the whole-volume bits; the checkpoint's stored
-    halo is the training chunk overlap and plays no part.  An explicit
-    ``halo`` is an unchecked override.
+    smallest halo that gives the whole-volume bits.  An explicit ``halo`` is
+    an unchecked override.
     """
     state = load_sr_checkpoint(checkpoint) if not isinstance(checkpoint, dict) else checkpoint
     net, cfg, spec = state["net"], state["cfg"], state["spec"]
     if vol.domain != UNIT:
         raise ValueError(f"super-resolution input must be UNIT domain, got {vol.domain}")
-    if core_size is None:
-        core_size = cfg.core_size
     if halo is None:
         halo = spec.receptive_radius
     scale = spec.scale
-    grid = ChunkGrid.build(vol.data.shape, core_size, halo)
+    if core_size is None:
+        grid = _inference_grid(vol.data.shape, spec, cfg.core_size, halo)
+    else:
+        grid = ChunkGrid.build(vol.data.shape, core_size, halo)
     with net.frozen():
         out_chunks = [Chunk(net(c.data)[-1].data[0]) for c in chunk_volume(vol, grid)]
     data = assemble_chunks(out_chunks, grid.scaled(scale))

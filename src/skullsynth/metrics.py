@@ -29,9 +29,14 @@ at a tolerance that falls between the two values.
 import numpy as np
 
 from skullsynth.engine import kernels
+from skullsynth.volume_io import SegmentationMask
 
 
 def _mask_data(m):
+    """A `SegmentationMask`'s checked 0/1 uint8 data viewed as bool, without a
+    copy; any other mask or array converted to bool."""
+    if isinstance(m, SegmentationMask):
+        return m.data.view(bool)
     return np.asarray(getattr(m, "data", m)).astype(bool)
 
 

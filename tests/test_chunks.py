@@ -41,8 +41,46 @@ class TestGrid:
         assert up.core_size == 16 and up.halo == 4
         assert up.origins == tuple(tuple(2 * o for o in org) for org in grid.origins)
 
+    def test_per_axis_core_cuts_full_width_slabs(self):
+        grid = ChunkGrid.build((40, 40, 40), core_size=(20, 40, 40), halo=3)
+        assert grid.origins == ((0, 0, 0), (20, 0, 0))
+        assert [tuple((sl.start, sl.stop) for sl in grid.chunk_slices(o)) for o in grid.origins] \
+            == [((0, 23), (0, 40), (0, 40)), ((17, 40), (0, 40), (0, 40))]
+        up = grid.scaled(2)
+        assert up.core_size == up.core == (40, 80, 80) and up.halo == 6
+        assert up.origins == ((0, 0, 0), (40, 0, 0))
+
+    def test_an_int_core_is_the_same_edge_on_every_axis(self):
+        cube = ChunkGrid.build((10, 5, 7), core_size=4, halo=1)
+        box = ChunkGrid.build((10, 5, 7), core_size=(4, 4, 4), halo=1)
+        assert cube.core == (4, 4, 4) and cube.origins == box.origins
+        assert [cube.chunk_slices(o) for o in cube.origins] == \
+            [box.chunk_slices(o) for o in box.origins]
+
+    def test_per_axis_validation(self):
+        with pytest.raises(ValueError, match="core_size must be positive"):
+            ChunkGrid.build((8, 8, 8), core_size=(4, 0, 4))
+        with pytest.raises(ValueError, match="does not match shape"):
+            ChunkGrid.build((8, 8, 8), core_size=(4, 4))
+
 
 class TestRoundTrip:
+    @given(
+        shape=st.tuples(*(st.integers(min_value=1, max_value=13),) * 3),
+        core=st.tuples(*(st.integers(min_value=1, max_value=14),) * 3),
+        halo=st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_assemble_inverts_per_axis_chunking(self, shape, core, halo):
+        rng = np.random.default_rng(hash((shape, core, halo)) % 2**32)
+        data = rng.normal(size=shape)
+        grid = ChunkGrid.build(shape, core_size=core, halo=halo)
+        out = assemble_chunks(chunk_volume(data, grid), grid)
+        np.testing.assert_array_equal(out, data)
+        up = grid.scaled(2)
+        big = np.repeat(np.repeat(np.repeat(data, 2, 0), 2, 1), 2, 2)
+        np.testing.assert_array_equal(assemble_chunks(chunk_volume(big, up), up), big)
+
     @given(
         shape=st.tuples(*(st.integers(min_value=1, max_value=13),) * 3),
         core=st.integers(min_value=1, max_value=8),

@@ -14,7 +14,7 @@ import scipy.signal
 import scipy.special
 
 import skullsynth
-from skullsynth import metrics
+from skullsynth import cut, lapsrn, metrics
 from skullsynth.checkpoint import load_checkpoint, restore_state, save_state
 from skullsynth.engine import kernels, ops, optim
 from skullsynth.engine.layers import (
@@ -930,6 +930,107 @@ class TestFloat32Numerics:
         assert out.data.dtype == np.float32 and t.grad.dtype == np.float32
         assert np.isfinite(out.data).all() and np.isfinite(t.grad).all()
         assert np.abs(out.data).max() < 1e-2
+
+
+def special_values(dtype, n, rng):
+    """``n`` entries of ``dtype``: signed zeros, infinities, NaN, subnormals,
+    then normal draws."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    head = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1e30, -1e30], dtype)
+    return np.concatenate([head, rng.normal(size=n - len(head)).astype(dtype)])
+
+
+class TestGraphFreePasses:
+    """A pass that needs no gradient writes activations into the buffer the
+    layer before it made: the same bits as the graph-building pass, and the
+    caller's input untouched."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("act", ["relu", "leaky_relu"])
+    def test_inplace_activation_writes_its_input_only_without_a_gradient(self, act, dtype, rng,
+                                                                          monkeypatch):
+        monkeypatch.setattr(kernels, "GROUP_ELEMS", 7)  # several blocks and a short last one
+        op = getattr(ops, act)
+        x = special_values(dtype, 60, rng).reshape(3, 5, 2, 2)
+        uint = f"u{x.itemsize}"
+        with np.errstate(invalid="ignore"):  # relu's inf * 0
+            want = op(Tensor(x.copy())).data
+            t = Tensor(x.copy())
+            y = op(t, inplace=True)
+            assert y.data.dtype == dtype and np.shares_memory(y.data, t.data)
+            np.testing.assert_array_equal(y.data.view(uint), want.view(uint))
+            t = Tensor(x.copy(), requires_grad=True)
+            y = op(t, inplace=True)  # a gradient needs the input, so it is kept
+        assert not np.shares_memory(y.data, t.data)
+        np.testing.assert_array_equal(t.data.view(uint), x.view(uint))
+        np.testing.assert_array_equal(y.data.view(uint), want.view(uint))
+
+    @pytest.mark.parametrize("act", ["relu", "leaky_relu"])
+    def test_inplace_activation_refuses_a_strided_buffer(self, act, rng):
+        x = rng.normal(size=(4, 6)).astype(np.float32)
+        kept = x.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            getattr(ops, act)(Tensor(x[:, ::2]), inplace=True)
+        np.testing.assert_array_equal(x, kept)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_graph_free_instance_norm_has_the_graph_bits(self, dtype, rng):
+        x = rng.normal(loc=0.5, scale=2.0, size=(3, 4, 5, 6)).astype(dtype)
+        gamma, beta = (rng.normal(size=3).astype(dtype) for _ in range(2))
+        want = ops.instance_norm(Tensor(x.copy(), requires_grad=True), Tensor(gamma),
+                                 Tensor(beta), 1e-5).data
+        given = x.copy()
+        got = ops.instance_norm(Tensor(given), Tensor(gamma), Tensor(beta), 1e-5).data
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.view(f"u{x.itemsize}"), want.view(f"u{x.itemsize}"))
+        np.testing.assert_array_equal(given, x)
+
+    @pytest.mark.parametrize("net", ["sr", "generator", "discriminator"])
+    def test_forward_has_the_graph_bits_and_keeps_the_input(self, net, rng):
+        if net == "sr":
+            model = lapsrn.build_sr_net(lapsrn.PyramidSpec(filters=4, feat_layers=4), seed=1)
+            for p in model.parameters():  # every layer matters, the zeroed head too
+                p.data += rng.normal(scale=0.05, size=p.data.shape).astype(p.data.dtype)
+            run = model
+        elif net == "generator":
+            model = cut.Generator(cut.GeneratorSpec(4, 2, 2), rng)
+            taps = tuple(range(len(model.eligible_taps())))
+
+            def run(x):  # the output and every NCE tap
+                out, feats = model(x, taps)
+                return [out, *feats]
+        else:
+            model = cut.Discriminator(cut.DiscriminatorSpec(2, 4), rng)
+
+            def run(x):
+                return [model(x)]
+        x = rng.random((1, 12, 12, 12)).astype(DTYPE)
+        built = run(Tensor(x.copy()))
+        assert all(t.requires_grad for t in built)
+        given = x.copy()
+        with model.frozen():
+            free = run(Tensor(given))
+        assert len(free) == len(built) and not any(t.requires_grad for t in free)
+        for a, b in zip(free, built):
+            np.testing.assert_array_equal(a.data.view(np.uint32), b.data.view(np.uint32))
+        np.testing.assert_array_equal(given, x)
+
+    def test_sr_pass_peaks_under_1_6_of_its_widest_activation(self, rng):
+        # perfbench's SR widths on a 32^3 input: the widest activation is the
+        # 2x level's 16 channels at 64^3, 16 MiB of float32
+        net = lapsrn.build_sr_net(lapsrn.PyramidSpec(filters=16, feat_layers=4), seed=0)
+        x = rng.random((1, 32, 32, 32)).astype(DTYPE)
+        widest = 16 * 64**3 * np.dtype(DTYPE).itemsize
+        with net.frozen():
+            net(x)  # warm-up
+            tracemalloc.start()
+            try:
+                out = net(x)[-1]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out.data.shape == (1, 64, 64, 64)
+        assert peak <= 1.6 * widest, peak / widest
 
 
 class TestLayers:

@@ -184,6 +184,7 @@ class TestSuperResolve:
         state = {"net": net, "cfg": fast_cfg(), "spec": net.spec}
         out = super_resolve(state, vol, core_size=5, halo=3)
         np.testing.assert_array_equal(out.data, whole)
+        np.testing.assert_array_equal(super_resolve(state, vol).data, whole)
 
 
 def perturbed_state(spec, halo, seed=5):
@@ -231,6 +232,132 @@ class TestReceptiveRadius:
         for state in states:
             np.testing.assert_array_equal(super_resolve(state, vol, core_size=3).data, whole)
         assert halos == [TINY_HALO] * len(states)
+
+
+def spy_grids(monkeypatch):
+    """The grids `super_resolve` hands `chunk_volume`, in call order."""
+    grids, chunk_volume = [], lapsrn.chunk_volume
+
+    def spy(v, grid):
+        grids.append(grid)
+        return chunk_volume(v, grid)
+
+    monkeypatch.setattr(lapsrn, "chunk_volume", spy)
+    return grids
+
+
+def spanned_voxels(grid):
+    """Input voxels the chunks of ``grid`` span, halos included."""
+    return sum(
+        int(np.prod([s.stop - s.start for s in grid.chunk_slices(o)])) for o in grid.origins
+    )
+
+
+def widest_chunk(grid):
+    """The most planes any chunk of ``grid`` spans along z."""
+    return max(z.stop - z.start for z in (grid.chunk_slices(o)[0] for o in grid.origins))
+
+
+class TestSlabs:
+    """Without a core, inference cuts full-width z-slabs sized by SLAB_ELEMS;
+    every cut gives the whole-volume bits."""
+
+    @pytest.mark.parametrize("spec", [
+        PyramidSpec(levels=1, filters=2, feat_layers=3, recon_layers=2),
+        PyramidSpec(levels=2, filters=2, feat_layers=3, recon_layers=2),
+        PyramidSpec(levels=1, filters=64, feat_layers=4),
+    ], ids=["L1", "L2", "L1-paper-width"])
+    @pytest.mark.parametrize("shape", [(11, 6, 5), (13, 5, 7)])
+    def test_budgeted_slabs_equal_the_whole_volume(self, spec, shape, monkeypatch):
+        state = perturbed_state(spec, halo=1)
+        vol = Volume(np.random.default_rng(7).random(shape), (1.0,) * 3, UNIT)
+        whole = super_resolve(state, vol, core_size=max(shape), halo=0).data
+        r = spec.receptive_radius
+        # room for a chunk of two planes and both halos
+        per_plane = spec.filters * spec.scale**3 * shape[1] * shape[2]
+        monkeypatch.setattr(lapsrn, "SLAB_ELEMS", per_plane * (2 + 2 * r))
+        grids = spy_grids(monkeypatch)
+        np.testing.assert_array_equal(super_resolve(state, vol).data, whole)
+        (grid,) = grids
+        planes = grid.core[0]
+        assert grid.core[1:] == shape[1:] and grid.halo == r
+        assert len(grid.origins) >= 3 and shape[0] % planes
+        # the fewest slabs: one more plane per slab breaks the budget
+        wider = lapsrn.ChunkGrid.build(shape, (planes + 1,) + shape[1:], r)
+        assert widest_chunk(grid) <= 2 + 2 * r < widest_chunk(wider)
+
+    def test_stored_core_cubes_when_a_plane_exceeds_the_budget(self, monkeypatch):
+        state = perturbed_state(TINY_SPEC, halo=1)
+        vol = Volume(np.random.default_rng(7).random((7, 6, 5)), (1.0,) * 3, UNIT)
+        whole = super_resolve(state, vol, core_size=7, halo=0).data
+        monkeypatch.setattr(lapsrn, "SLAB_ELEMS", 1)
+        grids = spy_grids(monkeypatch)
+        np.testing.assert_array_equal(super_resolve(state, vol).data, whole)
+        (grid,) = grids
+        assert grid.core_size == state["cfg"].core_size and grid.halo == TINY_HALO
+
+    @pytest.mark.parametrize("stored_core, slabs", [(1, True), (7, False)])
+    def test_one_plane_slabs_only_where_they_compute_less(self, stored_core, slabs,
+                                                          monkeypatch):
+        # room for one plane and its halo: one-plane slabs span 5 planes per
+        # plane kept, cubes of 1 span up to 5^3 voxels per voxel, and cubes
+        # of 7 are the whole volume
+        state = perturbed_state(TINY_SPEC, halo=1)
+        state["cfg"] = fast_cfg(halo=1, core_size=stored_core)
+        shape = (7, 6, 5)
+        vol = Volume(np.random.default_rng(7).random(shape), (1.0,) * 3, UNIT)
+        whole = super_resolve(state, vol, core_size=7, halo=0).data
+        per_plane = TINY_SPEC.filters * TINY_SPEC.scale**3 * shape[1] * shape[2]
+        monkeypatch.setattr(lapsrn, "SLAB_ELEMS", per_plane * (1 + 2 * TINY_HALO))
+        grids = spy_grids(monkeypatch)
+        np.testing.assert_array_equal(super_resolve(state, vol).data, whole)
+        (grid,) = grids
+        if slabs:
+            assert grid.core == (1, 6, 5) and len(grid.origins) == 7
+        else:
+            assert grid.core_size == 7 and len(grid.origins) == 1
+
+    @pytest.mark.parametrize("shape", [(28, 28, 28), (32, 32, 32), (48, 48, 48), (40, 130, 100)])
+    def test_paper_default_call_computes_no_more_than_stored_core_cubes(self, shape,
+                                                                         monkeypatch):
+        """At the paper's width (64 filters, radius 7) one plane of 28x28 and
+        its halo nearly fill the budget; slabs that thin would compute up to
+        15 planes per plane kept, so the default call cuts the stored core's
+        cubes there."""
+        spec, cfg = PyramidSpec(), SRTrainConfig()
+        state = {"net": build_sr_net(spec, seed=0), "cfg": cfg, "spec": spec}
+        vol = Volume(np.zeros(shape, dtype=np.float32), (1.0,) * 3, UNIT)
+        grids = []
+
+        def stop_at_the_cut(v, grid):  # the grid is all this test needs
+            grids.append(grid)
+            raise StopIteration
+
+        monkeypatch.setattr(lapsrn, "chunk_volume", stop_at_the_cut)
+        with pytest.raises(StopIteration):
+            super_resolve(state, vol)
+        (grid,) = grids
+        cubes = lapsrn.ChunkGrid.build(shape, cfg.core_size, spec.receptive_radius)
+        assert spanned_voxels(grid) <= spanned_voxels(cubes)
+
+    def test_default_cuts_full_width_slabs_and_a_core_cuts_cubes(self, monkeypatch):
+        state = perturbed_state(TINY_SPEC, halo=1)
+        vol = Volume(np.random.default_rng(7).random((9, 8, 10)), (1.0,) * 3, UNIT)
+        grids = spy_grids(monkeypatch)
+        a = super_resolve(state, vol).data
+        b = super_resolve(state, vol, core_size=3).data
+        np.testing.assert_array_equal(a, b)
+        slabs, cubes = grids
+        assert slabs.core == (9, 8, 10)  # this small volume fits the budget whole
+        assert all(o[1:] == (0, 0) for o in slabs.origins)
+        assert cubes.core_size == 3 and cubes.core == (3, 3, 3) and len(cubes.origins) == 36
+
+    def test_perfbench_infer_volumes_cut_two_slabs_of_20_planes(self):
+        # its stored core of 24 would cut 8 cubes spanning 46^3 voxels
+        spec = PyramidSpec(filters=16, feat_layers=4)
+        grid = lapsrn._inference_grid((40, 40, 40), spec, 24, spec.receptive_radius)
+        assert grid.core == (20, 40, 40) and len(grid.origins) == 2
+        assert spanned_voxels(grid) == 2 * 23 * 40 * 40
 
 
 @pytest.mark.parametrize("filters", [4, 64])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from skullsynth.metrics import _surface, dice, psnr, surface_dice
+from skullsynth.metrics import _mask_data, _surface, dice, psnr, surface_dice
 from skullsynth.volume_io import SegmentationMask
 
 SPACINGS = [(1.0, 1.0, 1.0), (0.5, 1.0, 1.0), (0.7, 0.7, 1.2), (1.3, 0.9, 0.6)]
@@ -47,6 +47,16 @@ class TestDice:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             dice(np.zeros((3, 3, 3)), np.zeros((3, 3, 4)))
+
+    def test_a_mask_is_read_in_place_with_the_arrays_scores(self, rng):
+        a = (rng.random((9, 8, 7)) < 0.4).astype(np.uint8)
+        b = (rng.random((9, 8, 7)) < 0.4).astype(np.uint8)
+        ma, mb = mask_of(a), mask_of(b)
+        got = _mask_data(ma)
+        assert got.dtype == bool and np.shares_memory(got, ma.data)
+        np.testing.assert_array_equal(got, a.astype(bool))
+        assert dice(ma, mb) == dice(a.astype(float), b.astype(float))
+        assert surface_dice(ma, mb, 1.5) == surface_dice(a.astype(float), b.astype(float), 1.5)
 
     def test_symmetry(self, rng):
         a = (rng.random((7, 7, 7)) < 0.4).astype(np.uint8)
