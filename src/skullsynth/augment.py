@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from skullsynth.volume_io import UNIT, Volume
+from skullsynth.volume_io import UNIT, Volume, require_domain
 
 _ROT_DEG = 10.0  # per-axis rotation, degrees either way
 _SCALE = (0.9, 1.1)
@@ -51,8 +51,7 @@ def _shift_zero_fill(data, axis, offset):
 
 
 def augment(v: Volume, cfg: AugmentationConfig, seed) -> Volume:
-    if v.domain != UNIT:
-        raise ValueError(f"augment expects a UNIT volume, got {v.domain}")
+    require_domain(v, UNIT, "augment")
     if not cfg.enabled():
         return Volume(v.data.copy(), v.spacing, v.domain)
     # imported here: scipy.ndimage adds about 20 MB of RSS and 0.4 s to every

@@ -5,10 +5,12 @@ Every command reads the same INI config; repeated `--set section.key=value`
 flags override file values.  A training run writes its resolved config, data
 dirs included, to `<run>/config.ini`, so `--config <run>/config.ini --resume
 latest` continues it.  `infer` runs super-resolution exactly when
-`--sr-ckpt` is given.  Exit codes: 0 success, 1 runtime failure, 2 usage or
-configuration error.  A missing input file, or a directory in its place, is
-exit 2, reported by the code that opens it as "no such file or directory" or
-"is a directory", before anything is written.
+`--sr-ckpt` is given, and writes its outputs only once every stage has run,
+so a run that fails writes nothing.  Exit codes: 0 success, 1 runtime
+failure, 2 usage or configuration error.  A missing input file or directory,
+a directory given as a file, and a file given as a directory are exit 2,
+reported by the code that opens them as "no such file or directory", "is a
+directory" or "not a directory", before anything is written.
 """
 
 import argparse
@@ -26,8 +28,6 @@ from skullsynth.config import ConfigError
 
 
 def _volume_paths(directory, fmt):
-    if not os.path.isdir(directory):
-        raise FileNotFoundError(directory)
     names = sorted(n for n in os.listdir(directory) if n.endswith(vio.EXTENSIONS[fmt]))
     return [os.path.join(directory, n) for n in names]
 
@@ -127,24 +127,20 @@ def cmd_infer(args, cfg):
     ext = vio.EXTENSIONS[fmt][0]
     out_dir = args.out or config_mod.run_settings(cfg).output_dir
 
-    # every input is loaded and checked before anything is written
+    # every stage runs before anything is written
     mr = vio.load_volume(args.mr, fmt)
-    if args.sr_ckpt is not None:
-        sr_state = lapsrn.load_sr_checkpoint(args.sr_ckpt)
     reference = vio.load_volume(args.reference_ct, fmt)
-    postprocess.require_hu(reference, "--reference-ct")
-    syn = cut.translate(args.cut_ckpt, mr)
-    os.makedirs(out_dir, exist_ok=True)
-    vio.save_volume(syn, os.path.join(out_dir, "syn_ct" + ext), fmt)
-    src = syn
+    vio.require_domain(reference, vio.HU, "--reference-ct")
+    outputs = {"syn_ct": cut.translate(args.cut_ckpt, mr)}
+    src = outputs["syn_ct"]
     if args.sr_ckpt is not None:
-        src = lapsrn.super_resolve(sr_state, syn)
-        vio.save_volume(src, os.path.join(out_dir, "sr_ct" + ext), fmt)
-    matched = postprocess.histogram_match(src, reference)
-    vio.save_volume(matched, os.path.join(out_dir, "matched_ct" + ext), fmt)
-    mask = postprocess.segment_from_matched(matched, params)
-    vio.save_volume(mask.to_volume(), os.path.join(out_dir, "mask" + ext), fmt)
-    print(f"wrote syn_ct, {'sr_ct, ' if args.sr_ckpt else ''}matched_ct, mask under {out_dir}")
+        src = outputs["sr_ct"] = lapsrn.super_resolve(args.sr_ckpt, src)
+    outputs["matched_ct"] = postprocess.histogram_match(src, reference)
+    outputs["mask"] = postprocess.segment_from_matched(outputs["matched_ct"], params).to_volume()
+    os.makedirs(out_dir, exist_ok=True)
+    for name, v in outputs.items():
+        vio.save_volume(v, os.path.join(out_dir, name + ext), fmt)
+    print(f"wrote {', '.join(outputs)} under {out_dir}")
     return 0
 
 
@@ -276,11 +272,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: no such file or directory: {exc.filename or exc}", file=sys.stderr)
-        return 2
-    except IsADirectoryError as exc:  # a directory is no input file
-        print(f"error: is a directory: {exc.filename or exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        # an input path that names nothing, or the wrong kind of thing
+        why = {FileNotFoundError: "no such file or directory", IsADirectoryError: "is a directory",
+               NotADirectoryError: "not a directory"}[type(exc)]
+        print(f"error: {why}: {exc.filename}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return 2
     except (RuntimeError, ValueError, OSError) as exc:  # FormatError and DomainError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

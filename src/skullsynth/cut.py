@@ -25,7 +25,7 @@ from skullsynth.engine import ops
 from skullsynth.engine.layers import Conv3d, ConvTranspose3d, InstanceNorm3d, Linear, Module
 from skullsynth.engine.optim import Adam
 from skullsynth.engine.tensor import Tensor, as_tensor
-from skullsynth.volume_io import UNIT, Volume
+from skullsynth.volume_io import UNIT, Volume, require_domain
 
 
 @dataclass
@@ -491,8 +491,7 @@ def translate(checkpoint, mr: Volume) -> Volume:
     if not isinstance(checkpoint, dict):  # read the generator's arrays alone
         checkpoint = ckpt_io.load_run(checkpoint, "cut", _SETTINGS, _build_generator, "param/g/")
     g = checkpoint["g"]
-    if mr.domain != UNIT:
-        raise ValueError(f"generator input must be UNIT domain, got {mr.domain}")
+    require_domain(mr, UNIT, "translate")
     with g.frozen():
         out, _ = g(as_tensor(mr))
     return Volume(out.data[0], mr.spacing, UNIT)

@@ -26,7 +26,7 @@ from skullsynth.engine import ops
 from skullsynth.engine.layers import Conv3d, ConvTranspose3d, Module
 from skullsynth.engine.optim import SGD
 from skullsynth.engine.tensor import DTYPE, Tensor, as_tensor
-from skullsynth.volume_io import UNIT, Volume, resample
+from skullsynth.volume_io import UNIT, Volume, require_domain, resample
 
 # Entries of the widest activation (the last level's features) that one
 # inference slab may hold: 24 MiB in float32.
@@ -303,38 +303,32 @@ def train_lapsrn(hr_set, cfg: SRTrainConfig, spec: PyramidSpec = None,
     return training.fit(_TRAINER, cfg, run_dir, state, epoch_steps)
 
 
-def _slab_grid(shape, spec, halo):
-    """Full-width z-slabs of `shape`: the fewest equal slabs whose widest
-    activation, ``filters * scale^3`` entries per plane of its chunk, fits
-    SLAB_ELEMS.  None when even one plane and its halo do not fit."""
+def _inference_grid(shape, spec, cube_core, halo):
+    """The fewest equal full-width z-slabs whose widest activation,
+    ``filters * scale^3`` entries per plane of its chunk, fits SLAB_ELEMS,
+    when they span no more input voxels than cubes of ``cube_core``; those
+    cubes otherwise, and where no slab fits.  A grid spans the product over
+    its axes of the summed chunk extents; more slabs never span fewer voxels,
+    so the fewest that fit decide."""
+
+    def extents(n, core):  # of each chunk along an axis of n voxels, halo included
+        return [min(o + core + halo, n) - max(o - halo, 0) for o in range(0, n, core)]
+
     d, h, w = shape
     per_plane = spec.filters * spec.scale**3 * h * w
-    if per_plane * min(d, 1 + 2 * halo) > SLAB_ELEMS:
-        return None
-    for n in range(1, d + 1):
-        grid = ChunkGrid.build(shape, (-(-d // n), h, w), halo)
-        chunks = (grid.chunk_slices(o)[0] for o in grid.origins)
-        if per_plane * max(z.stop - z.start for z in chunks) <= SLAB_ELEMS:
-            return grid
-
-
-def _computed_voxels(grid):
-    """Input voxels the chunks of ``grid`` span, halos included."""
-    return sum(math.prod(s.stop - s.start for s in grid.chunk_slices(o)) for o in grid.origins)
-
-
-def _inference_grid(shape, spec, cube_core, halo):
-    """`_slab_grid`'s slabs when they fit SLAB_ELEMS and span no more voxels
-    than cubes of ``cube_core``; those cubes otherwise."""
-    cubes = ChunkGrid.build(shape, cube_core, halo)
-    slabs = _slab_grid(shape, spec, halo)
-    if slabs is not None and _computed_voxels(slabs) <= _computed_voxels(cubes):
-        return slabs
-    return cubes
+    for core in (-(-d // n) for n in range(1, d + 1)):  # planes per slab, fewest slabs first
+        z = extents(d, core)
+        if per_plane * max(z) <= SLAB_ELEMS:
+            cubes = math.prod(sum(extents(e, cube_core)) for e in shape)
+            if sum(z) * h * w <= cubes:
+                return ChunkGrid.build(shape, (core, h, w), halo)
+            break
+    return ChunkGrid.build(shape, cube_core, halo)
 
 
 def super_resolve(checkpoint, vol: Volume, core_size=None, halo=None) -> Volume:
-    """Chunked inference: upsample a UNIT volume by the net's pyramid scale.
+    """Chunked inference: upsample a UNIT volume by the net's pyramid scale;
+    accepts a checkpoint path or a loaded state.
 
     Without ``core_size`` the volume is cut into full-width z-slabs, as few
     as keep each slab's widest activation (the last level's ``filters``
@@ -352,8 +346,7 @@ def super_resolve(checkpoint, vol: Volume, core_size=None, halo=None) -> Volume:
     """
     state = load_sr_checkpoint(checkpoint) if not isinstance(checkpoint, dict) else checkpoint
     net, cfg, spec = state["net"], state["cfg"], state["spec"]
-    if vol.domain != UNIT:
-        raise ValueError(f"super-resolution input must be UNIT domain, got {vol.domain}")
+    require_domain(vol, UNIT, "super_resolve")
     if halo is None:
         halo = spec.receptive_radius
     scale = spec.scale

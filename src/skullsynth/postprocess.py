@@ -1,7 +1,9 @@
 """Unit-range synthetic CT back to Hounsfield scale, then skull mask extraction.
 
 The chain is histogram matching against a real CT, inclusive HU thresholding,
-binary opening, binary closing.  Histogram matching uses mid-rank empirical
+binary opening, binary closing.  Matching's reference and the thresholded
+volume must be HU; `volume_io.require_domain` refuses any other domain with a
+`DomainError` that names the stage.  Histogram matching uses mid-rank empirical
 CDFs with linear interpolation between reference order statistics, which makes
 it deterministic, tie-stable, and monotone, and sends a constant source to the
 reference median.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from skullsynth.engine import kernels
-from skullsynth.volume_io import HU, DomainError, SegmentationMask, Volume
+from skullsynth.volume_io import HU, SegmentationMask, Volume, require_domain
 
 
 @dataclass
@@ -46,16 +48,10 @@ class SegmentationParams:
             raise ValueError(f"unknown structuring element {self.structuring_element!r}")
 
 
-def require_hu(v: Volume, what: str):
-    """Refuse `v`, the volume `what` names, unless it is in HU."""
-    if v.domain != HU:
-        raise DomainError(f"{what} needs a HU volume, got {v.domain}")
-
-
 def histogram_match(source: Volume, reference: Volume) -> Volume:
     """Monotone quantile mapping of source intensities onto the distribution
     of `reference`, a HU volume; the result is HU."""
-    require_hu(reference, "histogram_match's reference")
+    require_domain(reference, HU, "histogram_match's reference")
     src = source.data.ravel()
     n = src.size
     if n > 2**32:
@@ -106,7 +102,7 @@ def _sort_order(x, index):
 
 
 def threshold_hu(v: Volume, t: float) -> SegmentationMask:
-    require_hu(v, "threshold_hu")
+    require_domain(v, HU, "threshold_hu")
     return SegmentationMask((v.data >= t).view(np.uint8), v.spacing)
 
 

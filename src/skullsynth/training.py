@@ -19,7 +19,7 @@ import numpy as np
 
 from skullsynth import checkpoint as ckpt_io
 from skullsynth.engine.optim import Optimizer, PlateauDecay
-from skullsynth.volume_io import UNIT
+from skullsynth.volume_io import UNIT, require_domain
 
 
 def _truncate_log(path, columns, step):
@@ -68,8 +68,7 @@ def start(trainer, run_dir, cfg, given, datasets, resume_from=None, config_ini=N
         raise ValueError("every training dataset must be nonempty: need at least one volume")
     volumes = [v for vs in datasets for v in vs]
     for v in volumes:
-        if v.domain != UNIT:
-            raise ValueError(f"training volumes must be UNIT domain, got {v.domain}")
+        require_domain(v, UNIT, f"{prefix} training")
     names = list(keys)[1:]  # the setting each of `given` is
     if resume_from is None:
         specs = [want if want is not None else keys[name][1]() for want, name in zip(given, names)]

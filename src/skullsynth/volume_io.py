@@ -9,7 +9,9 @@ Two interchange formats:
   dtypes, spacing from pixdim, intensity domain carried in the descrip field.
 
 Spacing is quantized to float32 on construction so both formats round-trip
-(data, spacing, domain) exactly.  Every edge of a volume or mask must be >= 1;
+(data, spacing, domain) exactly.  A stage that takes one intensity domain
+refuses any other through `require_domain`, with a `DomainError` naming the
+stage.  Every edge of a volume or mask must be >= 1;
 a file whose header or sidecar says otherwise, and a .nii.gz whose gzip stream
 cannot be read, is a `FormatError`; a missing volume file is a
 FileNotFoundError naming it, raised where the file is opened.
@@ -44,6 +46,12 @@ class FormatError(ValueError):
 
 class DomainError(ValueError):
     """Operation applied to a volume with the wrong intensity-domain tag."""
+
+
+def require_domain(v, domain, what):
+    """Refuse `v`, the volume `what` names, unless its domain is `domain`."""
+    if v.domain != domain:
+        raise DomainError(f"{what} needs a {domain} volume, got {v.domain}")
 
 
 def _spacing(values):
@@ -283,8 +291,7 @@ def resample(v: Volume, target_shape) -> Volume:
 
 
 def hounsfield_floor(v: Volume, floor_hu: float = -500.0) -> Volume:
-    if v.domain != HU:
-        raise DomainError(f"hounsfield_floor needs a HU volume, got {v.domain}")
+    require_domain(v, HU, "hounsfield_floor")
     return Volume(np.maximum(v.data, np.float32(floor_hu)), v.spacing, HU)
 
 

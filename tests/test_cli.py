@@ -90,6 +90,14 @@ def _missing(argv, flag, d, directory=False):
     return argv
 
 
+def _regular_file(argv, flag, d):
+    """`argv` with the directory after `flag` replaced by <d>/none, a regular file."""
+    os.makedirs(d, exist_ok=True)
+    open(d + "/none", "w").close()
+    argv[argv.index(flag) + 1] = d + "/none"
+    return argv
+
+
 def _infer_unit_reference(d, p):
     """`_infer_into_run` with the fixture's unit-domain MR as the reference CT."""
     argv = _infer_into_run(d, p)
@@ -103,6 +111,11 @@ def _evaluate(d, pred, truth):
         os.makedirs(f"{d}/{name}")
         vio.save_volume(v, f"{d}/{name}/case000.raw")
     return ["evaluate", "--pred-dir", d + "/pred", "--gt-dir", d + "/gt", "--out", d + "/run/e.csv"]
+
+
+def _evaluate_dirs(d, p):
+    """`evaluate` of the one-case phantom dir against itself, reporting to <d>/run."""
+    return ["evaluate", "--pred-dir", p + "/n1", "--gt-dir", p + "/n1", "--out", d + "/run/e.csv"]
 
 
 def _evaluate_at_scale(d, p, scale):
@@ -278,6 +291,23 @@ EXIT_CODES = [
      lambda d, p: _missing(_resume(d, p, "sr"), "--resume", d)),
     ("train-sr resume, --resume is a directory", 2,
      lambda d, p: _missing(_resume(d, p, "sr"), "--resume", d, directory=True)),
+    ("train-cut, regular file as --mr-dir", 2,
+     lambda d, p: _regular_file(_tiny(d, p, "cut"), "--mr-dir", d)),
+    ("train-cut, regular file as --ct-dir", 2,
+     lambda d, p: _regular_file(_tiny(d, p, "cut"), "--ct-dir", d)),
+    ("train-sr, regular file as --hr-dir", 2,
+     lambda d, p: _regular_file(_tiny(d, p, "sr"), "--hr-dir", d)),
+    ("preprocess, regular file as --in-dir", 2,
+     lambda d, p: _regular_file(_preprocess(d, p, "data.floor_hu=-500"), "--in-dir", d)),
+    ("evaluate, regular file as --pred-dir", 2,
+     lambda d, p: _regular_file(_evaluate_dirs(d, p), "--pred-dir", d)),
+    ("evaluate, regular file as --gt-dir", 2,
+     lambda d, p: _regular_file(_evaluate_dirs(d, p), "--gt-dir", d)),
+    ("preprocess --kind ct, a UNIT volume", 1,
+     lambda d, p: ["preprocess", "--in-dir", p + "/unit", "--out-dir", d + "/out",
+                   "--kind", "ct"]),
+    ("train-sr, volumes not in UNIT", 1,
+     lambda d, p: ["train-sr", "--hr-dir", p + "/n1", "--set", f"run.output_dir={d}/run"]),
     ("infer", 0, lambda d, p: _infer(d, p, p + "/run/cut_final.npz", p + "/run/sr_final.npz")),
     ("infer, checkpoints swapped", 1,
      lambda d, p: _infer(d, p, p + "/run/sr_final.npz", p + "/run/cut_final.npz")),
@@ -442,6 +472,67 @@ def test_missing_input_is_named_and_leaves_no_run_dir(phantoms, tmp_path, capsys
         why = "is a directory" if name.endswith(" directory") else "no such file or directory"
         assert capsys.readouterr().err == f"error: {why}: {d}/none\n"
         assert not (d / "run").exists()
+
+
+# the EXIT_CODES cases with a regular file, <d>/none, as a directory flag;
+# each would write to <d>/run
+FILES_AS_DIRS = [name for name, _, _ in EXIT_CODES if ", regular file as --" in name]
+
+
+def test_file_as_directory_is_named_and_leaves_no_run_dir(phantoms, tmp_path, capsys):
+    """A directory flag given a regular file says so; with nothing at the
+    path it says that there is no such file or directory."""
+    assert len(FILES_AS_DIRS) == 6
+    for name in FILES_AS_DIRS:
+        argv = next(a for n, _, a in EXIT_CODES if n == name)
+        d = tmp_path / name
+        argv = argv(str(d), str(phantoms))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: not a directory: {d}/none\n"
+        os.remove(d / "none")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: no such file or directory: {d}/none\n"
+        assert not (d / "run").exists()
+
+
+# the EXIT_CODES cases a stage refuses for a volume's intensity domain, with
+# the message
+DOMAIN_ERRORS = {
+    "infer, new --out, reference CT not in HU": "error: --reference-ct needs a HU volume, got UNIT",
+    "preprocess --kind ct, a UNIT volume": "error: hounsfield_floor needs a HU volume, got UNIT",
+    "train-sr, volumes not in UNIT": "error: sr training needs a UNIT volume, got HU",
+}
+
+
+def test_domain_error_names_its_stage(phantoms, tmp_path, capsys):
+    for name, _, argv in EXIT_CODES:
+        if name in DOMAIN_ERRORS:
+            assert main(argv(str(tmp_path / name), str(phantoms))) == 1
+            assert capsys.readouterr().err == DOMAIN_ERRORS[name] + "\n"
+
+
+def test_resume_latest_without_an_epoch_checkpoint_names_the_run_dir(phantoms, tmp_path,
+                                                                      capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    assert main(_tiny(str(tmp_path), str(phantoms), "sr") + ["--resume", "latest"]) == 2
+    assert capsys.readouterr().err == f"error: no epoch checkpoints under {run}\n"
+    assert not any(run.iterdir())
+
+
+@pytest.mark.parametrize("module,stage", [(lapsrn, "super_resolve"),
+                                          (postprocess, "histogram_match"),
+                                          (postprocess, "segment_from_matched")],
+                         ids=["super_resolve", "histogram_match", "segment_from_matched"])
+def test_infer_failing_after_translation_leaves_no_out_dir(phantoms, tmp_path, capsys,
+                                                          monkeypatch, module, stage):
+    def fail(*args, **kwargs):
+        raise RuntimeError(f"{stage} failed")
+
+    monkeypatch.setattr(module, stage, fail)
+    assert main(_infer_into_run(str(tmp_path), str(phantoms))) == 1
+    assert capsys.readouterr().err == f"error: {stage} failed\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_infer_without_sr_ckpt_runs_no_super_resolution(phantoms, tmp_path):

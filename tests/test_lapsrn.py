@@ -360,6 +360,54 @@ class TestSlabs:
         assert spanned_voxels(grid) == 2 * 23 * 40 * 40
 
 
+def search_grid(shape, spec, cube_core, halo):
+    """The cut `_inference_grid` makes, found by building every candidate
+    slab grid, then the cube grid, and counting their chunks' voxels."""
+
+    def slab_grid():
+        d, h, w = shape
+        per_plane = spec.filters * spec.scale**3 * h * w
+        if per_plane * min(d, 1 + 2 * halo) > lapsrn.SLAB_ELEMS:
+            return None
+        for n in range(1, d + 1):
+            grid = lapsrn.ChunkGrid.build(shape, (-(-d // n), h, w), halo)
+            if per_plane * widest_chunk(grid) <= lapsrn.SLAB_ELEMS:
+                return grid
+
+    cubes = lapsrn.ChunkGrid.build(shape, cube_core, halo)
+    slabs = slab_grid()
+    if slabs is not None and spanned_voxels(slabs) <= spanned_voxels(cubes):
+        return slabs
+    return cubes
+
+
+@st.composite
+def grid_cases(draw):
+    shape = tuple(draw(st.integers(1, 24)) for _ in range(3))
+    spec = PyramidSpec(levels=draw(st.integers(1, 2)), filters=draw(st.integers(1, 64)),
+                       feat_layers=3)
+    halo = draw(st.integers(0, 8))
+    # a budget of whole chunk planes, and part of one more, so that every
+    # slab count and the no-slab case are reached
+    per_plane = spec.filters * spec.scale**3 * shape[1] * shape[2]
+    budget = per_plane * draw(st.integers(0, shape[0] + 2 * halo)) + draw(st.integers(0, per_plane))
+    return shape, spec, draw(st.integers(2, 24)), halo, max(budget, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_cases())
+def test_inference_grid_is_the_grid_the_search_finds(case):
+    """Worked out per axis, the cut is the one that building every candidate
+    grid finds: the same core, halo and origins."""
+    shape, spec, cube_core, halo, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lapsrn, "SLAB_ELEMS", budget)
+        grid = lapsrn._inference_grid(shape, spec, cube_core, halo)
+        want = search_grid(shape, spec, cube_core, halo)
+    assert (grid.core, grid.halo, grid.origins) == (want.core, want.halo, want.origins)
+    assert grid == want
+
+
 @pytest.mark.parametrize("filters", [4, 64])
 def test_untrained_net_is_its_trilinear_path(filters):
     """The residual head starts at zero, so before training the net adds no

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skullsynth import augment, cut, lapsrn, postprocess
 from skullsynth import volume_io as vio
 from skullsynth.volume_io import (
     ARBITRARY,
+    DOMAINS,
     HU,
     UNIT,
     DomainError,
@@ -320,3 +322,43 @@ class TestPreprocessing:
         if v.data.max() > v.data.min():
             assert out.data.min() == 0.0
             assert out.data.max() == pytest.approx(1.0, abs=1e-6)
+
+
+def _tiny_sr_state():
+    spec = lapsrn.PyramidSpec(filters=2, feat_layers=3)
+    return {"net": lapsrn.build_sr_net(spec, seed=0), "cfg": lapsrn.SRTrainConfig(), "spec": spec}
+
+
+def _tiny_translator():
+    g_spec = cut.GeneratorSpec(base_filters=2, n_downsample=1, n_residual_blocks=1)
+    return {"g": cut.Generator(g_spec, np.random.default_rng(0))}
+
+
+# each stage that takes one intensity domain, called with another: the
+# stage's name in the message, the domain it needs, and the call
+DOMAIN_GUARDS = {
+    "hounsfield_floor": (HU, lambda v, tmp: vio.hounsfield_floor(v)),
+    "histogram_match's reference": (
+        HU, lambda v, tmp: postprocess.histogram_match(Volume(v.data, v.spacing, HU), v)),
+    "threshold_hu": (HU, lambda v, tmp: postprocess.threshold_hu(v, 0.5)),
+    "augment": (UNIT, lambda v, tmp: augment.augment(v, augment.AugmentationConfig(flip=True), 0)),
+    "translate": (UNIT, lambda v, tmp: cut.translate(_tiny_translator(), v)),
+    "super_resolve": (UNIT, lambda v, tmp: lapsrn.super_resolve(_tiny_sr_state(), v)),
+    "sr training": (UNIT, lambda v, tmp: lapsrn.train_lapsrn([v], lapsrn.SRTrainConfig(),
+                                                             run_dir=str(tmp))),
+    "cut training": (UNIT, lambda v, tmp: cut.train_cut([v], [v], cut.CutTrainConfig(),
+                                                        run_dir=str(tmp))),
+}
+
+
+@pytest.mark.parametrize("stage,domain", [(stage, d) for stage, (needed, _) in DOMAIN_GUARDS.items()
+                                          for d in DOMAINS if d != needed])
+def test_each_stage_refuses_another_domain_naming_itself(stage, domain, tmp_path):
+    """A stage given a volume of any domain but its own raises a DomainError
+    that names the stage and both domains, and writes nothing."""
+    needed, call = DOMAIN_GUARDS[stage]
+    v = Volume(np.random.default_rng(0).random((8, 8, 8)), (1.0,) * 3, domain)
+    with pytest.raises(DomainError) as info:
+        call(v, tmp_path / "run")
+    assert str(info.value) == f"{stage} needs a {needed} volume, got {domain}"
+    assert not (tmp_path / "run").exists()
