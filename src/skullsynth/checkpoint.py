@@ -3,7 +3,7 @@
 `save_checkpoint`/`load_checkpoint` store free-form array keys next to a
 JSON-serializable metadata dict that always carries a format version.
 Loading a container of another format version fails loudly rather than
-guessing; a missing path or a directory raises `open`'s error.  A load can
+guessing; any error opening the path is `open`'s own.  A load can
 read just the arrays under a key prefix; the others are neither read nor
 checked.  `replacing` is the one writer of the files a resume reads back
 (checkpoints, run log, ``config.ini``): readers see the old file or the new.
@@ -82,16 +82,15 @@ def save_checkpoint(path, meta: dict, arrays: dict) -> None:
 
 
 def load_checkpoint(path, prefix=""):
-    try:
-        with open(path, "rb") as fh, np.load(fh) as npz:
-            if _META_KEY not in npz:
-                raise KeyError(_META_KEY)
-            meta = json.loads(bytes(npz[_META_KEY].tobytes()).decode("utf-8"))
-            arrays = {k: npz[k] for k in npz.files if k != _META_KEY and k.startswith(prefix)}
-    except (FileNotFoundError, IsADirectoryError):
-        raise
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"corrupt or unreadable checkpoint {path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh) as npz:
+                if _META_KEY not in npz:
+                    raise KeyError(_META_KEY)
+                meta = json.loads(bytes(npz[_META_KEY].tobytes()).decode("utf-8"))
+                arrays = {k: npz[k] for k in npz.files if k != _META_KEY and k.startswith(prefix)}
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"corrupt or unreadable checkpoint {path}: {exc}") from exc
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(

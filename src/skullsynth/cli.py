@@ -5,12 +5,13 @@ Every command reads the same INI config; repeated `--set section.key=value`
 flags override file values.  A training run writes its resolved config, data
 dirs included, to `<run>/config.ini`, so `--config <run>/config.ini --resume
 latest` continues it.  `infer` runs super-resolution exactly when
-`--sr-ckpt` is given, and writes its outputs only once every stage has run,
-so a run that fails writes nothing.  Exit codes: 0 success, 1 runtime
-failure, 2 usage or configuration error.  A missing input file or directory,
-a directory given as a file, and a file given as a directory are exit 2,
-reported by the code that opens them as "no such file or directory", "is a
-directory" or "not a directory", before anything is written.
+`--sr-ckpt` is given; it and `preprocess` write only once every stage has
+run, so such a run that fails writes nothing.  Exit codes: 0 success, 1
+runtime failure, 2 usage or configuration error.  Exit 2, before anything is
+written: an input path (volume, checkpoint, `--config`, directory) missing,
+a directory where a file is due or under a regular file, which `main` alone
+words as "no such file or directory", "is a directory" or "not a directory";
+a `--config` not UTF-8 or not INI; an input directory with no `[data] format` volume.
 """
 
 import argparse
@@ -29,6 +30,8 @@ from skullsynth.config import ConfigError
 
 def _volume_paths(directory, fmt):
     names = sorted(n for n in os.listdir(directory) if n.endswith(vio.EXTENSIONS[fmt]))
+    if not names:
+        raise ConfigError(f"empty dataset: {directory} has 0 {fmt} volumes")
     return [os.path.join(directory, n) for n in names]
 
 
@@ -69,16 +72,16 @@ def cmd_phantom_gen(args, cfg):
 
 
 def cmd_preprocess(args, cfg):
+    """Make every output before creating `--out-dir`, so a refused run writes nothing;
+    that holds one output per input (perfbench's set-ups: at most 3 volumes of 40^3)."""
     data = config_mod.data_settings(cfg)
     fmt = data.format
     paths = _volume_paths(args.in_dir, fmt)
-    if not paths:
-        raise ConfigError(f"no {fmt} volumes found in {args.in_dir}")
     # a phantom-gen directory holds every kind of a case: keep the requested one
     by_kind = {k: [p for p in paths if _case_id(p).endswith("_" + k)] for k in ("mr", "ct")}
     if all(by_kind.values()):
         paths = by_kind[args.kind]
-    os.makedirs(args.out_dir, exist_ok=True)
+    outputs = []
     for path in paths:
         v = vio.load_volume(path, fmt)
         if args.kind == "ct":
@@ -86,6 +89,9 @@ def cmd_preprocess(args, cfg):
         v = vio.minmax_normalize(v)
         if data.resample_shape is not None:
             v = vio.resample(v, data.resample_shape)
+        outputs.append(v)
+    os.makedirs(args.out_dir, exist_ok=True)
+    for path, v in zip(paths, outputs):
         vio.save_volume(v, os.path.join(args.out_dir, os.path.basename(path)), fmt)
     print(f"preprocessed {len(paths)} {args.kind} volume(s) into {args.out_dir}")
     return 0
@@ -100,9 +106,6 @@ def _train(args, cfg, train, keys, settings):
         raise ConfigError(f"{args.command} needs [data] {' and '.join(keys)} "
                           f"(or {'/'.join('--' + k.replace('_', '-') for k in keys)})")
     datasets = [[vio.load_volume(p, fmt) for p in _volume_paths(d, fmt)] for d in dirs]
-    for d, volumes in zip(dirs, datasets):
-        if not volumes:
-            raise ConfigError(f"empty dataset: {d} has 0")
     cfg["data"].update(zip(keys, dirs))
     final, rows = train(*datasets, *settings, run_dir=config_mod.run_settings(cfg).output_dir,
                         resume_from=args.resume, config_ini=config_mod.dump_config(cfg))
@@ -155,8 +158,6 @@ def cmd_evaluate(args, cfg):
         raise RuntimeError(
             f"case ids do not match: only in predictions {only_pred[:4]}, only in truth {only_gt[:4]}"
         )
-    if not pred_paths:
-        raise ConfigError(f"no volumes to evaluate in {args.pred_dir}")
     out_path = args.out or os.path.join(config_mod.run_settings(cfg).output_dir, "evaluation.csv")
     rows = []
     for case in sorted(pred_paths):

@@ -156,20 +156,19 @@ def _set_value(cfg, section, key, raw):
 
 
 def load_config(path=None, overrides=()):
-    """Defaults, then the INI file (if any), then `section.key=value` overrides."""
+    """Defaults, then the INI file (if any), then `section.key=value` overrides.  Any error
+    opening the file is `open`'s own; a file not UTF-8 or not INI is a ConfigError."""
     cfg = default_config()
     if path is not None:
         parser = configparser.ConfigParser(
             interpolation=None, inline_comment_prefixes=None, comment_prefixes=("#",)
         )
         parser.optionxform = str
-        try:
-            with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
+            try:
                 parser.read_file(fh)
-        except FileNotFoundError:
-            raise
-        except (OSError, configparser.Error) as exc:
-            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+            except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+                raise ConfigError(f"cannot parse config {path}: {exc}") from exc
         for section in parser.sections():
             for key, raw in parser.items(section):
                 _set_value(cfg, section, key, raw)

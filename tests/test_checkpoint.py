@@ -68,6 +68,15 @@ def test_missing_file_is_file_not_found(tmp_path):
     assert info.value.filename == str(path)
 
 
+def test_an_unopenable_path_raises_opens_own_error(tmp_path):
+    (tmp_path / "file").touch()
+    for path, error in ((tmp_path, IsADirectoryError),
+                        (tmp_path / "file" / "x.npz", NotADirectoryError)):
+        with pytest.raises(error) as info:
+            load_checkpoint(path)
+        assert info.value.filename == str(path)
+
+
 def test_format_version_mismatch_raises(tmp_path):
     path = tmp_path / "old.npz"
     meta = json.dumps({"format_version": FORMAT_VERSION + 1}).encode("utf-8")

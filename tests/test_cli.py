@@ -81,12 +81,15 @@ def _infer_into_run(d, p, sr_ckpt="/run/sr_final.npz", sidecar=True):
     return argv
 
 
-def _missing(argv, flag, d, directory=False):
+def _missing(argv, flag, d, directory=False, under_file=False):
     """`argv` with the file after `flag` replaced by <d>/none, which does not
-    exist, or with `directory`, is an empty directory."""
+    exist, or with `directory`, is an empty directory; with `under_file`, by
+    <d>/none/none, whose <d>/none is a regular file."""
     if directory:
         os.makedirs(d + "/none")
-    argv[argv.index(flag) + 1] = d + "/none"
+    elif under_file:
+        _regular_file(argv, flag, d)
+    argv[argv.index(flag) + 1] = d + ("/none/none" if under_file else "/none")
     return argv
 
 
@@ -96,6 +99,21 @@ def _regular_file(argv, flag, d):
     open(d + "/none", "w").close()
     argv[argv.index(flag) + 1] = d + "/none"
     return argv
+
+
+def _empty_dir(argv, flag, d):
+    """`argv` with the directory after `flag` replaced by <d>/empty, an empty directory."""
+    os.makedirs(d + "/empty")
+    argv[argv.index(flag) + 1] = d + "/empty"
+    return argv
+
+
+def _config_not_utf8(d, p):
+    """`_phantom_gen` with --config <d>/bad.ini, whose first byte is not UTF-8."""
+    os.makedirs(d, exist_ok=True)
+    with open(d + "/bad.ini", "wb") as fh:
+        fh.write(b"\xff[run]\n")
+    return _phantom_gen(d, "--config", d + "/bad.ini")
 
 
 def _infer_unit_reference(d, p):
@@ -172,14 +190,6 @@ def _phantom_gen(d, *flags):
     return ["phantom-gen", "--out", d + "/run", "--count", "1", *flags]
 
 
-def _train_sr_on_empty_dir(d, p):
-    """`_tiny` train-sr with an empty <d>/empty as its --hr-dir."""
-    os.makedirs(d + "/empty")
-    argv = _tiny(d, p, "sr")
-    argv[argv.index("--hr-dir") + 1] = d + "/empty"
-    return argv
-
-
 def _preprocess_truncated_nifti(d, p):
     """`preprocess --kind mr` into <d>/run of <d>/in, which holds the
     fixture's MR as a .nii.gz cut in half."""
@@ -216,6 +226,11 @@ EXIT_CODES = [
     ("no arguments", 2, lambda d, p: []),
     ("typo'd --set key", 2, lambda d, p: ["phantom-gen", "--out", d, "--set", "cut.lerning_rate=1"]),
     ("missing --config", 2, lambda d, p: ["phantom-gen", "--out", d, "--config", d + "/none.ini"]),
+    ("a directory as --config", 2,
+     lambda d, p: _missing(_phantom_gen(d, "--config", ""), "--config", d, directory=True)),
+    ("a regular file in --config's path", 2,
+     lambda d, p: _missing(_phantom_gen(d, "--config", ""), "--config", d, under_file=True)),
+    ("--config not UTF-8", 2, _config_not_utf8),
     ("missing --mr-dir", 2, lambda d, p: ["train-cut", "--mr-dir", d + "/none", "--ct-dir", p + "/n1"]),
     ("bad data.format", 2, lambda d, p: ["phantom-gen", "--out", d, "--set", "data.format=dicom"]),
     ("non-int value", 2, lambda d, p: ["phantom-gen", "--out", d, "--set", "cut.batch_size=two"]),
@@ -277,7 +292,16 @@ EXIT_CODES = [
     ("train-cut, MR and CT shapes differ", 1, _train_cut_other_ct_shape),
     ("train-cut, no --ct-dir and no [data] ct_dir", 2,
      lambda d, p: ["train-cut", "--mr-dir", p + "/unit", "--set", f"run.output_dir={d}/run"]),
-    ("train-sr, --hr-dir holds no volumes", 2, _train_sr_on_empty_dir),
+    ("train-sr, --hr-dir holds no volumes", 2,
+     lambda d, p: _empty_dir(_tiny(d, p, "sr"), "--hr-dir", d)),
+    ("train-cut, --ct-dir holds no volumes", 2,
+     lambda d, p: _empty_dir(_tiny(d, p, "cut"), "--ct-dir", d)),
+    ("preprocess, --in-dir holds no volumes", 2,
+     lambda d, p: _empty_dir(_preprocess(d, p, "data.floor_hu=-500"), "--in-dir", d)),
+    ("evaluate, --pred-dir holds no volumes", 2,
+     lambda d, p: _empty_dir(_evaluate_dirs(d, p), "--pred-dir", d)),
+    ("evaluate, --gt-dir holds no volumes", 2,
+     lambda d, p: _empty_dir(_evaluate_dirs(d, p), "--gt-dir", d)),
     ("train-cut resume, MR and CT shapes differ", 1,
      lambda d, p: _train_cut_other_ct_shape(d, p, resume=True)),
     ("train-cut resume", 0, lambda d, p: _resume(d, p, "cut")),
@@ -291,6 +315,10 @@ EXIT_CODES = [
      lambda d, p: _missing(_resume(d, p, "sr"), "--resume", d)),
     ("train-sr resume, --resume is a directory", 2,
      lambda d, p: _missing(_resume(d, p, "sr"), "--resume", d, directory=True)),
+    ("train-cut resume, a regular file in --resume's path", 2,
+     lambda d, p: _missing(_resume(d, p, "cut"), "--resume", d, under_file=True)),
+    ("train-sr resume, a regular file in --resume's path", 2,
+     lambda d, p: _missing(_resume(d, p, "sr"), "--resume", d, under_file=True)),
     ("train-cut, regular file as --mr-dir", 2,
      lambda d, p: _regular_file(_tiny(d, p, "cut"), "--mr-dir", d)),
     ("train-cut, regular file as --ct-dir", 2,
@@ -330,6 +358,9 @@ EXIT_CODES = [
      lambda d, p: _missing(_infer_into_run(d, p), "--mr", d, directory=True)),
     ("infer, new --out, --cut-ckpt is a directory", 2,
      lambda d, p: _missing(_infer_into_run(d, p), "--cut-ckpt", d, directory=True)),
+    *((f"infer, new --out, a regular file in {flag}'s path", 2,
+       lambda d, p, flag=flag: _missing(_infer_into_run(d, p), flag, d, under_file=True))
+      for flag in ("--mr", "--cut-ckpt", "--sr-ckpt", "--reference-ct")),
     ("infer, postprocess.bone_threshold_hu=nan", 2,
      lambda d, p: _infer_into_run(d, p) + ["--set", "postprocess.bone_threshold_hu=nan"]),
 ]
@@ -422,12 +453,15 @@ def test_shape_error_leaves_no_run_dir(phantoms, tmp_path, capsys):
             assert not (d / "run").exists()
 
 
-# the EXIT_CODES cases a training command refuses for its data dirs, with the
+# the EXIT_CODES cases a command refuses for its data dirs, with the
 # message ({d} is the case's dir); each would write to <d>/run
 DATA_DIR_ERRORS = {
     "train-cut, no --ct-dir and no [data] ct_dir":
         "train-cut needs [data] mr_dir and ct_dir (or --mr-dir/--ct-dir)",
     "train-sr, --hr-dir holds no volumes": "empty dataset: {d}/empty has 0",
+    **{f"{command}, --{flag}-dir holds no volumes": "empty dataset: {d}/empty has 0 raw volumes"
+       for command, flag in (("train-cut", "ct"), ("preprocess", "in"), ("evaluate", "pred"),
+                             ("evaluate", "gt"))},
 }
 
 
@@ -493,6 +527,40 @@ def test_file_as_directory_is_named_and_leaves_no_run_dir(phantoms, tmp_path, ca
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: no such file or directory: {d}/none\n"
         assert not (d / "run").exists()
+
+
+# the EXIT_CODES cases with an input path under a regular file, <d>/none, or
+# a --config that is a directory or not UTF-8, with the whole of stderr ({d}
+# is the case's dir); each would write to <d>/run
+PATH_ERRORS = {
+    **{name: "error: not a directory: {d}/none/none" for name, _, _ in EXIT_CODES
+       if "a regular file in --" in name},
+    "a directory as --config": "error: is a directory: {d}/none",
+    "--config not UTF-8": "config error: cannot parse config {d}/bad.ini: 'utf-8' codec "
+                          "can't decode byte 0xff in position 0: invalid start byte",
+}
+
+
+def test_path_error_is_named_and_leaves_no_run_dir(phantoms, tmp_path, capsys):
+    assert len(PATH_ERRORS) == 9
+    for name, message in PATH_ERRORS.items():
+        argv = next(a for n, _, a in EXIT_CODES if n == name)
+        d = tmp_path / name
+        assert main(argv(str(d), str(phantoms))) == 2
+        assert capsys.readouterr().err == message.format(d=d) + "\n"
+        assert not (d / "run").exists()
+
+
+def test_refused_preprocess_leaves_no_out_dir(phantoms, tmp_path, capsys):
+    """A CT dir whose second volume is not in HU is refused before the first is saved."""
+    os.makedirs(tmp_path / "in")
+    for case, src in (("case000", "n1/case000_ct.raw"), ("case001", "unit/case000_mr.raw")):
+        for ext in ("", ".meta"):
+            shutil.copyfile(f"{phantoms}/{src}{ext}", f"{tmp_path}/in/{case}_ct.raw{ext}")
+    assert main(["preprocess", "--in-dir", str(tmp_path / "in"), "--out-dir",
+                 str(tmp_path / "run"), "--kind", "ct"]) == 1
+    assert capsys.readouterr().err == "error: hounsfield_floor needs a HU volume, got UNIT\n"
+    assert not (tmp_path / "run").exists()
 
 
 # the EXIT_CODES cases a stage refuses for a volume's intensity domain, with

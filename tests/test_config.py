@@ -107,6 +107,22 @@ def test_typo_suggests_the_close_name(override, hint):
         load_config(overrides=[override])
 
 
+def test_an_unopenable_path_raises_opens_own_error(tmp_path):
+    (tmp_path / "file").touch()
+    for path, error in ((tmp_path / "none.ini", FileNotFoundError), (tmp_path, IsADirectoryError),
+                        (tmp_path / "file" / "run.ini", NotADirectoryError)):
+        with pytest.raises(error) as info:
+            load_config(path)
+        assert info.value.filename == str(path)
+
+
+def test_file_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"[run]\nseed = 1 # \xff\n")
+    with pytest.raises(ConfigError, match="cannot parse config .*'utf-8' codec can't decode"):
+        load_config(path)
+
+
 def test_typo_in_file_is_rejected(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[postprocess]\nbone_threshold=300\n")
